@@ -12,30 +12,31 @@ They look at different granularities on purpose:
 * The clone measure compares the literal token sequences: the length of the
   longest common subsequence normalized by the context's token count. No
   splitting, case-sensitive: clones are about verbatim reuse. Note the
-  asymmetry: only the context length normalizes the ratio.
+  asymmetry: only the context length normalizes the ratio. The LCS is
+  computed bit-parallel over Python integers (Allison & Dix 1986; Hyyrö
+  2004), exactly and with no cap on the length of either sequence.
+
+The context side of both measures (token texts, subtoken vector and norm)
+comes from a :class:`~catchrec.context.PreparedContext`, computed once per
+query by the caller or, given a plain unit or token list, on the spot.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import re
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .lexer import Token, TokenKind
-from .model import SourceUnit
-
-logger = logging.getLogger(__name__)
-
-SIGNIFICANT_KINDS = frozenset(
-    {TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL}
+from .context import (  # the token helpers stay importable from here
+    SIGNIFICANT_KINDS,  # noqa: F401
+    PreparedContext,
+    prepare_context,
+    significant_tokens,
+    subtoken_vector,
+    subtokens,  # noqa: F401
 )
-
-# Candidate streams longer than this are truncated for the LCS table.
-MAX_CLONE_TOKENS = 20_000
-
-_CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
+from .lexer import Token
+from .model import SourceUnit
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class LexicalWeights:
     clone: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cosine < 0 or self.clone < 0:
-            raise ValueError("lexical weights must be non-negative")
+        for name in ("cosine", "clone"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -66,87 +68,78 @@ class LexicalReport:
         }
 
 
-def significant_tokens(unit: SourceUnit) -> list[Token]:
-    """Identifiers, keywords, and literals of the unit, in order."""
-    return [t for t in unit.tokens if t.kind in SIGNIFICANT_KINDS]
-
-
-def subtokens(token: Token) -> list[str]:
-    """Lowercase subtokens for the cosine vector; identifiers split at
-    underscores and camel-case boundaries, other tokens pass through."""
-    if token.kind is not TokenKind.IDENTIFIER:
-        return [token.text]
-    parts: list[str] = []
-    for chunk in re.split(r"[_$]+", token.text):
-        parts.extend(m.group(0).lower() for m in _CAMEL.finditer(chunk))
-    return parts or [token.text.lower()]
-
-
 def cosine_similarity(
-    context_tokens: list[Token], candidate_tokens: list[Token]
+    context: Sequence[Token] | PreparedContext, candidate_tokens: Sequence[Token]
 ) -> float:
-    """Cosine of the subtoken frequency vectors; 0 when either is empty."""
-    u = Counter(s for t in context_tokens for s in subtokens(t))
-    v = Counter(s for t in candidate_tokens for s in subtokens(t))
+    """Cosine of the subtoken frequency vectors; 0 when either is empty.
+    The context is its significant tokens or the prepared context."""
+    if isinstance(context, PreparedContext):
+        u, norm_u = context.subtokens, context.norm
+    else:
+        u, norm_u = subtoken_vector(context)
+    v, norm_v = subtoken_vector(candidate_tokens)
     if not u or not v:
         return 0.0
     dot = sum(count * v[name] for name, count in u.items() if name in v)
-    norm_u = math.sqrt(sum(c * c for c in u.values()))
-    norm_v = math.sqrt(sum(c * c for c in v.values()))
     return dot / (norm_u * norm_v)
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length, O(len(a)*len(b)) time and two rows
-    of space."""
-    if not a or not b:
-        return 0
-    if len(b) < len(a):
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyrö 2004, "Bit-parallel LCS-length computation revisited").
+
+    Bit ``i`` of ``v`` stands for item ``i`` of the longer sequence; a zero
+    bit marks a step of the LCS row. Each item of the shorter sequence that
+    occurs in the longer one updates the whole row with a few operations on
+    ``len(longer)``-bit integers; other items leave the row unchanged. Exact
+    for any lengths; O(len(a) * len(b) / w) word operations.
+    """
+    if len(a) < len(b):
         a, b = b, a
-    prev = [0] * (len(a) + 1)
+    matches: dict[str, int] = {}
+    for i, x in enumerate(a):
+        matches[x] = matches.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
     for y in b:
-        cur = [0]
-        for i, x in enumerate(a, 1):
-            if x == y:
-                cur.append(prev[i - 1] + 1)
-            else:
-                cur.append(max(prev[i], cur[i - 1]))
-        prev = cur
-    return prev[-1]
+        m = matches.get(y)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def clone_measure(
-    context_tokens: list[Token], candidate_tokens: list[Token]
+    context: Sequence[Token] | PreparedContext, candidate_tokens: Sequence[Token]
 ) -> tuple[int, float]:
-    """(LCS length, LCS length / context token count); exact token text."""
-    context_texts = [t.text for t in context_tokens]
-    candidate_texts = [t.text for t in candidate_tokens]
-    if len(candidate_texts) > MAX_CLONE_TOKENS:
-        logger.warning(
-            "clone measure truncating candidate from %d to %d tokens",
-            len(candidate_texts),
-            MAX_CLONE_TOKENS,
-        )
-        candidate_texts = candidate_texts[:MAX_CLONE_TOKENS]
-    length = lcs_length(context_texts, candidate_texts)
+    """(LCS length, LCS length / context token count); exact token text.
+    The context is its significant tokens or the prepared context."""
+    if isinstance(context, PreparedContext):
+        context_texts: Sequence[str] = context.texts
+    else:
+        context_texts = [t.text for t in context]
+    length = lcs_length(context_texts, [t.text for t in candidate_tokens])
     ratio = length / len(context_texts) if context_texts else 0.0
     return length, ratio
 
 
 def lexical_score(
-    context: SourceUnit, candidate: SourceUnit, weights: LexicalWeights | None = None
+    context: SourceUnit | PreparedContext,
+    candidate: SourceUnit,
+    weights: LexicalWeights | None = None,
 ) -> LexicalReport:
     """Weighted fusion of the two measures; works on any unit, parsed or not,
-    because tokens always exist."""
+    because tokens always exist. A plain context unit is prepared here."""
+    if not isinstance(context, PreparedContext):
+        context = prepare_context(context)
     weights = weights or LexicalWeights()
-    ctx = significant_tokens(context)
     cand = significant_tokens(candidate)
-    cos = cosine_similarity(ctx, cand)
-    length, ratio = clone_measure(ctx, cand)
+    cos = cosine_similarity(context, cand)
+    length, ratio = clone_measure(context, cand)
     return LexicalReport(
         cosine=cos,
         clone_ratio=ratio,
         lcs_length=length,
-        context_token_count=len(ctx),
+        context_token_count=len(context.texts),
         raw=weights.cosine * cos + weights.clone * ratio,
     )

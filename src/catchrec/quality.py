@@ -10,6 +10,7 @@ contract (longer lines and denser parentheses always lower it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EmptyUnit
@@ -40,8 +41,8 @@ class QualityWeights:
 
     def __post_init__(self) -> None:
         for name in ("readability", "handler_actions", "handler_ratio"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ to keep non-parseable code rankable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .context import PreparedContext, prepare_context
 from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable
 from .lexical import LexicalReport, LexicalWeights, lexical_score
 from .model import SourceUnit
@@ -34,8 +36,8 @@ class TopLevelWeights:
 
     def __post_init__(self) -> None:
         for name in ("structural", "lexical", "quality"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,16 @@ def load_weights(path: str | Path) -> WeightConfig:
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown weight config key: {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"weight {key!r} must be a non-negative number")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"weight {key!r} must be a finite non-negative number")
+        try:
+            weight = float(value)
+        except OverflowError:  # an integer literal too large for a float
+            weight = math.inf
+        if not math.isfinite(weight) or weight < 0:
+            raise ConfigError(f"weight {key!r} must be a finite non-negative number")
         section, attr = _CONFIG_KEYS[key]
-        sections[section][attr] = float(value)
+        sections[section][attr] = weight
     return WeightConfig(
         structural=StructuralWeights(**sections["structural"]),
         lexical=LexicalWeights(**sections["lexical"]),
@@ -198,13 +206,14 @@ def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreak
 
 
 def score_candidate(
-    context: SourceUnit,
+    context: SourceUnit | PreparedContext,
     candidate_id: str,
     candidate: SourceUnit,
     config: WeightConfig,
 ) -> RawComponents:
     """Raw component scores for one candidate; structural and quality
-    failures degrade to zero components instead of dropping the candidate."""
+    failures degrade to zero components instead of dropping the candidate.
+    A plain context unit is prepared by each scorer."""
     try:
         match = structural_score(context, candidate, config.structural)
         structural_raw, structure_available = match.raw, True
@@ -248,8 +257,9 @@ def rank(
     if k < 1:
         raise ValueError("k must be at least 1")
     config = config or WeightConfig()
+    prepared = prepare_context(context)  # once per call, not per candidate
     raws = [
-        score_candidate(context, cand.id, cand.unit, config) for cand in candidates
+        score_candidate(prepared, cand.id, cand.unit, config) for cand in candidates
     ]
     return fuse(raws, config.top_level)[: min(k, len(raws))]
 

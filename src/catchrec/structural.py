@@ -11,12 +11,21 @@ the implementation enumerates every injective type-compatible assignment
 and keeps the best-scoring one (ties resolved toward declaration order);
 for larger graphs it falls back to a greedy per-object choice and marks the
 report as non-exhaustive so the approximation is visible downstream.
+
+Pairings are scored from per-pair tables built once per candidate: the
+field and method fractions of every type-compatible object pair, and the
+candidate's dependency edges indexed by their endpoints. The search and the
+final report use the same table and the same scoring function, and the
+fractions are summed in pairing order. The context's graph comes prepared
+once per query (:class:`~catchrec.context.PreparedContext`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from .context import PreparedContext, prepare_context
 from .errors import StructureUnavailable
 from .graph import ApiUsageGraph, DependencyEdge, GraphObject, extract_usage_graph
 from .model import ParseStatus, SourceUnit
@@ -34,8 +43,8 @@ class StructuralWeights:
 
     def __post_init__(self) -> None:
         for name in ("object_match", "field_match", "method_match", "dependency_match"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -108,18 +117,74 @@ def _overlap(context_counts, candidate_counts) -> tuple[int, int]:
     return matched, total
 
 
+@dataclass(frozen=True)
+class _PairTable:
+    """What every pairing of two graphs is scored from, computed once per
+    (context, candidate) pair of graphs: for each type-compatible object
+    pair its member-overlap counts and its field and method fractions, and
+    the candidate's dependency edges by their endpoints."""
+
+    context: ApiUsageGraph
+    candidate: ApiUsageGraph
+    # candidate indices type-compatible with each context object, in order
+    compatible: tuple[tuple[int, ...], ...]
+    # (context index, candidate index) -> matched field + method accesses
+    overlap: dict[tuple[int, int], int]
+    field_fractions: dict[tuple[int, int], float]
+    method_fractions: dict[tuple[int, int], float]
+    # (consumer, producer) -> ((edge index, access point), ...) in edge order
+    candidate_edges: dict[tuple[int, int], tuple[tuple[int, str], ...]]
+    # per context edge, the position of the first edge equal to it: equal
+    # edges share one match, as they would when matches are keyed by edge
+    edge_keys: tuple[int, ...]
+
+
+def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
+    cand_fields = [dict(o.fields) for o in candidate.objects]
+    cand_methods = [dict(o.methods) for o in candidate.objects]
+    compatible = []
+    overlap: dict[tuple[int, int], int] = {}
+    field_fractions: dict[tuple[int, int], float] = {}
+    method_fractions: dict[tuple[int, int], float] = {}
+    for ci, ctx_obj in enumerate(context.objects):
+        ctx_fields, ctx_methods = dict(ctx_obj.fields), dict(ctx_obj.methods)
+        partners = tuple(
+            ki for ki, cand_obj in enumerate(candidate.objects) if types_match(ctx_obj, cand_obj)
+        )
+        compatible.append(partners)
+        for ki in partners:
+            fm, ft = _overlap(ctx_fields, cand_fields[ki])
+            mm, mt = _overlap(ctx_methods, cand_methods[ki])
+            overlap[ci, ki] = fm + mm
+            # objects without accesses contribute zero instead of dividing by zero
+            field_fractions[ci, ki] = fm / ft if ft else 0.0
+            method_fractions[ci, ki] = mm / mt if mt else 0.0
+    edges: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    for idx, edge in enumerate(candidate.dependencies):
+        edges.setdefault((edge.consumer, edge.producer), []).append((idx, edge.access_point))
+    first: dict[DependencyEdge, int] = {}
+    edge_keys = tuple(
+        first.setdefault(edge, pos) for pos, edge in enumerate(context.dependencies)
+    )
+    return _PairTable(
+        context=context,
+        candidate=candidate,
+        compatible=tuple(compatible),
+        overlap=overlap,
+        field_fractions=field_fractions,
+        method_fractions=method_fractions,
+        candidate_edges={ends: tuple(found) for ends, found in edges.items()},
+        edge_keys=edge_keys,
+    )
+
+
 def field_access_match(
     pairings: list[tuple[int, int]], context: ApiUsageGraph, candidate: ApiUsageGraph
 ) -> list[float]:
     """Per-pairing field-overlap fractions; objects without field accesses
     contribute zero instead of dividing by zero."""
-    fractions = []
-    for ci, ki in pairings:
-        matched, total = _overlap(
-            context.objects[ci].field_counter(), candidate.objects[ki].field_counter()
-        )
-        fractions.append(matched / total if total else 0.0)
-    return fractions
+    table = _pair_table(context, candidate)
+    return [table.field_fractions[pair] for pair in pairings]
 
 
 def method_invocation_match(
@@ -127,13 +192,8 @@ def method_invocation_match(
 ) -> list[float]:
     """Per-pairing method-overlap fractions; constructors ride along as the
     ``<init>`` entry the graph already carries."""
-    fractions = []
-    for ci, ki in pairings:
-        matched, total = _overlap(
-            context.objects[ci].method_counter(), candidate.objects[ki].method_counter()
-        )
-        fractions.append(matched / total if total else 0.0)
-    return fractions
+    table = _pair_table(context, candidate)
+    return [table.method_fractions[pair] for pair in pairings]
 
 
 def data_dependency_match(
@@ -142,45 +202,51 @@ def data_dependency_match(
     """Context dependency edges whose paired endpoints are also connected in
     the candidate; 1.0 for an equal access point, 0.5 otherwise. Each
     candidate edge backs at most one context edge, exact matches first."""
+    return _dependency_matches(pairings, _pair_table(context, candidate))
+
+
+def _dependency_matches(
+    pairings: list[tuple[int, int]], table: _PairTable
+) -> list[tuple[DependencyEdge, float]]:
+    context_edges = table.context.dependencies
+    if not context_edges or not table.candidate_edges:
+        return []
     paired = dict(pairings)
+    backing = []  # per context edge: candidate edges between its paired endpoints
+    for edge in context_edges:
+        cc = paired.get(edge.consumer)
+        cp = paired.get(edge.producer)
+        found = () if cc is None or cp is None else table.candidate_edges.get((cc, cp), ())
+        backing.append(found)
     used: set[int] = set()
-    matches: dict[DependencyEdge, float] = {}
-
-    def candidate_edges(ctx_edge: DependencyEdge):
-        cc = paired.get(ctx_edge.consumer)
-        cp = paired.get(ctx_edge.producer)
-        if cc is None or cp is None:
-            return
-        for idx, edge in enumerate(candidate.dependencies):
-            if idx not in used and edge.consumer == cc and edge.producer == cp:
-                yield idx, edge
-
-    for ctx_edge in context.dependencies:  # exact access-point matches first
-        for idx, edge in candidate_edges(ctx_edge):
-            if edge.access_point == ctx_edge.access_point:
+    matches: dict[int, float] = {}  # context edge key -> weight
+    rows = list(zip(context_edges, table.edge_keys, backing))
+    for edge, key, found in rows:  # exact access-point matches first
+        for idx, access_point in found:
+            if idx not in used and access_point == edge.access_point:
                 used.add(idx)
-                matches[ctx_edge] = 1.0
+                matches[key] = 1.0
                 break
-    for ctx_edge in context.dependencies:
-        if ctx_edge in matches:
+    for _edge, key, found in rows:
+        if key in matches:
             continue
-        for idx, _edge in candidate_edges(ctx_edge):
-            used.add(idx)
-            matches[ctx_edge] = 0.5
-            break
+        for idx, _access_point in found:
+            if idx not in used:
+                used.add(idx)
+                matches[key] = 0.5
+                break
 
-    return [(e, matches[e]) for e in context.dependencies if e in matches]
+    return [(edge, matches[key]) for edge, key, _found in rows if key in matches]
 
 
 def _score_pairing(
-    pairings: list[tuple[int, int]],
-    context: ApiUsageGraph,
-    candidate: ApiUsageGraph,
-    weights: StructuralWeights,
+    pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
-    fam = field_access_match(pairings, context, candidate)
-    mim = method_invocation_match(pairings, context, candidate)
-    deps = data_dependency_match(pairings, context, candidate)
+    """Raw score of one pairing and its parts; fractions are summed in
+    pairing order."""
+    fam = [table.field_fractions[pair] for pair in pairings]
+    mim = [table.method_fractions[pair] for pair in pairings]
+    deps = _dependency_matches(pairings, table)
     raw = (
         weights.object_match * len(pairings)
         + weights.field_match * sum(fam)
@@ -190,28 +256,23 @@ def _score_pairing(
     return raw, fam, mim, deps
 
 
-def _assignment_space(context: ApiUsageGraph, candidate: ApiUsageGraph) -> int:
+def _assignment_space(table: _PairTable) -> int:
     space = 1
-    for ctx_obj in context.objects:
-        options = sum(1 for c in candidate.objects if types_match(ctx_obj, c))
-        space *= options + 1
+    for partners in table.compatible:
+        space *= len(partners) + 1
         if space > _MAX_ASSIGNMENTS:
             break
     return space
 
-def _enumerate_pairings(
-    context: ApiUsageGraph, candidate: ApiUsageGraph
-) -> list[list[tuple[int, int]]]:
+
+def _enumerate_pairings(table: _PairTable) -> list[list[tuple[int, int]]]:
     """Every injective type-compatible assignment, in an order that prefers
     pairing over skipping and earlier-declared candidates over later ones."""
     results: list[list[tuple[int, int]]] = []
-    compat = [
-        [ki for ki, cand in enumerate(candidate.objects) if types_match(ctx, cand)]
-        for ctx in context.objects
-    ]
+    compat = table.compatible
 
     def recurse(ci: int, used: set[int], acc: list[tuple[int, int]]) -> None:
-        if ci == len(context.objects):
+        if ci == len(compat):
             results.append(list(acc))
             return
         for ki in compat[ci]:
@@ -228,20 +289,16 @@ def _enumerate_pairings(
     return results
 
 
-def _greedy_pairing(
-    context: ApiUsageGraph, candidate: ApiUsageGraph
-) -> list[tuple[int, int]]:
+def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
     """Declaration-order greedy pick maximizing raw member-overlap counts."""
     used: set[int] = set()
     pairing: list[tuple[int, int]] = []
-    for ci, ctx_obj in enumerate(context.objects):
+    for ci, partners in enumerate(table.compatible):
         best: tuple[int, int] | None = None  # (overlap, candidate index)
-        for ki, cand_obj in enumerate(candidate.objects):
-            if ki in used or not types_match(ctx_obj, cand_obj):
+        for ki in partners:
+            if ki in used:
                 continue
-            fm, _ = _overlap(ctx_obj.field_counter(), cand_obj.field_counter())
-            mm, _ = _overlap(ctx_obj.method_counter(), cand_obj.method_counter())
-            score = fm + mm
+            score = table.overlap[ci, ki]
             if best is None or score > best[0]:
                 best = (score, ki)
         if best is not None:
@@ -257,36 +314,41 @@ def match_objects(
 ) -> list[tuple[int, int]]:
     """Best object pairing between the graphs (see module docstring)."""
     weights = weights or StructuralWeights()
-    pairing, _exhaustive = _best_pairing(context, candidate, weights)
+    pairing, _exhaustive = _best_pairing(_pair_table(context, candidate), weights)
     return pairing
 
 
 def _best_pairing(
-    context: ApiUsageGraph, candidate: ApiUsageGraph, weights: StructuralWeights
+    table: _PairTable, weights: StructuralWeights
 ) -> tuple[list[tuple[int, int]], bool]:
-    if _assignment_space(context, candidate) <= _MAX_ASSIGNMENTS:
+    if _assignment_space(table) <= _MAX_ASSIGNMENTS:
         best: list[tuple[int, int]] | None = None
         best_key: tuple[float, int] | None = None
-        for pairing in _enumerate_pairings(context, candidate):
-            raw, _f, _m, _d = _score_pairing(pairing, context, candidate, weights)
+        for pairing in _enumerate_pairings(table):
+            raw, _f, _m, _d = _score_pairing(pairing, table, weights)
             key = (raw, len(pairing))
             if best_key is None or key > best_key:
                 best, best_key = pairing, key
         return best if best is not None else [], True
-    return _greedy_pairing(context, candidate), False
+    return _greedy_pairing(table), False
 
 
 def structural_score(
-    context: SourceUnit, candidate: SourceUnit, weights: StructuralWeights | None = None
+    context: SourceUnit | PreparedContext,
+    candidate: SourceUnit,
+    weights: StructuralWeights | None = None,
 ) -> MatchReport:
-    """Full structural relevance between two parsed units."""
-    if context.parse_status is ParseStatus.FAILED or candidate.parse_status is ParseStatus.FAILED:
+    """Full structural relevance between two parsed units. A plain context
+    unit is prepared here; :func:`catchrec.ranking.rank` prepares it once
+    for the whole pool."""
+    if not isinstance(context, PreparedContext):
+        context = prepare_context(context)
+    if context.graph is None or candidate.parse_status is ParseStatus.FAILED:
         raise StructureUnavailable("structural scoring needs two parsed units")
     weights = weights or StructuralWeights()
-    ctx_graph = extract_usage_graph(context)
-    cand_graph = extract_usage_graph(candidate)
-    pairing, exhaustive = _best_pairing(ctx_graph, cand_graph, weights)
-    raw, fam, mim, deps = _score_pairing(pairing, ctx_graph, cand_graph, weights)
+    table = _pair_table(context.graph, extract_usage_graph(candidate))
+    pairing, exhaustive = _best_pairing(table, weights)
+    raw, fam, mim, deps = _score_pairing(pairing, table, weights)
     return MatchReport(
         matched_objects=len(pairing),
         pairings=tuple(pairing),
@@ -295,6 +357,6 @@ def structural_score(
         dependency_matches=tuple(deps),
         raw=raw,
         exhaustive=exhaustive,
-        context_labels=tuple(o.label for o in ctx_graph.objects),
-        candidate_labels=tuple(o.label for o in cand_graph.objects),
+        context_labels=tuple(o.label for o in table.context.objects),
+        candidate_labels=tuple(o.label for o in table.candidate.objects),
     )

@@ -180,6 +180,21 @@ def test_recommend_bad_config_key(run, listing1_path, fixtures_dir, tmp_path):
     assert "unknown weight config key" in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_recommend_non_finite_config_weight(
+    run, listing1_path, fixtures_dir, tmp_path, value
+):
+    config = tmp_path / "weights.json"
+    config.write_text('{"w_lex": %s}' % value)
+    code, out, err = run(
+        "recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool"),
+        "--no-filter", "--config", str(config),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "catchrec: weight 'w_lex' must be a finite non-negative number\n"
+
+
 def test_evaluate_cli(run, tmp_path):
     from test_evaluation import build_suite
 

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catchrec import lexical_score, parse
 from catchrec.lexer import Token, TokenKind
@@ -144,6 +146,39 @@ def test_lcs_dp_matches_exhaustive_oracle():
         assert lcs_length(a, b) == exhaustive_lcs(a, b), (a, b)
 
 
+def dp_lcs(a, b):
+    """Oracle: the textbook two-row dynamic program, O(len(a)*len(b))."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+_token_lists = st.integers(1, 8).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.sampled_from("abcdefgh"[:k]), max_size=300),
+        st.lists(st.sampled_from("abcdefgh"[:k]), max_size=300),
+    )
+)
+
+
+# Lengths of 64 and 128 bits cross machine-word sizes of the row integer.
+@example((list("ab" * 32), list("ba" * 32)))
+@example((list("abc" * 43), list("a" * 65 + "b" * 64)))
+@example((list("a") * 129, list("a") * 300))
+@example((list("abcdefgh" * 37), list("hgfedcba" * 37)))
+@settings(max_examples=150, deadline=None)
+@given(_token_lists)
+def test_lcs_matches_dp_oracle(pair):
+    a, b = pair
+    expected = dp_lcs(a, b)
+    assert lcs_length(a, b) == expected
+    assert lcs_length(b, a) == expected
+
+
 def test_shuffle_changes_clone_not_cosine():
     ctx = idents("open", "read", "close", "flush")
     ordered = idents("open", "read", "close", "flush", "retry")
@@ -189,15 +224,23 @@ def test_lexical_score_survives_failed_parse(listing1):
     assert report.raw >= 0.0  # tokens always exist, scoring never raises
 
 
-def test_clone_truncates_very_long_candidates(caplog):
+def test_clone_has_no_length_cap(caplog):
+    # The context's tokens sit past position 20,000 of the candidate, where a
+    # length cap on the candidate would cut them off.
     import logging
 
-    ctx = idents("a", "b", "c")
-    cand = idents(*(["z"] * 20005 + ["a", "b", "c"]))
+    context = parse("Reader in = open(path); in.close();")
+    filler = "int z = 0;\n" * 7000  # 3 significant tokens each
+    candidate = parse(filler + context.raw_text)
+    context_texts = [t.text for t in significant_tokens(context)]
+    candidate_texts = [t.text for t in significant_tokens(candidate)]
+    assert len(candidate_texts) > 21_000
+    assert candidate_texts[-len(context_texts):] == context_texts
     with caplog.at_level(logging.WARNING):
-        length, ratio = clone_measure(ctx, cand)
-    assert length == 0  # the tail carrying the match was truncated away
-    assert any("truncating" in message for message in caplog.messages)
+        report = lexical_score(context, candidate)
+    assert report.clone_ratio == 1.0
+    assert report.lcs_length == len(context_texts)
+    assert not caplog.messages
 
 
 def test_negative_weights_rejected():

@@ -1,9 +1,18 @@
 import json
+import math
 import random
 
 import pytest
 
-from catchrec import WeightConfig, load_weights, parse, rank
+from catchrec import (
+    LexicalWeights,
+    QualityWeights,
+    StructuralWeights,
+    WeightConfig,
+    load_weights,
+    parse,
+    rank,
+)
 from catchrec.corpus import Candidate, LocalOrigin
 from catchrec.errors import ConfigError, EmptyPool
 from catchrec.ranking import (
@@ -13,6 +22,7 @@ from catchrec.ranking import (
     explain,
     fuse,
     normalize_pool,
+    score_candidate,
 )
 
 
@@ -252,6 +262,62 @@ def test_invalid_weight_values_rejected(tmp_path):
     path.write_text("not json")
     with pytest.raises(ConfigError):
         load_weights(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"w_lex": NaN}', '{"alpha": Infinity}', '{"sigma": -Infinity}', '{"mu": 1e400}',
+     '{"kappa": 1' + "0" * 400 + "}"],
+)
+def test_non_finite_weight_values_rejected(tmp_path, text):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="finite"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize(
+    "weights", [StructuralWeights, LexicalWeights, QualityWeights, TopLevelWeights]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_weight_dataclasses_reject_non_finite(weights, value):
+    name = next(iter(weights.__dataclass_fields__))
+    with pytest.raises(ValueError, match="finite"):
+        weights(**{name: value})
+
+
+def _equivalence_pool(fixtures_dir, rank_pool):
+    extra = [
+        Candidate.from_origin(LocalOrigin(path.name), path.read_text())
+        for path in sorted((fixtures_dir / "corpus-listing2").glob("*.java"))
+    ]
+    return list(rank_pool) + extra
+
+
+@pytest.mark.parametrize("context_name", ["listing1.java", "corpus-listing2/long.java", "broken"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        WeightConfig(),
+        WeightConfig(
+            structural=StructuralWeights(1.25, 0.5, 2.0, 0.75), lexical=LexicalWeights(0.3, 1.7)
+        ),
+    ],
+)
+def test_rank_with_prepared_context_matches_unit_level_scoring(
+    fixtures_dir, rank_pool, context_name, config
+):
+    # rank() prepares the context once; score_candidate() on the plain unit
+    # lets each scorer prepare it. The JSON must not differ by a byte.
+    if context_name == "broken":
+        context = parse("} catch (IOException e) { in.close(); }")
+    else:
+        context = parse((fixtures_dir / context_name).read_text())
+    pool = _equivalence_pool(fixtures_dir, rank_pool)
+    ranked = rank(context, pool, config, k=len(pool))
+    fused = fuse([score_candidate(context, c.id, c.unit, config) for c in pool], config.top_level)
+    as_json = lambda rows: json.dumps([b.to_dict() for b in rows], sort_keys=True)  # noqa: E731
+    assert as_json(ranked) == as_json(fused)
 
 
 def test_weight_config_defaults():

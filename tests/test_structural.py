@@ -15,7 +15,11 @@ from catchrec.structural import (
     field_access_match,
     match_objects,
     method_invocation_match,
+    _best_pairing,
+    _enumerate_pairings,
     _greedy_pairing,
+    _pair_table,
+    _score_pairing,
 )
 
 
@@ -101,8 +105,7 @@ def _ref_best_score(ctx, cand, w):
     return best
 
 
-def _random_graph(rng, max_objects=4):
-    types = ["A", "B", "C"]
+def _random_graph(rng, max_objects=4, types=("A", "B", "C"), max_deps=3):
     members = ["f", "g", "h"]
     fields = ["x", "y"]
     objs = []
@@ -125,7 +128,7 @@ def _random_graph(rng, max_objects=4):
             )
         )
     deps = set()
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, max_deps)):
         if len(objs) < 2:
             break
         c, p = rng.sample(range(len(objs)), 2)
@@ -276,12 +279,46 @@ def test_brute_force_equivalence_on_small_graphs():
 
 
 def _score_via_module(ctx, cand, w):
-    from catchrec.structural import _best_pairing, _score_pairing
-
-    pairing, exhaustive = _best_pairing(ctx, cand, w)
+    table = _pair_table(ctx, cand)
+    pairing, exhaustive = _best_pairing(table, w)
     assert exhaustive
-    raw, _f, _m, _d = _score_pairing(pairing, ctx, cand, w)
+    raw, _f, _m, _d = _score_pairing(pairing, table, w)
     return raw
+
+
+def test_table_pairing_matches_per_pairing_scan():
+    """The table-driven search picks the pairing a scan of every enumerated
+    pairing, scored from scratch per pairing, picks: same pairing (first
+    best key in enumeration order) and bit-identical raw."""
+    rng = random.Random(20240119)
+    weightings = [
+        StructuralWeights(),
+        StructuralWeights(1.25, 0.5, 2.0, 0.75),
+        StructuralWeights(0.1, 0.3, 0.7, 0.9),
+    ]
+    for trial in range(300):
+        ctx = _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5)
+        cand = _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5)
+        w = weightings[trial % len(weightings)]
+        table = _pair_table(ctx, cand)
+        scan_best, scan_key = None, None
+        for pairing in _enumerate_pairings(table):
+            key = (_ref_score(pairing, ctx, cand, w), len(pairing))
+            if scan_key is None or key > scan_key:
+                scan_best, scan_key = pairing, key
+        pairing, exhaustive = _best_pairing(table, w)
+        assert exhaustive
+        assert pairing == scan_best, (ctx, cand)
+        raw, fam, mim, _deps = _score_pairing(pairing, table, w)
+        assert raw == scan_key[0], (ctx, cand)
+        assert fam == [
+            _ref_fraction(ctx.objects[c].field_counter(), cand.objects[k].field_counter())
+            for c, k in pairing
+        ]
+        assert mim == [
+            _ref_fraction(ctx.objects[c].method_counter(), cand.objects[k].method_counter())
+            for c, k in pairing
+        ]
 
 
 def test_identity_upper_bound_on_random_graphs():
@@ -313,9 +350,8 @@ def test_greedy_divergence_is_visible_not_silent():
         dependencies=(),
     )
     w = StructuralWeights()
-    greedy = _greedy_pairing(ctx, cand)
-    from catchrec.structural import _score_pairing
-
-    greedy_raw, *_rest = _score_pairing(greedy, ctx, cand, w)
+    table = _pair_table(ctx, cand)
+    greedy = _greedy_pairing(table)
+    greedy_raw, *_rest = _score_pairing(greedy, table, w)
     best_raw = _score_via_module(ctx, cand, w)
     assert greedy_raw < best_raw  # a1 grabs c1 greedily, starving a2
