@@ -56,8 +56,7 @@ def subtoken_vector(tokens: Iterable[Token]) -> tuple[Counter, float]:
 
 @dataclass(frozen=True, eq=False)
 class PreparedContext:
-    """Everything the scorers read from the context; never mutated, so one
-    instance may serve concurrent scoring."""
+    """Everything the scorers read from the context."""
 
     texts: tuple[str, ...]       # significant-token texts, in order
     subtokens: Counter           # subtoken frequency vector

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import AuthMissing, NetworkFailure, RateLimited
+from .errors import AuthMissing, CatchrecError, NetworkFailure, RateLimited
+from .lexer import TokenKind
 from .model import SourceUnit
 from .parser import parse
 from .query import SearchQuery
@@ -74,8 +75,6 @@ class Candidate:
 
     @property
     def unit(self) -> SourceUnit:
-        # Racing threads may both parse; parse is pure, so the results are
-        # interchangeable and the last assignment wins harmlessly.
         if self._unit is None:
             self._unit = parse(self.source_text)
         return self._unit
@@ -133,10 +132,12 @@ def _exclusion_reason(
     unit = cand.unit
     if not unit.tokens:
         return "unlexable"
-    if corpus_filter.require_try_catch:
-        handlers = unit.handlers
-        if handlers.try_blocks == 0 and not handlers.catch_clauses:
-            return "no-handler"
+    # A token test rather than the parsed handlers, so that a candidate whose
+    # parse failed (and so carries no handler structure) is still kept.
+    if corpus_filter.require_try_catch and not any(
+        t.kind is TokenKind.KEYWORD and t.text in ("try", "catch") for t in unit.tokens
+    ):
+        return "no-handler"
     if corpus_filter.require_exception_mention and query is not None:
         if not any(t.text == query.exception_name for t in unit.tokens):
             return "no-exception-mention"
@@ -205,12 +206,17 @@ def _load_cached(cache_dir: Path, key: str) -> list[Candidate] | None:
     manifest_path, files_dir = cache_paths(cache_dir, key)
     if not manifest_path.is_file():
         return None
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    candidates = []
-    for entry in manifest["candidates"]:
-        origin = RemoteOrigin(entry["repo"], entry["path"], entry["url"])
-        text = (files_dir / entry["file"]).read_text(encoding="utf-8")
-        candidates.append(Candidate(id=entry["id"], origin=origin, source_text=text))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        candidates = []
+        for entry in manifest["candidates"]:
+            origin = RemoteOrigin(entry["repo"], entry["path"], entry["url"])
+            text = (files_dir / entry["file"]).read_text(encoding="utf-8")
+            candidates.append(Candidate(id=entry["id"], origin=origin, source_text=text))
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CatchrecError(
+            f"unreadable cache manifest {manifest_path}: {type(exc).__name__}: {exc}"
+        ) from exc
     return candidates
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -232,7 +231,6 @@ def evaluate(
     ks: tuple[int, ...] = DEFAULT_KS,
     kb: ExceptionKnowledgeBase | None = None,
     corpus_filter: CorpusFilter | None = None,
-    max_workers: int = 4,
 ) -> EvalReport:
     """Run the full pipeline for every case and aggregate all metrics."""
     if not cases:
@@ -244,13 +242,10 @@ def evaluate(
     corpus_filter = corpus_filter or CorpusFilter()
     max_k = max(ks)
 
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(cases))) as pool:
-        results = list(
-            pool.map(
-                lambda c: run_case(c, oracle, config, kb, corpus_filter, max_k), cases
-            )
-        )
-    results.sort(key=lambda r: r.case_id)
+    results = sorted(
+        (run_case(c, oracle, config, kb, corpus_filter, max_k) for c in cases),
+        key=lambda r: r.case_id,
+    )
 
     for result in results:
         if not result.relevant:

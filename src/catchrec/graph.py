@@ -1,68 +1,23 @@
-"""API usage graph: object nodes, member nodes, and the edges between them.
+"""API usage graph: object nodes and the data dependencies between them.
 
 Object nodes are one per tracked object use (distinct variables of the same
-type stay distinct and carry an ordinal). Member nodes hang off their owner
-via static-relation edges; data dependencies connect consumer objects to the
-producers they were fed. Multiplicities of member accesses are kept on the
-object nodes so downstream matching can weigh repeated accesses.
+type stay distinct and carry an ordinal); each carries the fields it reads
+and the methods it invokes, with multiplicities, so matching can weigh
+repeated accesses. A constructor call counts as the method ``<init>``.
+Dependency edges connect consumer objects to the producers they were fed.
+
+The parser emits the nodes and edges directly, as ``SourceUnit.objects``
+and ``SourceUnit.dependencies``; this module wraps them as a graph and
+renders it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import GraphUnavailable
-from .model import ParseStatus, SourceUnit
-
-
-class MemberKind(Enum):
-    FIELD = "Field"
-    METHOD = "Method"
-    CONSTRUCTOR = "Constructor"
-
-
-CONSTRUCTOR_NAME = "<init>"
-
-
-@dataclass(frozen=True)
-class GraphObject:
-    type_name: str
-    ordinal: int  # position among same-type objects, declaration order
-    variable_name: str
-    fields: tuple[tuple[str, int], ...]   # (name, multiplicity), sorted
-    methods: tuple[tuple[str, int], ...]  # includes ("<init>", 1) when constructed
-
-    @property
-    def simple_type(self) -> str:
-        return self.type_name.rsplit(".", 1)[-1]
-
-    def field_counter(self) -> Counter:
-        return Counter(dict(self.fields))
-
-    def method_counter(self) -> Counter:
-        return Counter(dict(self.methods))
-
-    @property
-    def label(self) -> str:
-        return f"{self.type_name}#{self.ordinal}"
-
-
-@dataclass(frozen=True)
-class MemberNode:
-    owner_type: str
-    owner_ordinal: int
-    member_name: str
-    member_kind: MemberKind
-
-
-@dataclass(frozen=True)
-class DependencyEdge:
-    consumer: int  # index into ApiUsageGraph.objects
-    producer: int
-    access_point: str = ""
+from .model import DependencyEdge, GraphObject, ParseStatus, SourceUnit
 
 
 @dataclass(frozen=True)
@@ -74,20 +29,6 @@ class ApiUsageGraph:
         for edge in self.dependencies:
             if edge.consumer == edge.producer:
                 raise ValueError("data dependency must connect distinct objects")
-
-    def member_nodes(self) -> list[MemberNode]:
-        nodes = []
-        for obj in self.objects:
-            for name, _count in obj.methods:
-                kind = MemberKind.CONSTRUCTOR if name == CONSTRUCTOR_NAME else MemberKind.METHOD
-                nodes.append(MemberNode(obj.type_name, obj.ordinal, name, kind))
-            for name, _count in obj.fields:
-                nodes.append(MemberNode(obj.type_name, obj.ordinal, name, MemberKind.FIELD))
-        return nodes
-
-    def static_relations(self) -> list[tuple[GraphObject, MemberNode]]:
-        by_key = {(o.type_name, o.ordinal): o for o in self.objects}
-        return [(by_key[(m.owner_type, m.owner_ordinal)], m) for m in self.member_nodes()]
 
     def to_dict(self) -> dict:
         """Canonical form: nodes sorted by type name, edges lexicographically."""
@@ -149,26 +90,4 @@ def extract_usage_graph(unit: SourceUnit) -> ApiUsageGraph:
     the unit could not be parsed."""
     if unit.parse_status is ParseStatus.FAILED:
         raise GraphUnavailable("cannot build a usage graph from a failed parse")
-
-    ordinals: Counter = Counter()
-    objects = []
-    for use in unit.objects:
-        methods = Counter(use.methods_invoked)
-        if use.constructor_called:
-            methods[CONSTRUCTOR_NAME] += 1
-        objects.append(
-            GraphObject(
-                type_name=use.type_name,
-                ordinal=ordinals[use.type_name],
-                variable_name=use.variable_name,
-                fields=tuple(sorted(use.fields_accessed.items())),
-                methods=tuple(sorted(methods.items())),
-            )
-        )
-        ordinals[use.type_name] += 1
-
-    dependencies = tuple(
-        DependencyEdge(d.consumer, d.producer, d.access_point)
-        for d in unit.dependencies
-    )
-    return ApiUsageGraph(objects=tuple(objects), dependencies=dependencies)
+    return ApiUsageGraph(objects=unit.objects, dependencies=unit.dependencies)

@@ -67,11 +67,6 @@ class ScanResult:
     comment_lines: frozenset[int]  # 1-based lines touched by a comment
     skipped: int                   # bytes that fit no token class
 
-    @property
-    def line_count(self) -> int:
-        lines = self.code_lines | self.comment_lines
-        return max(lines) if lines else 0
-
 
 def scan(raw_text: str) -> ScanResult:
     """Full scan keeping per-line bookkeeping for SLOC and comment density."""
@@ -201,8 +196,3 @@ def scan(raw_text: str) -> ScanResult:
         comment_lines=frozenset(comment_lines),
         skipped=skipped,
     )
-
-
-def lex(raw_text: str) -> list[Token]:
-    """Tokenize ``raw_text``; never raises on malformed input."""
-    return list(scan(raw_text).tokens)

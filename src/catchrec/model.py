@@ -2,14 +2,15 @@
 
 A :class:`SourceUnit` is what the rest of the pipeline consumes: the token
 stream, line counts, try/catch structure, and the API objects the fragment
-uses. Units are built by :func:`catchrec.parser.parse` and never mutated
-afterwards, so they are safe to share across threads.
+uses with the data dependencies between them. The objects and dependencies
+are the nodes and edges of the unit's usage graph
+(:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
+and are frozen.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .lexer import Token
@@ -45,30 +46,31 @@ class HandlerInfo:
     handler_sloc: int = 0
 
 
-@dataclass
-class ApiObjectUse:
+CONSTRUCTOR_NAME = "<init>"
+
+
+@dataclass(frozen=True)
+class GraphObject:
     """One tracked API object: a variable, a static pseudo-object (empty
     variable name), or an anonymous constructor argument."""
 
-    variable_name: str
     type_name: str
-    fields_accessed: Counter = field(default_factory=Counter)
-    methods_invoked: Counter = field(default_factory=Counter)
-    constructor_called: bool = False
-    first_index: int = 0  # token index of first appearance, for tie-breaks
+    ordinal: int  # position among same-type objects, declaration order
+    variable_name: str
+    fields: tuple[tuple[str, int], ...]   # (name, multiplicity), sorted
+    methods: tuple[tuple[str, int], ...]  # includes ("<init>", 1) when constructed
 
     @property
     def simple_type(self) -> str:
         return self.type_name.rsplit(".", 1)[-1]
 
-    def activity(self) -> int:
-        """Member-access volume used to pick the dominant API class."""
-        total = sum(self.methods_invoked.values()) + sum(self.fields_accessed.values())
-        return total + (1 if self.constructor_called else 0)
+    @property
+    def label(self) -> str:
+        return f"{self.type_name}#{self.ordinal}"
 
 
 @dataclass(frozen=True)
-class Dependency:
+class DependencyEdge:
     """Data flow between tracked objects: ``consumer`` received ``producer``
     (or a member accessed on it, named by ``access_point``) as an argument."""
 
@@ -77,15 +79,15 @@ class Dependency:
     access_point: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceUnit:
     raw_text: str
     tokens: tuple[Token, ...]
     sloc: int
     handlers: HandlerInfo
-    objects: tuple[ApiObjectUse, ...]
+    objects: tuple[GraphObject, ...]
     parse_status: ParseStatus
-    dependencies: tuple[Dependency, ...] = ()
+    dependencies: tuple[DependencyEdge, ...] = ()
     line_count: int = 0
     code_lines: frozenset[int] = frozenset()
     comment_lines: frozenset[int] = frozenset()

@@ -15,13 +15,15 @@ pseudo-object with an empty variable name when no instance exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .lexer import Token, TokenKind, scan
 from .model import (
-    ApiObjectUse,
+    CONSTRUCTOR_NAME,
     CatchClause,
-    Dependency,
+    DependencyEdge,
+    GraphObject,
     HandlerInfo,
     ParseStatus,
     SourceUnit,
@@ -75,7 +77,7 @@ def parse(raw_text: str) -> SourceUnit:
             diagnostics=tuple(diagnostics),
         )
 
-    handlers, catch_header_spans, orphan = _extract_handlers(tokens, result.code_lines)
+    handlers, catch_header_spans, orphan = _handler_structure(tokens, result.code_lines)
     if orphan:
         status = ParseStatus.PARTIAL
         diagnostics.append("catch clause without a preceding try block")
@@ -84,29 +86,21 @@ def parse(raw_text: str) -> SourceUnit:
     for start, end in catch_header_spans:
         excluded.update(range(start, end + 1))
 
-    extractor = _ObjectExtractor(tokens, excluded)
-    extractor.run()
+    objects, dependencies = _ObjectExtractor(tokens, excluded).run()
 
     return SourceUnit(
         raw_text=raw_text,
         tokens=tokens,
         sloc=sloc,
         handlers=handlers,
-        objects=tuple(extractor.uses),
+        objects=objects,
         parse_status=status,
-        dependencies=tuple(
-            Dependency(c, p, a) for c, p, a in sorted(extractor.deps)
-        ),
+        dependencies=dependencies,
         line_count=line_count,
         code_lines=result.code_lines,
         comment_lines=result.comment_lines,
         diagnostics=tuple(diagnostics),
     )
-
-
-def extract_handlers(unit: SourceUnit) -> HandlerInfo:
-    """Handler structure of an already-parsed unit."""
-    return unit.handlers
 
 
 def _bracket_status(tokens: tuple[Token, ...], diagnostics: list[str]) -> ParseStatus:
@@ -168,7 +162,7 @@ def _find_close_paren(tokens: tuple[Token, ...], open_idx: int) -> int:
     return len(tokens) - 1
 
 
-def _extract_handlers(
+def _handler_structure(
     tokens: tuple[Token, ...], code_lines: frozenset[int]
 ) -> tuple[HandlerInfo, list[tuple[int, int]], bool]:
     try_blocks = 0
@@ -380,6 +374,17 @@ class _Chain:
     end: int  # index just past the chain
 
 
+@dataclass
+class _Use:
+    """An object use while the walk still counts its accesses."""
+
+    variable_name: str
+    type_name: str
+    fields: Counter = field(default_factory=Counter)
+    methods: Counter = field(default_factory=Counter)
+    constructed: bool = False
+
+
 class _ObjectExtractor:
     """Single forward walk collecting object uses and data dependencies.
 
@@ -393,7 +398,7 @@ class _ObjectExtractor:
     def __init__(self, tokens: tuple[Token, ...], excluded: set[int]):
         self.tokens = tokens
         self.excluded = excluded
-        self.uses: list[ApiObjectUse] = []
+        self.uses: list[_Use] = []
         self.bindings: dict[str, int] = {}
         self.known_types: dict[str, str] = {}
         self.imports: dict[str, str] = {}
@@ -464,20 +469,20 @@ class _ObjectExtractor:
     def _trackable(canonical: str) -> bool:
         return canonical.rsplit(".", 1)[-1] not in UNTRACKED_TYPES
 
-    def _use_for_var(self, var: str, canonical: str, at: int) -> int:
+    def _use_for_var(self, var: str, canonical: str) -> int:
         idx = self.bindings.get(var)
         if idx is not None and self.uses[idx].type_name == canonical:
             return idx
-        self.uses.append(ApiObjectUse(var, canonical, first_index=at))
+        self.uses.append(_Use(var, canonical))
         self.bindings[var] = len(self.uses) - 1
         return len(self.uses) - 1
 
-    def _use_for_type(self, canonical: str, at: int) -> int:
+    def _use_for_type(self, canonical: str) -> int:
         """Static access: earliest object of the type, else a pseudo-object."""
         for idx, use in enumerate(self.uses):
             if use.type_name == canonical:
                 return idx
-        self.uses.append(ApiObjectUse("", canonical, first_index=at))
+        self.uses.append(_Use("", canonical))
         return len(self.uses) - 1
 
     def _enclosing(self) -> int | None:
@@ -490,7 +495,29 @@ class _ObjectExtractor:
 
     # -- main walk ---------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self) -> tuple[tuple[GraphObject, ...], tuple[DependencyEdge, ...]]:
+        """The objects and dependency edges, frozen, from one walk over the tokens."""
+        self._walk()
+        ordinals: Counter = Counter()
+        objects = []
+        for use in self.uses:
+            methods = Counter(use.methods)
+            if use.constructed:
+                methods[CONSTRUCTOR_NAME] += 1
+            objects.append(
+                GraphObject(
+                    type_name=use.type_name,
+                    ordinal=ordinals[use.type_name],
+                    variable_name=use.variable_name,
+                    fields=tuple(sorted(use.fields.items())),
+                    methods=tuple(sorted(methods.items())),
+                )
+            )
+            ordinals[use.type_name] += 1
+        dependencies = tuple(DependencyEdge(c, p, a) for c, p, a in sorted(self.deps))
+        return tuple(objects), dependencies
+
+    def _walk(self) -> None:
         toks = self.tokens
         n = len(toks)
         i = 0
@@ -560,16 +587,14 @@ class _ObjectExtractor:
             var = self._assigned_var(i)
             if var is not None and var in self.bindings:
                 idx = self.bindings[var]
-                self.uses[idx].constructor_called = True
+                self.uses[idx].constructed = True
                 consumer = idx
             elif var is not None:
-                idx = self._use_for_var(var, canonical, i)
-                self.uses[idx].constructor_called = True
+                idx = self._use_for_var(var, canonical)
+                self.uses[idx].constructed = True
                 consumer = idx
             else:
-                self.uses.append(
-                    ApiObjectUse("", canonical, constructor_called=True, first_index=i)
-                )
+                self.uses.append(_Use("", canonical, constructed=True))
                 idx = len(self.uses) - 1
                 self._add_dep(self._enclosing(), idx, "")
                 consumer = idx
@@ -592,11 +617,11 @@ class _ObjectExtractor:
         chain = self._chain(i)
         j = chain.end
 
-        decl_end = self._declaration(chain, j, i)
+        decl_end = self._declaration(chain, j)
         if decl_end is not None:
             return decl_end
 
-        cast_end = self._cast_binding(chain, j, i)
+        cast_end = self._cast_binding(chain, j)
         if cast_end is not None:
             return cast_end
 
@@ -607,15 +632,15 @@ class _ObjectExtractor:
             consumer: int | None = None
             if len(chain.parts) == 2:
                 member = chain.parts[1]
-                target = self._receiver_use(head, i)
+                target = self._receiver_use(head)
                 if target is not None:
-                    self.uses[target].methods_invoked[member] += 1
+                    self.uses[target].methods[member] += 1
                     self._add_dep(self._enclosing(), target, member)
                     consumer = target
             elif len(chain.parts) > 2:
-                target = self._receiver_use(head, i)
+                target = self._receiver_use(head)
                 if target is not None:
-                    self.uses[target].fields_accessed[chain.parts[1]] += 1
+                    self.uses[target].fields[chain.parts[1]] += 1
             self.paren_stack.append(consumer)
             return j + 1
 
@@ -624,24 +649,24 @@ class _ObjectExtractor:
                 self._add_dep(self._enclosing(), self.bindings[head], "")
             return j
 
-        target = self._receiver_use(head, i)
+        target = self._receiver_use(head)
         if target is not None:
             member = chain.parts[1]
-            self.uses[target].fields_accessed[member] += 1
+            self.uses[target].fields[member] += 1
             if len(chain.parts) == 2:
                 self._add_dep(self._enclosing(), target, member)
         return j
 
-    def _receiver_use(self, head: str, at: int) -> int | None:
+    def _receiver_use(self, head: str) -> int | None:
         if head in self.bindings:
             return self.bindings[head]
         if head in self.known_types:
             canonical = self.known_types[head]
             if self._trackable(canonical):
-                return self._use_for_type(canonical, at)
+                return self._use_for_type(canonical)
         return None
 
-    def _declaration(self, chain: _Chain, j: int, start: int) -> int | None:
+    def _declaration(self, chain: _Chain, j: int) -> int | None:
         """``Type var`` followed by ``= ; : , )`` binds ``var``."""
         toks = self.tokens
         n = len(toks)
@@ -658,10 +683,10 @@ class _ObjectExtractor:
             return None
         canonical = self._register_type(".".join(chain.parts))
         if self._trackable(canonical):
-            self._use_for_var(toks[jj].text, canonical, start)
+            self._use_for_var(toks[jj].text, canonical)
         return jj + 1
 
-    def _cast_binding(self, chain: _Chain, j: int, start: int) -> int | None:
+    def _cast_binding(self, chain: _Chain, j: int) -> int | None:
         """``x = (T) value`` binds ``x`` when it has no declaration here."""
         toks = self.tokens
         n = len(toks)
@@ -688,5 +713,5 @@ class _ObjectExtractor:
         canonical = self._register_type(type_text)
         var = chain.parts[0]
         if var not in self.bindings and self._trackable(canonical):
-            self._use_for_var(var, canonical, start)
+            self._use_for_var(var, canonical)
         return k + 1

@@ -13,7 +13,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import NoApiObjects, UnknownException
-from .graph import CONSTRUCTOR_NAME
 from .model import SourceUnit
 from .parser import GENERIC_EXCEPTIONS
 
@@ -84,16 +83,15 @@ class ExceptionKnowledgeBase:
 
 def dominant_api_class(unit: SourceUnit) -> str:
     """Simple name of the most actively used API type: highest combined
-    method-invocation and field-access volume, earliest first use on ties."""
+    method-invocation and field-access volume (a constructor call counts
+    as one invocation), earliest first use on ties."""
     if not unit.objects:
         raise NoApiObjects("no API objects tracked in this unit")
-    per_type: dict[str, list[int]] = {}  # simple name -> [activity, first index]
-    for use in unit.objects:
-        simple = use.simple_type
-        entry = per_type.setdefault(simple, [0, use.first_index])
-        entry[0] += use.activity()
-        entry[1] = min(entry[1], use.first_index)
-    return min(per_type, key=lambda name: (-per_type[name][0], per_type[name][1]))
+    activity: dict[str, int] = {}  # simple name -> volume, in first-use order
+    for obj in unit.objects:
+        volume = sum(count for _name, count in obj.fields + obj.methods)
+        activity[obj.simple_type] = activity.get(obj.simple_type, 0) + volume
+    return max(activity, key=activity.__getitem__)  # max keeps the first of equals
 
 
 def select_exception(
@@ -130,12 +128,9 @@ def select_exception(
         return caught[0].rsplit(".", 1)[-1]
 
     tally: dict[str, int] = {}
-    for use in unit.objects:
-        invocations = dict(use.methods_invoked)
-        if use.constructor_called:
-            invocations[CONSTRUCTOR_NAME] = invocations.get(CONSTRUCTOR_NAME, 0) + 1
-        for method, count in invocations.items():
-            for exc in kb.lookup(use.simple_type, method):
+    for obj in unit.objects:
+        for method, count in obj.methods:  # constructors appear as <init>
+            for exc in kb.lookup(obj.simple_type, method):
                 tally[exc] = tally.get(exc, 0) + count
     if not tally:
         raise UnknownException(

@@ -178,36 +178,12 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     )
 
 
-def field_access_match(
-    pairings: list[tuple[int, int]], context: ApiUsageGraph, candidate: ApiUsageGraph
-) -> list[float]:
-    """Per-pairing field-overlap fractions; objects without field accesses
-    contribute zero instead of dividing by zero."""
-    table = _pair_table(context, candidate)
-    return [table.field_fractions[pair] for pair in pairings]
-
-
-def method_invocation_match(
-    pairings: list[tuple[int, int]], context: ApiUsageGraph, candidate: ApiUsageGraph
-) -> list[float]:
-    """Per-pairing method-overlap fractions; constructors ride along as the
-    ``<init>`` entry the graph already carries."""
-    table = _pair_table(context, candidate)
-    return [table.method_fractions[pair] for pair in pairings]
-
-
-def data_dependency_match(
-    pairings: list[tuple[int, int]], context: ApiUsageGraph, candidate: ApiUsageGraph
+def _dependency_matches(
+    pairings: list[tuple[int, int]], table: _PairTable
 ) -> list[tuple[DependencyEdge, float]]:
     """Context dependency edges whose paired endpoints are also connected in
     the candidate; 1.0 for an equal access point, 0.5 otherwise. Each
     candidate edge backs at most one context edge, exact matches first."""
-    return _dependency_matches(pairings, _pair_table(context, candidate))
-
-
-def _dependency_matches(
-    pairings: list[tuple[int, int]], table: _PairTable
-) -> list[tuple[DependencyEdge, float]]:
     context_edges = table.context.dependencies
     if not context_edges or not table.candidate_edges:
         return []
@@ -304,17 +280,6 @@ def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
         if best is not None:
             pairing.append((ci, best[1]))
             used.add(best[1])
-    return pairing
-
-
-def match_objects(
-    context: ApiUsageGraph,
-    candidate: ApiUsageGraph,
-    weights: StructuralWeights | None = None,
-) -> list[tuple[int, int]]:
-    """Best object pairing between the graphs (see module docstring)."""
-    weights = weights or StructuralWeights()
-    pairing, _exhaustive = _best_pairing(_pair_table(context, candidate), weights)
     return pairing
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,6 +39,21 @@ def test_analyze_graph_dot(run, listing2_path):
     code, out, _err = run("analyze", listing2_path, "--emit", "graph")
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
+    """``analyze --emit graph`` in JSON and in DOT, for every fixture, is
+    byte for byte the recorded output (kept as SHA-256 digests)."""
+    expected = json.loads((fixtures_dir / "graph_output_digests.json").read_text())
+    paths = sorted(fixtures_dir.rglob("*.java"))
+    assert [p.relative_to(fixtures_dir).as_posix() for p in paths] == sorted(expected)
+    for path in paths:
+        digests = {}
+        for name, fmt in (("json", "json"), ("dot", "text")):
+            code, out, _err = run("analyze", str(path), "--emit", "graph", "--format", fmt)
+            assert code == 0
+            digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == expected[path.relative_to(fixtures_dir).as_posix()], path
 
 
 def test_analyze_tokens_empty_file(run, tmp_path):
@@ -264,6 +280,31 @@ def test_fetch_warm_cache_skips_network(run, tmp_path, monkeypatch):
     )
     assert code == 0
     assert "fetched 2 candidates" in out
+
+
+def _drop_repo(manifest):
+    entries = [{k: v for k, v in e.items() if k != "repo"} for e in manifest["candidates"]]
+    return {**manifest, "candidates": entries}
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_repo, lambda m: [m]], ids=["entry-missing-repo", "manifest-is-a-list"]
+)
+def test_fetch_bad_manifest_exits_2(run, tmp_path, monkeypatch, corrupt):
+    from test_corpus import fake_transport
+
+    monkeypatch.setattr("catchrec.corpus._default_transport", fake_transport)
+    monkeypatch.setenv("GITHUB_TOKEN", "token")
+    argv = ("fetch", "--query", "IOException URL", "--orgs", "apache", "--limit", "5",
+            "--out", str(tmp_path / "cache"))
+    assert run(*argv)[0] == 0
+    manifest_path = next((tmp_path / "cache").rglob("manifest.json"))
+    manifest_path.write_text(json.dumps(corrupt(json.loads(manifest_path.read_text()))))
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(manifest_path) in err
 
 
 def test_fetch_without_token_exits_3(run, tmp_path, monkeypatch):

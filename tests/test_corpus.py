@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from catchrec import CorpusFilter, SearchQuery, ingest_local
+from catchrec import CorpusFilter, ParseStatus, SearchQuery, ingest_local
 from catchrec.corpus import (
     Candidate,
     LocalOrigin,
@@ -71,6 +73,38 @@ def test_filter_soundness(corpus_dir):
         assert unit.handlers.try_blocks >= 1 or unit.handlers.catch_clauses
         assert any(t.text == QUERY.exception_name for t in unit.tokens)
         assert corpus_filter.min_sloc <= unit.sloc <= corpus_filter.max_sloc
+
+
+def test_failed_parse_with_handler_stays_in_pool():
+    text = (
+        "}\ntry {\n  URL u = new URL(s);\n  u.openStream().read();\n"
+        "} catch (IOException e) {\n  log.warn(e);\n}\n"
+    )
+    cand = Candidate.from_origin(LocalOrigin("broken.java"), text)
+    assert cand.unit.parse_status is ParseStatus.FAILED
+    kept, excluded = apply_filter_detailed([cand], CorpusFilter(), QUERY)
+    assert excluded == []
+    assert kept == [cand]
+
+
+_JAVA_PIECES = st.sampled_from(
+    ["try", "catch", "finally", "tryAgain", "{", "}", "(", ")", ";", " ", "\n",
+     "e", "IOException", "a.f()", "//", "/*", "*/", '"', "catch (E e)", "try {"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), st.lists(_JAVA_PIECES, max_size=30).map("".join)))
+def test_handler_filter_agrees_with_parsed_handlers(text):
+    """Wherever the parse succeeds, the keyword test of the filter drops
+    exactly the units without a parsed try block or catch clause."""
+    cand = Candidate.from_origin(LocalOrigin("x.java"), text)
+    unit = cand.unit
+    assume(unit.tokens and unit.parse_status is not ParseStatus.FAILED)
+    only_handlers = CorpusFilter(require_exception_mention=False, min_sloc=0, max_sloc=10**9)
+    _kept, excluded = apply_filter_detailed([cand], only_handlers)
+    dropped = [e.reason for e in excluded] == ["no-handler"]
+    assert dropped == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
 
 
 def test_ingest_order_and_ids_deterministic(corpus_dir):

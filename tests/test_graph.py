@@ -4,7 +4,6 @@ import pytest
 
 from catchrec import extract_usage_graph, parse
 from catchrec.errors import GraphUnavailable
-from catchrec.graph import MemberKind
 
 
 def test_listing2_object_nodes(listing2):
@@ -36,21 +35,11 @@ def test_listing2_dependency_edges(listing2):
 def test_single_object_graph():
     graph = extract_usage_graph(parse("URL u = new URL(s);"))
     assert len(graph.objects) == 1
-    members = graph.member_nodes()
-    assert len(members) == 1
-    assert members[0].member_name == "<init>"
-    assert members[0].member_kind is MemberKind.CONSTRUCTOR
-    assert len(graph.static_relations()) == 1
+    obj = graph.objects[0]
+    assert (obj.type_name, obj.ordinal, obj.variable_name) == ("URL", 0, "u")
+    assert obj.methods == (("<init>", 1),)
+    assert obj.fields == ()
     assert graph.dependencies == ()
-
-
-def test_every_member_has_exactly_one_owner(listing2):
-    graph = extract_usage_graph(listing2)
-    owners = {(o.type_name, o.ordinal) for o in graph.objects}
-    for relation_owner, member in zip(graph.static_relations(), graph.member_nodes()):
-        assert (member.owner_type, member.owner_ordinal) in owners
-    # one static relation per member node
-    assert len(graph.static_relations()) == len(graph.member_nodes())
 
 
 def test_no_self_dependency(listing2):
@@ -84,10 +73,10 @@ def test_canonical_json_sorted_and_stable(listing2):
 
 def test_methods_carry_multiplicities():
     graph = extract_usage_graph(parse("A a = new A(); a.f(); a.f(); a.g();"))
-    counter = graph.objects[0].method_counter()
-    assert counter["f"] == 2
-    assert counter["g"] == 1
-    assert counter["<init>"] == 1
+    methods = dict(graph.objects[0].methods)
+    assert methods["f"] == 2
+    assert methods["g"] == 1
+    assert methods["<init>"] == 1
 
 
 def test_dot_output_mentions_objects(listing2):

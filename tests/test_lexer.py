@@ -1,4 +1,4 @@
-from catchrec.lexer import Token, TokenKind, lex, scan
+from catchrec.lexer import Token, TokenKind, scan
 
 
 def kinds(tokens):
@@ -6,7 +6,7 @@ def kinds(tokens):
 
 
 def test_simple_statement():
-    assert kinds(lex("int x = 0;")) == [
+    assert kinds(scan("int x = 0;").tokens) == [
         ("int", TokenKind.KEYWORD),
         ("x", TokenKind.IDENTIFIER),
         ("=", TokenKind.OPERATOR),
@@ -16,13 +16,13 @@ def test_simple_statement():
 
 
 def test_empty_input():
-    assert lex("") == []
-    assert lex("   \n\t\n") == []
+    assert scan("").tokens == ()
+    assert scan("   \n\t\n").tokens == ()
 
 
 def test_method_call_reference_lex():
     # Hand-written reference: url . openConnection ( )
-    assert kinds(lex("url.openConnection()")) == [
+    assert kinds(scan("url.openConnection()").tokens) == [
         ("url", TokenKind.IDENTIFIER),
         (".", TokenKind.PUNCTUATION),
         ("openConnection", TokenKind.IDENTIFIER),
@@ -32,31 +32,31 @@ def test_method_call_reference_lex():
 
 
 def test_comments_dropped():
-    assert lex("// gone\n/* also\ngone */") == []
-    tokens = lex("int a; // trailing\nint b; /* mid */ int c;")
+    assert scan("// gone\n/* also\ngone */").tokens == ()
+    tokens = scan("int a; // trailing\nint b; /* mid */ int c;").tokens
     assert [t.text for t in tokens] == ["int", "a", ";", "int", "b", ";", "int", "c", ";"]
 
 
 def test_string_literal_single_token():
-    tokens = lex('log("a + b; // not a comment");')
+    tokens = scan('log("a + b; // not a comment");').tokens
     assert tokens[2].kind is TokenKind.LITERAL
     assert tokens[2].text == '"a + b; // not a comment"'
 
 
 def test_char_and_escaped_literals():
-    tokens = lex("char c = '\\n'; String s = \"x\\\"y\";")
+    tokens = scan("char c = '\\n'; String s = \"x\\\"y\";").tokens
     literals = [t.text for t in tokens if t.kind is TokenKind.LITERAL]
     assert literals == ["'\\n'", '"x\\"y"']
 
 
 def test_number_literals():
-    tokens = lex("int a = 0xFF; long b = 1_000L; double d = 1.5e-3;")
+    tokens = scan("int a = 0xFF; long b = 1_000L; double d = 1.5e-3;").tokens
     literals = [t.text for t in tokens if t.kind is TokenKind.LITERAL]
     assert literals == ["0xFF", "1_000L", "1.5e-3"]
 
 
 def test_word_literals_and_keywords():
-    tokens = lex("if (x == null) return true;")
+    tokens = scan("if (x == null) return true;").tokens
     by_text = {t.text: t.kind for t in tokens}
     assert by_text["if"] is TokenKind.KEYWORD
     assert by_text["return"] is TokenKind.KEYWORD
@@ -66,7 +66,7 @@ def test_word_literals_and_keywords():
 
 
 def test_multichar_operators_longest_match():
-    tokens = lex("a >>= b; c >= d; e -> f; g::h;")
+    tokens = scan("a >>= b; c >= d; e -> f; g::h;").tokens
     ops = [t.text for t in tokens if t.kind is TokenKind.OPERATOR]
     assert ops == [">>=", ">=", "->", "::"]
 
@@ -78,7 +78,7 @@ def test_unlexable_bytes_skipped_not_fatal():
 
 
 def test_line_numbers():
-    tokens = lex("int a;\n\nint b;")
+    tokens = scan("int a;\n\nint b;").tokens
     assert [(t.text, t.line) for t in tokens if t.kind is TokenKind.IDENTIFIER] == [
         ("a", 1),
         ("b", 3),
@@ -99,7 +99,7 @@ def test_block_comment_spans_lines():
 
 def test_determinism():
     text = 'try { a.b("c"); } catch (E e) { }'
-    assert lex(text) == lex(text)
+    assert scan(text).tokens == scan(text).tokens
 
 
 def test_token_requires_text():

@@ -1,4 +1,4 @@
-from collections import Counter
+import dataclasses
 
 import pytest
 
@@ -20,10 +20,9 @@ def test_listing1_structure(listing1):
 
 def test_listing1_objects(listing1):
     objs = by_var(listing1)
-    assert objs["url"].constructor_called
-    assert objs["url"].methods_invoked == Counter({"openConnection": 1})
-    assert not objs["conn"].constructor_called
-    assert objs["conn"].methods_invoked == Counter()
+    assert objs["url"].methods == (("<init>", 1), ("openConnection", 1))
+    assert objs["url"].fields == ()
+    assert objs["conn"].methods == ()
     assert listing1.dependencies == ()
 
 
@@ -52,9 +51,11 @@ def test_listing2_line_counts(listing2):
 
 def test_listing2_static_field_access_merges_into_instance(listing2):
     objs = by_var(listing2)
-    assert objs["httpconn"].fields_accessed == Counter({"HTTP_OK": 1})
-    assert objs["httpconn"].methods_invoked == Counter(
-        {"setRequestMethod": 1, "getResponseCode": 1, "getInputStream": 1}
+    assert objs["httpconn"].fields == (("HTTP_OK", 1),)
+    assert objs["httpconn"].methods == (
+        ("getInputStream", 1),
+        ("getResponseCode", 1),
+        ("setRequestMethod", 1),
     )
 
 
@@ -97,7 +98,8 @@ def test_single_object_constructor():
     unit = parse("URL u = new URL(s);")
     assert len(unit.objects) == 1
     use = unit.objects[0]
-    assert (use.variable_name, use.type_name, use.constructor_called) == ("u", "URL", True)
+    assert (use.variable_name, use.type_name, use.ordinal) == ("u", "URL", 0)
+    assert use.methods == (("<init>", 1),)
     assert unit.dependencies == ()
 
 
@@ -247,7 +249,7 @@ def test_static_call_on_known_type_without_instance():
     unit = parse("Files f; long n = Files.copy(src, dst);")
     # declaring a Files variable makes the type known; static use merges there
     objs = by_var(unit)
-    assert objs["f"].methods_invoked == Counter({"copy": 1})
+    assert objs["f"].methods == (("copy", 1),)
 
 
 def test_unknown_capitalized_receivers_ignored():
@@ -258,20 +260,21 @@ def test_unknown_capitalized_receivers_ignored():
 def test_for_each_declaration_tracked():
     unit = parse("for (URL u : all) { u.openConnection(); }")
     objs = by_var(unit)
-    assert objs["u"].methods_invoked == Counter({"openConnection": 1})
+    assert objs["u"].methods == (("openConnection", 1),)
 
 
 def test_generic_declaration_tracked():
     unit = parse("List<String> names = new ArrayList<String>(); names.add(x);")
     objs = by_var(unit)
     assert objs["names"].type_name == "List"
-    assert objs["names"].methods_invoked == Counter({"add": 1})
+    assert objs["names"].methods == (("<init>", 1), ("add", 1))
 
 
 def test_method_call_count_consistency():
     unit = parse("A a = new A(); a.f(); a.f(); a.g(); b.untracked();")
-    total = sum(sum(u.methods_invoked.values()) for u in unit.objects)
+    total = sum(count for u in unit.objects for name, count in u.methods if name != "<init>")
     assert total == 3  # f, f, g; the unbound receiver is ignored
+    assert unit.objects[0].methods == (("<init>", 1), ("f", 2), ("g", 1))
 
 
 def test_determinism():
@@ -304,14 +307,20 @@ def test_sloc_never_exceeds_physical_lines(listing1, listing2):
 
 def test_failed_unit_rejects_objects():
     with pytest.raises(ValueError):
-        from catchrec.model import HandlerInfo, SourceUnit
-        from catchrec.model import ApiObjectUse
+        from catchrec.model import GraphObject, HandlerInfo, SourceUnit
 
         SourceUnit(
             raw_text="x",
             tokens=(),
             sloc=1,
             handlers=HandlerInfo(),
-            objects=(ApiObjectUse("a", "A"),),
+            objects=(GraphObject("A", 0, "a", (), ()),),
             parse_status=ParseStatus.FAILED,
         )
+
+
+def test_source_unit_is_frozen(listing1):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        listing1.objects = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        listing1.objects[0].methods = ()

@@ -11,10 +11,6 @@ from catchrec.errors import StructureUnavailable
 from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
 from catchrec.structural import (
     StructuralWeights,
-    data_dependency_match,
-    field_access_match,
-    match_objects,
-    method_invocation_match,
     _best_pairing,
     _enumerate_pairings,
     _greedy_pairing,
@@ -73,11 +69,11 @@ def _ref_dependency_total(pairing, ctx, cand):
 
 def _ref_score(pairing, ctx, cand, w):
     fam = sum(
-        _ref_fraction(ctx.objects[c].field_counter(), cand.objects[k].field_counter())
+        _ref_fraction(dict(ctx.objects[c].fields), dict(cand.objects[k].fields))
         for c, k in pairing
     )
     mim = sum(
-        _ref_fraction(ctx.objects[c].method_counter(), cand.objects[k].method_counter())
+        _ref_fraction(dict(ctx.objects[c].methods), dict(cand.objects[k].methods))
         for c, k in pairing
     )
     ddm = _ref_dependency_total(pairing, ctx, cand)
@@ -176,10 +172,9 @@ def test_duplicate_types_pair_up_to_multiset():
 def test_field_access_fraction_hand_count():
     ctx = parse("A a = make(); int p = a.x; int q = a.x; int r = a.y;")
     cand = parse("A a = make(); int m = a.x; int n = a.y; int o = a.z;")
-    g1, g2 = extract_usage_graph(ctx), extract_usage_graph(cand)
-    pairing = match_objects(g1, g2)
-    fractions = field_access_match(pairing, g1, g2)
-    assert fractions == [pytest.approx(2 / 3)]
+    report = structural_score(ctx, cand)
+    assert report.pairings == ((0, 0),)
+    assert report.field_fractions == (pytest.approx(2 / 3),)
 
 
 def test_field_fraction_zero_without_context_accesses(listing1, listing2):
@@ -190,9 +185,9 @@ def test_field_fraction_zero_without_context_accesses(listing1, listing2):
 def test_method_invocation_fraction_hand_count():
     ctx = parse("A a = make(); a.f(); a.g();")
     cand = parse("A a = make(); a.f();")
-    g1, g2 = extract_usage_graph(ctx), extract_usage_graph(cand)
-    pairing = match_objects(g1, g2)
-    assert method_invocation_match(pairing, g1, g2) == [pytest.approx(1 / 2)]
+    report = structural_score(ctx, cand)
+    assert report.pairings == ((0, 0),)
+    assert report.method_fractions == (pytest.approx(1 / 2),)
 
 
 def test_constructor_counts_as_init_invocation():
@@ -205,27 +200,23 @@ def test_constructor_counts_as_init_invocation():
 def test_partial_dependency_match_weight():
     ctx = parse("A a = new A(); B b = new B(a.f());")
     cand = parse("A a = new A(); B b = new B(a.g());")
-    g1, g2 = extract_usage_graph(ctx), extract_usage_graph(cand)
-    pairing = match_objects(g1, g2)
-    matches = data_dependency_match(pairing, g1, g2)
+    matches = structural_score(ctx, cand).dependency_matches
     assert [w for _e, w in matches] == [0.5]
 
 
 def test_exact_dependency_preferred_over_partial():
     ctx = parse("A a = new A(); B b = new B(a.f());")
     cand = parse("A a = new A(); B b = new B(a.f()); b.use(a.g());")
-    g1, g2 = extract_usage_graph(ctx), extract_usage_graph(cand)
-    matches = data_dependency_match(match_objects(g1, g2), g1, g2)
+    matches = structural_score(ctx, cand).dependency_matches
     assert [w for _e, w in matches] == [1.0]
 
 
 def test_candidate_edge_used_at_most_once():
     ctx = parse("A a = new A(); B b = new B(); b.p(a.f()); b.q(a.f());")
     cand = parse("A a = new A(); B b = new B(); b.p(a.f());")
-    g1, g2 = extract_usage_graph(ctx), extract_usage_graph(cand)
     # context has edges (B->A,"f") from two call sites; they dedupe to one
-    assert len(g1.dependencies) == 1
-    matches = data_dependency_match(match_objects(g1, g2), g1, g2)
+    assert len(ctx.dependencies) == 1
+    matches = structural_score(ctx, cand).dependency_matches
     assert [w for _e, w in matches] == [1.0]
 
 
@@ -312,11 +303,11 @@ def test_table_pairing_matches_per_pairing_scan():
         raw, fam, mim, _deps = _score_pairing(pairing, table, w)
         assert raw == scan_key[0], (ctx, cand)
         assert fam == [
-            _ref_fraction(ctx.objects[c].field_counter(), cand.objects[k].field_counter())
+            _ref_fraction(dict(ctx.objects[c].fields), dict(cand.objects[k].fields))
             for c, k in pairing
         ]
         assert mim == [
-            _ref_fraction(ctx.objects[c].method_counter(), cand.objects[k].method_counter())
+            _ref_fraction(dict(ctx.objects[c].methods), dict(cand.objects[k].methods))
             for c, k in pairing
         ]
 
