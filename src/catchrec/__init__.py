@@ -5,7 +5,7 @@ quality metrics, with an offline evaluation harness."""
 from .corpus import Candidate, CorpusFilter, fetch_remote, ingest_local
 from .evaluation import EvalReport, Oracle, evaluate, load_cases
 from .graph import ApiUsageGraph, extract_usage_graph
-from .lexical import LexicalReport, LexicalWeights, lexical_score
+from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
 from .model import ParseStatus, SourceUnit
 from .parser import parse
 from .quality import QualityReport, QualityWeights, quality_score
@@ -33,6 +33,7 @@ __all__ = [
     "MatchReport",
     "Oracle",
     "ParseStatus",
+    "PreparedUnit",
     "QualityReport",
     "QualityWeights",
     "ScoreBreakdown",
@@ -51,6 +52,7 @@ __all__ = [
     "load_cases",
     "load_weights",
     "parse",
+    "prepare",
     "quality_score",
     "rank",
     "structural_score",

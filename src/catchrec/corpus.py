@@ -35,6 +35,7 @@ SEARCH_ENDPOINT = "https://api.github.com/search/code"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
 _MAX_ATTEMPTS = 4
 _BACKOFF_BASE = 1.0
+_MAX_IN_FLIGHT = 4  # concurrent file downloads
 
 # transport(url, headers) -> (status code, body bytes)
 Transport = Callable[[str, dict[str, str]], tuple[int, bytes]]
@@ -286,7 +287,6 @@ def fetch_remote(
     token: str | None = None,
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
-    max_in_flight: int = 4,
 ) -> list[Candidate]:
     """Code-search results for the query, scoped to ``orgs``, at most
     ``limit`` files. A warm cache is served without any network traffic; a
@@ -347,7 +347,7 @@ def fetch_remote(
     candidates: list[Candidate] = []
     seen_ids: set[str] = set()
     if items:
-        with ThreadPoolExecutor(max_workers=min(max_in_flight, len(items))) as pool:
+        with ThreadPoolExecutor(max_workers=min(_MAX_IN_FLIGHT, len(items))) as pool:
             for result in pool.map(download, items):
                 if result is None:
                     complete = False

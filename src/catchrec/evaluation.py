@@ -40,8 +40,20 @@ class Oracle:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Oracle":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls({case: frozenset(ids) for case, ids in data.items()})
+        """Oracle file: ``{case_id: [candidate id, ...], ...}``; any other
+        shape raises one :class:`CatchrecError` naming the file."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            relevant = {}
+            for case, ids in data.items():
+                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                    raise TypeError(f"case {case!r} must map to a list of candidate ids")
+                relevant[case] = frozenset(ids)
+        except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+            raise CatchrecError(
+                f"malformed oracle file {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+        return cls(relevant)
 
     def for_case(self, case_id: str) -> frozenset[str]:
         return self.relevant.get(case_id, frozenset())
@@ -50,25 +62,38 @@ class Oracle:
 def load_cases(path: str | Path) -> list[CaseSpec]:
     """Case file: ``{"cases": [{case_id, context_path, corpus_dir,
     exception_name?}, ...]}``; paths are resolved against the file's
-    directory so fixtures stay relocatable."""
+    directory so fixtures stay relocatable. Any other shape raises one
+    :class:`CatchrecError` naming the file."""
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
     base = path.parent
     cases = []
     seen: set[str] = set()
-    for entry in data["cases"]:
-        case_id = entry["case_id"]
-        if case_id in seen:
-            raise ValueError(f"duplicate case id: {case_id}")
-        seen.add(case_id)
-        cases.append(
-            CaseSpec(
-                case_id=case_id,
-                context_path=str(base / entry["context_path"]),
-                corpus_dir=str(base / entry["corpus_dir"]),
-                exception_name=entry.get("exception_name"),
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for entry in data["cases"]:
+            fields = (entry["case_id"], entry["context_path"], entry["corpus_dir"])
+            exception_name = entry.get("exception_name")
+            if not all(isinstance(f, str) for f in fields) or not isinstance(
+                exception_name, (str, type(None))
+            ):
+                raise TypeError(
+                    "case_id, context_path and corpus_dir must be strings, "
+                    "exception_name a string or null"
+                )
+            case_id, context_path, corpus_dir = fields
+            if case_id in seen:
+                raise ValueError(f"duplicate case id: {case_id}")
+            seen.add(case_id)
+            cases.append(
+                CaseSpec(
+                    case_id=case_id,
+                    context_path=str(base / context_path),
+                    corpus_dir=str(base / corpus_dir),
+                    exception_name=exception_name,
+                )
             )
-        )
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CatchrecError(f"malformed case file {path}: {type(exc).__name__}: {exc}") from exc
     return cases
 
 

@@ -1,4 +1,6 @@
-"""Token-level relevance: cosine content similarity plus a clone measure.
+"""Token-level relevance (cosine content similarity plus a clone measure)
+and the prepared form of a unit that the lexical and structural scorers
+read.
 
 Both measures run on the significant tokens only (identifiers, keywords,
 literals; punctuation and operators carry no naming signal and are dropped).
@@ -16,27 +18,69 @@ They look at different granularities on purpose:
   computed bit-parallel over Python integers (Allison & Dix 1986; Hyyrö
   2004), exactly and with no cap on the length of either sequence.
 
-The context side of both measures (token texts, subtoken vector and norm)
-comes from a :class:`~catchrec.context.PreparedContext`, computed once per
-query by the caller or, given a plain unit or token list, on the spot.
+Context and candidate are the same kind of thing, a parsed fragment, so both
+reach the scorers as a :class:`PreparedUnit` from :func:`prepare`: the
+significant-token texts, the subtoken vector and its norm, and the usage
+graph that :mod:`catchrec.structural` matches (``None`` for a failed parse).
+Ranking prepares the context once per query and each candidate once.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .context import (  # the token helpers stay importable from here
-    SIGNIFICANT_KINDS,  # noqa: F401
-    PreparedContext,
-    prepare_context,
-    significant_tokens,
-    subtoken_vector,
-    subtokens,  # noqa: F401
+from .graph import ApiUsageGraph, extract_usage_graph
+from .lexer import Token, TokenKind
+from .model import ParseStatus, SourceUnit
+
+SIGNIFICANT_KINDS = frozenset(
+    {TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL}
 )
-from .lexer import Token
-from .model import SourceUnit
+
+_CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
+
+
+def significant_tokens(unit: SourceUnit) -> list[Token]:
+    """Identifiers, keywords, and literals of the unit, in order."""
+    return [t for t in unit.tokens if t.kind in SIGNIFICANT_KINDS]
+
+
+def subtokens(token: Token) -> list[str]:
+    """Lowercase subtokens for the cosine vector; identifiers split at
+    underscores and camel-case boundaries, other tokens pass through."""
+    if token.kind is not TokenKind.IDENTIFIER:
+        return [token.text]
+    parts: list[str] = []
+    for chunk in re.split(r"[_$]+", token.text):
+        parts.extend(m.group(0).lower() for m in _CAMEL.finditer(chunk))
+    return parts or [token.text.lower()]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedUnit:
+    """Everything the scorers read from one unit, context or candidate."""
+
+    texts: tuple[str, ...]       # significant-token texts, in order
+    subtokens: Counter           # subtoken frequency vector
+    norm: float                  # Euclidean norm of ``subtokens``
+    graph: ApiUsageGraph | None  # None when the parse failed
+
+
+def prepare(unit: SourceUnit) -> PreparedUnit:
+    """Compute one unit's side of every measure."""
+    tokens = significant_tokens(unit)
+    vector = Counter(s for t in tokens for s in subtokens(t))
+    graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)
+    return PreparedUnit(
+        texts=tuple(t.text for t in tokens),
+        subtokens=vector,
+        norm=math.sqrt(sum(c * c for c in vector.values())),
+        graph=graph,
+    )
 
 
 @dataclass(frozen=True)
@@ -68,20 +112,13 @@ class LexicalReport:
         }
 
 
-def cosine_similarity(
-    context: Sequence[Token] | PreparedContext, candidate_tokens: Sequence[Token]
-) -> float:
-    """Cosine of the subtoken frequency vectors; 0 when either is empty.
-    The context is its significant tokens or the prepared context."""
-    if isinstance(context, PreparedContext):
-        u, norm_u = context.subtokens, context.norm
-    else:
-        u, norm_u = subtoken_vector(context)
-    v, norm_v = subtoken_vector(candidate_tokens)
+def cosine_similarity(context: PreparedUnit, candidate: PreparedUnit) -> float:
+    """Cosine of the subtoken frequency vectors; 0 when either is empty."""
+    u, v = context.subtokens, candidate.subtokens
     if not u or not v:
         return 0.0
     dot = sum(count * v[name] for name, count in u.items() if name in v)
-    return dot / (norm_u * norm_v)
+    return dot / (context.norm * candidate.norm)
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -109,33 +146,23 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - v.bit_count()
 
 
-def clone_measure(
-    context: Sequence[Token] | PreparedContext, candidate_tokens: Sequence[Token]
-) -> tuple[int, float]:
-    """(LCS length, LCS length / context token count); exact token text.
-    The context is its significant tokens or the prepared context."""
-    if isinstance(context, PreparedContext):
-        context_texts: Sequence[str] = context.texts
-    else:
-        context_texts = [t.text for t in context]
-    length = lcs_length(context_texts, [t.text for t in candidate_tokens])
-    ratio = length / len(context_texts) if context_texts else 0.0
+def clone_measure(context: PreparedUnit, candidate: PreparedUnit) -> tuple[int, float]:
+    """(LCS length, LCS length / context token count); exact token text."""
+    length = lcs_length(context.texts, candidate.texts)
+    ratio = length / len(context.texts) if context.texts else 0.0
     return length, ratio
 
 
 def lexical_score(
-    context: SourceUnit | PreparedContext,
-    candidate: SourceUnit,
+    context: PreparedUnit,
+    candidate: PreparedUnit,
     weights: LexicalWeights | None = None,
 ) -> LexicalReport:
     """Weighted fusion of the two measures; works on any unit, parsed or not,
-    because tokens always exist. A plain context unit is prepared here."""
-    if not isinstance(context, PreparedContext):
-        context = prepare_context(context)
+    because tokens always exist."""
     weights = weights or LexicalWeights()
-    cand = significant_tokens(candidate)
-    cos = cosine_similarity(context, cand)
-    length, ratio = clone_measure(context, cand)
+    cos = cosine_similarity(context, candidate)
+    length, ratio = clone_measure(context, candidate)
     return LexicalReport(
         cosine=cos,
         clone_ratio=ratio,

@@ -9,6 +9,10 @@ identical pools always rank identically.
 Candidates whose structure cannot be analyzed stay in the pool with a zero
 structural component and a flag: the token-based components exist exactly
 to keep non-parseable code rankable.
+
+The structural and lexical scorers read both sides through
+:func:`catchrec.lexical.prepare`: :func:`rank` prepares the context once per
+call, and :func:`score_candidate` prepares each candidate once for both.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .context import PreparedContext, prepare_context
 from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable
-from .lexical import LexicalReport, LexicalWeights, lexical_score
+from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
 from .model import SourceUnit
 from .quality import QualityReport, QualityWeights, quality_score
 from .structural import MatchReport, StructuralWeights, structural_score
@@ -107,42 +110,6 @@ def dump_weights(config: WeightConfig) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    candidate_id: str
-    structural_raw: float
-    lexical_raw: float
-    quality_raw: float
-    structural_norm: float
-    lexical_norm: float
-    quality_norm: float
-    total: float
-    rank: int
-    structure_available: bool
-    quality_available: bool
-    match: MatchReport | None
-    lexical: LexicalReport | None
-    quality: QualityReport | None
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "structural_raw": self.structural_raw,
-            "lexical_raw": self.lexical_raw,
-            "quality_raw": self.quality_raw,
-            "structural_norm": self.structural_norm,
-            "lexical_norm": self.lexical_norm,
-            "quality_norm": self.quality_norm,
-            "total": self.total,
-            "rank": self.rank,
-            "structure_available": self.structure_available,
-            "quality_available": self.quality_available,
-            "match": self.match.to_dict() if self.match else None,
-            "lexical": self.lexical.to_dict() if self.lexical else None,
-            "quality": self.quality.to_dict() if self.quality else None,
-        }
-
-
 def normalize_pool(values: list[float]) -> list[float]:
     """Min-max normalization over the pool; a constant pool maps to 0.5."""
     if not values:
@@ -166,6 +133,33 @@ class RawComponents:
     quality: QualityReport | None = None
 
 
+@dataclass(frozen=True, kw_only=True)
+class ScoreBreakdown(RawComponents):
+    structural_norm: float
+    lexical_norm: float
+    quality_norm: float
+    total: float
+    rank: int
+
+    def to_dict(self) -> dict:
+        return {
+            "candidate_id": self.candidate_id,
+            "structural_raw": self.structural_raw,
+            "lexical_raw": self.lexical_raw,
+            "quality_raw": self.quality_raw,
+            "structural_norm": self.structural_norm,
+            "lexical_norm": self.lexical_norm,
+            "quality_norm": self.quality_norm,
+            "total": self.total,
+            "rank": self.rank,
+            "structure_available": self.structure_available,
+            "quality_available": self.quality_available,
+            "match": self.match.to_dict() if self.match else None,
+            "lexical": self.lexical.to_dict() if self.lexical else None,
+            "quality": self.quality.to_dict() if self.quality else None,
+        }
+
+
 def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreakdown]:
     """Normalize each component over the pool, combine, sort, and rank."""
     if not raws:
@@ -186,41 +180,35 @@ def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreak
     scored.sort(key=lambda row: (-row[4], row[0].candidate_id))
     return [
         ScoreBreakdown(
-            candidate_id=r.candidate_id,
-            structural_raw=r.structural_raw,
-            lexical_raw=r.lexical_raw,
-            quality_raw=r.quality_raw,
+            **vars(r),
             structural_norm=s_norm,
             lexical_norm=l_norm,
             quality_norm=q_norm,
             total=total,
             rank=position,
-            structure_available=r.structure_available,
-            quality_available=r.quality_available,
-            match=r.match,
-            lexical=r.lexical,
-            quality=r.quality,
         )
         for position, (r, s_norm, l_norm, q_norm, total) in enumerate(scored, 1)
     ]
 
 
 def score_candidate(
-    context: SourceUnit | PreparedContext,
+    context: PreparedUnit,
     candidate_id: str,
     candidate: SourceUnit,
     config: WeightConfig,
 ) -> RawComponents:
     """Raw component scores for one candidate; structural and quality
     failures degrade to zero components instead of dropping the candidate.
-    A plain context unit is prepared by each scorer."""
+    The candidate is prepared once for both the structural and the lexical
+    scorer."""
+    prepared = prepare(candidate)
     try:
-        match = structural_score(context, candidate, config.structural)
+        match = structural_score(context, prepared, config.structural)
         structural_raw, structure_available = match.raw, True
     except StructureUnavailable:
         match, structural_raw, structure_available = None, 0.0, False
 
-    lex = lexical_score(context, candidate, config.lexical)
+    lex = lexical_score(context, prepared, config.lexical)
 
     try:
         qual = quality_score(candidate, config.quality)
@@ -257,7 +245,7 @@ def rank(
     if k < 1:
         raise ValueError("k must be at least 1")
     config = config or WeightConfig()
-    prepared = prepare_context(context)  # once per call, not per candidate
+    prepared = prepare(context)  # once per call, not per candidate
     raws = [
         score_candidate(prepared, cand.id, cand.unit, config) for cand in candidates
     ]

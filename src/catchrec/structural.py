@@ -16,8 +16,9 @@ Pairings are scored from per-pair tables built once per candidate: the
 field and method fractions of every type-compatible object pair, and the
 candidate's dependency edges indexed by their endpoints. The search and the
 final report use the same table and the same scoring function, and the
-fractions are summed in pairing order. The context's graph comes prepared
-once per query (:class:`~catchrec.context.PreparedContext`).
+fractions are summed in pairing order. Both graphs come from the two units'
+:class:`~catchrec.lexical.PreparedUnit`; a unit whose parse failed has none,
+and scoring it raises :class:`~catchrec.errors.StructureUnavailable`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .context import PreparedContext, prepare_context
 from .errors import StructureUnavailable
-from .graph import ApiUsageGraph, DependencyEdge, GraphObject, extract_usage_graph
-from .model import ParseStatus, SourceUnit
+from .graph import ApiUsageGraph, DependencyEdge, GraphObject
+from .lexical import PreparedUnit
 
 # Exhaustive pairing is used while the assignment space stays below this.
 _MAX_ASSIGNMENTS = 20_000
@@ -299,19 +299,15 @@ def _best_pairing(
 
 
 def structural_score(
-    context: SourceUnit | PreparedContext,
-    candidate: SourceUnit,
+    context: PreparedUnit,
+    candidate: PreparedUnit,
     weights: StructuralWeights | None = None,
 ) -> MatchReport:
-    """Full structural relevance between two parsed units. A plain context
-    unit is prepared here; :func:`catchrec.ranking.rank` prepares it once
-    for the whole pool."""
-    if not isinstance(context, PreparedContext):
-        context = prepare_context(context)
-    if context.graph is None or candidate.parse_status is ParseStatus.FAILED:
+    """Full structural relevance between two prepared units."""
+    if context.graph is None or candidate.graph is None:
         raise StructureUnavailable("structural scoring needs two parsed units")
     weights = weights or StructuralWeights()
-    table = _pair_table(context.graph, extract_usage_graph(candidate))
+    table = _pair_table(context.graph, candidate.graph)
     pairing, exhaustive = _best_pairing(table, weights)
     raw, fam, mim, deps = _score_pairing(pairing, table, weights)
     return MatchReport(

@@ -21,6 +21,7 @@ from catchrec import (
     lexical_score,
     load_cases,
     parse,
+    prepare,
     quality_score,
     rank,
     structural_score,
@@ -57,7 +58,7 @@ def _exhaustive_lcs(a: list[str], b: list[str]) -> int:
 
 
 def test_criterion_01_structural_vector(listing1, listing2):
-    report = structural_score(listing1, listing2)
+    report = structural_score(prepare(listing1), prepare(listing2))
     vector = (
         report.matched_objects,
         report.field_total,
@@ -81,7 +82,7 @@ def test_criterion_01_handler_actions(listing2):
 
 
 def test_criterion_01_cosine(listing1, listing2):
-    cos = lexical_score(listing1, listing2).cosine
+    cos = lexical_score(prepare(listing1), prepare(listing2)).cosine
     _verdict(
         "criterion 1c (cosine similarity)",
         0.62 <= cos <= 0.72,
@@ -109,7 +110,7 @@ def test_criterion_01_clone_ratio(listing1, listing2):
     example = [t.text for t in significant_tokens(listing2)]
     common = _exhaustive_lcs(LISTING1_SIGNIFICANT, example)
     want = common / len(LISTING1_SIGNIFICANT)
-    ccm = lexical_score(listing1, listing2).clone_ratio
+    ccm = lexical_score(prepare(listing1), prepare(listing2)).clone_ratio
     _verdict(
         "criterion 1d (clone ratio)",
         abs(ccm - want) <= 1e-12,
@@ -140,8 +141,8 @@ def test_criterion_01_runtime():
     start = time.perf_counter()
     u1 = parse((FIXTURES / "listing1.java").read_text())
     u2 = parse((FIXTURES / "listing2.java").read_text())
-    structural_score(u1, u2)
-    lexical_score(u1, u2)
+    structural_score(prepare(u1), prepare(u2))
+    lexical_score(prepare(u1), prepare(u2))
     quality_score(u2)
     elapsed = time.perf_counter() - start
     _verdict(

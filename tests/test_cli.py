@@ -247,6 +247,41 @@ def test_evaluate_missing_oracle(run, tmp_path):
     assert err
 
 
+def _first_case(cases, **changes):
+    """The first case with fields changed; a field set to None is dropped."""
+    entry = {**cases["cases"][0], **changes}
+    return {"cases": [{k: v for k, v in entry.items() if v is not None}]}
+
+
+@pytest.mark.parametrize(
+    "which, corrupt",
+    [
+        ("cases", lambda cases: {}),
+        ("cases", lambda cases: []),
+        ("cases", lambda cases: _first_case(cases, case_id=None)),
+        ("cases", lambda cases: _first_case(cases, context_path=5)),
+        ("cases", lambda cases: _first_case(cases, exception_name=5)),
+        ("oracle", lambda oracle: ["x"]),
+        ("oracle", lambda oracle: {"c1": 5}),
+    ],
+    ids=[
+        "cases-empty-object", "cases-list", "entry-without-case-id", "context-path-number",
+        "exception-name-number", "oracle-list", "oracle-ids-number",
+    ],
+)
+def test_evaluate_malformed_suite_file_exits_2(run, tmp_path, which, corrupt):
+    from test_evaluation import build_suite
+
+    paths = dict(zip(("cases", "oracle"), build_suite(tmp_path)))
+    bad = paths[which]
+    bad.write_text(json.dumps(corrupt(json.loads(bad.read_text()))))
+    code, out, err = run("evaluate", "--cases", str(paths["cases"]), "--oracle", str(paths["oracle"]))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(bad) in err
+
+
 def test_fetch_writes_corpus(run, tmp_path, monkeypatch):
     from test_corpus import fake_transport
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchrec import lexical_score, parse
+from catchrec import lexical_score, parse, prepare
 from catchrec.lexer import Token, TokenKind
 from catchrec.lexical import (
     LexicalWeights,
@@ -19,7 +19,7 @@ from catchrec.lexical import (
 
 
 def idents(*texts):
-    return [Token(t, TokenKind.IDENTIFIER) for t in texts]
+    return prepare(parse(" ".join(texts)))
 
 
 def exhaustive_lcs(a, b):
@@ -68,7 +68,7 @@ def test_subtoken_splitting():
 
 def test_cosine_identity():
     toks = idents("alpha", "beta", "alpha")
-    assert cosine_similarity(toks, list(toks)) == pytest.approx(1.0)
+    assert cosine_similarity(toks, toks) == pytest.approx(1.0)
 
 
 def test_cosine_disjoint():
@@ -82,8 +82,8 @@ def test_cosine_hand_computed():
 
 
 def test_cosine_empty_inputs():
-    assert cosine_similarity([], idents("a")) == 0.0
-    assert cosine_similarity(idents("a"), []) == 0.0
+    assert cosine_similarity(idents(), idents("a")) == 0.0
+    assert cosine_similarity(idents("a"), idents()) == 0.0
 
 
 def test_cosine_symmetry():
@@ -104,7 +104,7 @@ def test_cosine_bounds_random():
 
 def test_clone_identity():
     toks = idents("a", "b", "c")
-    length, ratio = clone_measure(toks, list(toks))
+    length, ratio = clone_measure(toks, toks)
     assert (length, ratio) == (3, 1.0)
 
 
@@ -118,7 +118,7 @@ def test_clone_hand_enumerated():
 
 
 def test_clone_empty_context():
-    assert clone_measure([], idents("a")) == (0, 0.0)
+    assert clone_measure(idents(), idents("a")) == (0, 0.0)
 
 
 def test_clone_is_asymmetric():
@@ -191,20 +191,20 @@ def test_shuffle_changes_clone_not_cosine():
 
 def test_lexical_score_identity():
     unit = parse("A a = new A(); a.go();")
-    report = lexical_score(unit, unit)
+    report = lexical_score(prepare(unit), prepare(unit))
     assert report.cosine == pytest.approx(1.0)
     assert report.clone_ratio == pytest.approx(1.0)
     assert report.raw == pytest.approx(2.0)
 
 
 def test_lexical_score_empty_context():
-    report = lexical_score(parse(""), parse("A a = new A();"))
+    report = lexical_score(prepare(parse("")), prepare(parse("A a = new A();")))
     assert report.raw == 0.0
     assert report.context_token_count == 0
 
 
 def test_lexical_score_listing_pair(listing1, listing2):
-    report = lexical_score(listing1, listing2)
+    report = lexical_score(prepare(listing1), prepare(listing2))
     assert report.cosine == pytest.approx(0.6771, abs=5e-4)
     assert report.lcs_length == 10
     assert report.context_token_count == 14
@@ -213,14 +213,14 @@ def test_lexical_score_listing_pair(listing1, listing2):
 
 def test_lexical_score_weights():
     unit = parse("A a = new A(); a.go();")
-    report = lexical_score(unit, unit, LexicalWeights(cosine=2.0, clone=3.0))
+    report = lexical_score(prepare(unit), prepare(unit), LexicalWeights(cosine=2.0, clone=3.0))
     assert report.raw == pytest.approx(5.0)
     assert report.raw == pytest.approx(2.0 * report.cosine + 3.0 * report.clone_ratio)
 
 
 def test_lexical_score_survives_failed_parse(listing1):
     broken = parse("} catch }")
-    report = lexical_score(listing1, broken)
+    report = lexical_score(prepare(listing1), prepare(broken))
     assert report.raw >= 0.0  # tokens always exist, scoring never raises
 
 
@@ -237,7 +237,7 @@ def test_clone_has_no_length_cap(caplog):
     assert len(candidate_texts) > 21_000
     assert candidate_texts[-len(context_texts):] == context_texts
     with caplog.at_level(logging.WARNING):
-        report = lexical_score(context, candidate)
+        report = lexical_score(prepare(context), prepare(candidate))
     assert report.clone_ratio == 1.0
     assert report.lcs_length == len(context_texts)
     assert not caplog.messages

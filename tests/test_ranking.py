@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchrec import (
     LexicalWeights,
@@ -22,7 +25,6 @@ from catchrec.ranking import (
     explain,
     fuse,
     normalize_pool,
-    score_candidate,
 )
 
 
@@ -286,6 +288,10 @@ def test_weight_dataclasses_reject_non_finite(weights, value):
         weights(**{name: value})
 
 
+def _as_json(rows) -> str:
+    return json.dumps([b.to_dict() for b in rows], sort_keys=True)
+
+
 def _equivalence_pool(fixtures_dir, rank_pool):
     extra = [
         Candidate.from_origin(LocalOrigin(path.name), path.read_text())
@@ -294,30 +300,60 @@ def _equivalence_pool(fixtures_dir, rank_pool):
     return list(rank_pool) + extra
 
 
+_BROKEN_CONTEXT = "} catch (IOException e) { in.close(); }"
+_DIGEST_CONFIGS = {
+    "default": WeightConfig(),
+    "custom": WeightConfig(
+        structural=StructuralWeights(1.25, 0.5, 2.0, 0.75), lexical=LexicalWeights(0.3, 1.7)
+    ),
+}
+
+
 @pytest.mark.parametrize("context_name", ["listing1.java", "corpus-listing2/long.java", "broken"])
-@pytest.mark.parametrize(
-    "config",
-    [
-        WeightConfig(),
-        WeightConfig(
-            structural=StructuralWeights(1.25, 0.5, 2.0, 0.75), lexical=LexicalWeights(0.3, 1.7)
-        ),
-    ],
-)
-def test_rank_with_prepared_context_matches_unit_level_scoring(
-    fixtures_dir, rank_pool, context_name, config
-):
-    # rank() prepares the context once; score_candidate() on the plain unit
-    # lets each scorer prepare it. The JSON must not differ by a byte.
+@pytest.mark.parametrize("config_name", list(_DIGEST_CONFIGS))
+def test_rank_output_matches_recorded_digests(fixtures_dir, rank_pool, context_name, config_name):
+    # SHA-256 of the whole-pool ranking JSON, recorded when only the context
+    # was prepared and each scorer rebuilt the candidate's side itself.
+    expected = json.loads((fixtures_dir / "rank_output_digests.json").read_text())
     if context_name == "broken":
-        context = parse("} catch (IOException e) { in.close(); }")
+        context = parse(_BROKEN_CONTEXT)
     else:
         context = parse((fixtures_dir / context_name).read_text())
     pool = _equivalence_pool(fixtures_dir, rank_pool)
-    ranked = rank(context, pool, config, k=len(pool))
-    fused = fuse([score_candidate(context, c.id, c.unit, config) for c in pool], config.top_level)
-    as_json = lambda rows: json.dumps([b.to_dict() for b in rows], sort_keys=True)  # noqa: E731
-    assert as_json(ranked) == as_json(fused)
+    ranked = rank(context, pool, _DIGEST_CONFIGS[config_name], k=len(pool))
+    digest = hashlib.sha256(_as_json(ranked).encode("utf-8")).hexdigest()
+    assert digest == expected[context_name][config_name]
+
+
+@pytest.fixture(scope="module")
+def tie_pool(fixtures_dir):
+    """Every pool fixture under a distinct id, three of them twice (equal
+    text, so equal totals broken only by id), and a candidate whose parse
+    fails."""
+    pool = [
+        Candidate.from_origin(LocalOrigin(path.relative_to(fixtures_dir).as_posix()), path.read_text())
+        for folder in ("rankpool", "corpus-listing2")
+        for path in sorted((fixtures_dir / folder).glob("*.java"))
+    ]
+    pool += [
+        Candidate.from_origin(LocalOrigin(f"copy-{c.origin.path}"), c.source_text) for c in pool[:3]
+    ]
+    pool.append(Candidate.from_origin(LocalOrigin("broken.java"), "} catch }"))
+    return pool
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rank_ignores_pool_order(fixtures_dir, tie_pool, data):
+    context_text = data.draw(
+        st.sampled_from([(fixtures_dir / "listing1.java").read_text(), _BROKEN_CONTEXT])
+    )
+    context = parse(context_text)
+    chosen = sorted(data.draw(st.sets(st.integers(0, len(tie_pool) - 1), min_size=1)))
+    pool = [tie_pool[i] for i in chosen]
+    shuffled = data.draw(st.permutations(pool))
+    k = data.draw(st.integers(1, len(pool)))
+    assert _as_json(rank(context, shuffled, k=k)) == _as_json(rank(context, pool, k=k))
 
 
 def test_weight_config_defaults():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from catchrec import extract_usage_graph, parse, structural_score
+from catchrec import extract_usage_graph, parse, prepare, structural_score
 from catchrec.errors import StructureUnavailable
 from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
 from catchrec.structural import (
@@ -136,7 +136,7 @@ def _random_graph(rng, max_objects=4, types=("A", "B", "C"), max_deps=3):
 
 
 def test_listing_pair_structural_vector(listing1, listing2):
-    report = structural_score(listing1, listing2)
+    report = structural_score(prepare(listing1), prepare(listing2))
     assert report.matched_objects == 2
     assert report.field_total == 0.0
     assert report.method_total == 1.0
@@ -146,7 +146,7 @@ def test_listing_pair_structural_vector(listing1, listing2):
 
 
 def test_matched_types_are_url_and_connection(listing1, listing2):
-    report = structural_score(listing1, listing2)
+    report = structural_score(prepare(listing1), prepare(listing2))
     ctx = extract_usage_graph(listing1)
     cand = extract_usage_graph(listing2)
     matched = {
@@ -156,7 +156,7 @@ def test_matched_types_are_url_and_connection(listing1, listing2):
 
 
 def test_identity_matches_every_object(listing2):
-    report = structural_score(listing2, listing2)
+    report = structural_score(prepare(listing2), prepare(listing2))
     assert report.matched_objects == len(listing2.objects)
     assert all(w == 1.0 for _e, w in report.dependency_matches)
     assert len(report.dependency_matches) == len(listing2.dependencies)
@@ -165,27 +165,27 @@ def test_identity_matches_every_object(listing2):
 def test_duplicate_types_pair_up_to_multiset():
     ctx = parse("A a1 = new A(); A a2 = new A(); B b = new B();")
     cand = parse("A a = new A(); B b1 = new B(); B b2 = new B();")
-    report = structural_score(ctx, cand)
+    report = structural_score(prepare(ctx), prepare(cand))
     assert report.matched_objects == 2  # one A and one B
 
 
 def test_field_access_fraction_hand_count():
     ctx = parse("A a = make(); int p = a.x; int q = a.x; int r = a.y;")
     cand = parse("A a = make(); int m = a.x; int n = a.y; int o = a.z;")
-    report = structural_score(ctx, cand)
+    report = structural_score(prepare(ctx), prepare(cand))
     assert report.pairings == ((0, 0),)
     assert report.field_fractions == (pytest.approx(2 / 3),)
 
 
 def test_field_fraction_zero_without_context_accesses(listing1, listing2):
-    report = structural_score(listing1, listing2)
+    report = structural_score(prepare(listing1), prepare(listing2))
     assert list(report.field_fractions) == [0.0, 0.0]
 
 
 def test_method_invocation_fraction_hand_count():
     ctx = parse("A a = make(); a.f(); a.g();")
     cand = parse("A a = make(); a.f();")
-    report = structural_score(ctx, cand)
+    report = structural_score(prepare(ctx), prepare(cand))
     assert report.pairings == ((0, 0),)
     assert report.method_fractions == (pytest.approx(1 / 2),)
 
@@ -193,21 +193,21 @@ def test_method_invocation_fraction_hand_count():
 def test_constructor_counts_as_init_invocation():
     ctx = parse("A a = new A();")
     cand = parse("A a = new A(); a.extra();")
-    report = structural_score(ctx, cand)
+    report = structural_score(prepare(ctx), prepare(cand))
     assert report.method_total == 1.0  # <init> matched, context total is 1
 
 
 def test_partial_dependency_match_weight():
     ctx = parse("A a = new A(); B b = new B(a.f());")
     cand = parse("A a = new A(); B b = new B(a.g());")
-    matches = structural_score(ctx, cand).dependency_matches
+    matches = structural_score(prepare(ctx), prepare(cand)).dependency_matches
     assert [w for _e, w in matches] == [0.5]
 
 
 def test_exact_dependency_preferred_over_partial():
     ctx = parse("A a = new A(); B b = new B(a.f());")
     cand = parse("A a = new A(); B b = new B(a.f()); b.use(a.g());")
-    matches = structural_score(ctx, cand).dependency_matches
+    matches = structural_score(prepare(ctx), prepare(cand)).dependency_matches
     assert [w for _e, w in matches] == [1.0]
 
 
@@ -216,12 +216,12 @@ def test_candidate_edge_used_at_most_once():
     cand = parse("A a = new A(); B b = new B(); b.p(a.f());")
     # context has edges (B->A,"f") from two call sites; they dedupe to one
     assert len(ctx.dependencies) == 1
-    matches = structural_score(ctx, cand).dependency_matches
+    matches = structural_score(prepare(ctx), prepare(cand)).dependency_matches
     assert [w for _e, w in matches] == [1.0]
 
 
 def test_score_against_empty_unit(listing1):
-    report = structural_score(listing1, parse(""))
+    report = structural_score(prepare(listing1), prepare(parse("")))
     assert report.raw == 0.0
     assert report.matched_objects == 0
 
@@ -229,14 +229,14 @@ def test_score_against_empty_unit(listing1):
 def test_structure_unavailable_on_failed_parse(listing1):
     failed = parse("} catch }")
     with pytest.raises(StructureUnavailable):
-        structural_score(listing1, failed)
+        structural_score(prepare(listing1), prepare(failed))
     with pytest.raises(StructureUnavailable):
-        structural_score(failed, listing1)
+        structural_score(prepare(failed), prepare(listing1))
 
 
 def test_raw_recomputes_exactly(listing1, listing2):
     w = StructuralWeights(1.25, 0.5, 2.0, 0.75)
-    report = structural_score(listing1, listing2, w)
+    report = structural_score(prepare(listing1), prepare(listing2), w)
     recomputed = (
         w.object_match * report.matched_objects
         + w.field_match * sum(report.field_fractions)
@@ -250,7 +250,7 @@ def test_monotonicity_adding_matched_invocation():
     ctx = parse("A a = make(); a.f(); a.g();")
     weaker = parse("A a = make(); a.f();")
     stronger = parse("A a = make(); a.f(); a.g();")
-    assert structural_score(ctx, stronger).raw >= structural_score(ctx, weaker).raw
+    assert structural_score(prepare(ctx), prepare(stronger)).raw >= structural_score(prepare(ctx), prepare(weaker)).raw
 
 
 def test_negative_weights_rejected():
