@@ -92,7 +92,7 @@ def load_cases(path: str | Path) -> list[CaseSpec]:
                     exception_name=exception_name,
                 )
             )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
         raise CatchrecError(f"malformed case file {path}: {type(exc).__name__}: {exc}") from exc
     return cases
 

@@ -1,13 +1,26 @@
 """Tokenizer for Java-like source text.
 
-Lexing never fails: comments and whitespace are dropped, string and char
-literals come out as single Literal tokens, and bytes that fit no token
-class are skipped and counted. The token stream stays usable even when no
-syntactic structure can be recovered from the fragment.
+One compiled pattern of named alternatives (whitespace, comment, word,
+literal, punctuation, operator, skipped) is matched across the text, and
+each match's group decides what it becomes. Lexing never fails: comments and
+whitespace are dropped, string and char literals come out as single Literal
+tokens, and characters that fit no token class are skipped and counted. The
+token stream stays usable even when no syntactic structure can be recovered
+from the fragment.
+
+Some choices are kept for stable output rather than Java fidelity:
+
+- an unterminated string or char literal ends at its newline and includes
+  it, and that newline does not advance the line count;
+- a number runs over digits, ``a-f``, ``x``, ``b``, ``_`` and ``.``, with a
+  sign allowed after ``e``, so ``0xE+1`` is one literal; ``p``/``P`` are
+  not number characters;
+- a non-ASCII letter is skipped one character at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,14 +63,39 @@ MULTI_OPERATORS = (
     "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
     "<<", ">>", "->", "::",
 )
-SINGLE_OPERATORS = frozenset("+-*/%=<>!&|^~?:")
-PUNCTUATION = frozenset("(){}[];,.@")
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+# One alternative per token class, tried in this order at each position.
+# Every character matches at least ``skipped``, so the alternatives tile the
+# text. Inner groups are non-capturing, so ``lastgroup`` names the class.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{group}>{pattern})"
+        for group, pattern in (
+            ("space", r"\s+"),
+            ("comment", r"//[^\n]*|/\*.*?(?:\*/|\Z)"),
+            ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+            (
+                "literal",
+                r'"(?:\\[^\n]|[^"\\\n])*(?:"|\\?\n|\\?\Z)'
+                r"|'(?:\\[^\n]|[^'\\\n])*(?:'|\\?\n|\\?\Z)"
+                r"|(?:[0-9]|\.(?=[0-9]))(?:[0-9a-dfA-DF_xXbB.]|[eE][+-]?)*[lL]?",
+            ),
+            ("punctuation", r"[(){}\[\];,.@]"),
+            ("operator", "|".join(map(re.escape, MULTI_OPERATORS)) + r"|[-+*/%=<>!&|^~?:]"),
+            ("skipped", "."),
+        )
+    ),
+    re.S,
 )
-_IDENT_PART = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_GROUP_KINDS = {
+    "literal": TokenKind.LITERAL,
+    "punctuation": TokenKind.PUNCTUATION,
+    "operator": TokenKind.OPERATOR,
+}
+_WORD_KINDS = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    **dict.fromkeys(WORD_LITERALS, TokenKind.LITERAL),
+}
 
 
 @dataclass(frozen=True)
@@ -74,122 +112,25 @@ def scan(raw_text: str) -> ScanResult:
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
     skipped = 0
-
-    i = 0
     line = 1
-    n = len(raw_text)
-
-    def emit(text: str, kind: TokenKind) -> None:
-        tokens.append(Token(text, kind, line))
-        code_lines.add(line)
-
-    while i < n:
-        ch = raw_text[i]
-
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-
-        # Line comment.
-        if ch == "/" and i + 1 < n and raw_text[i + 1] == "/":
-            comment_lines.add(line)
-            while i < n and raw_text[i] != "\n":
-                i += 1
-            continue
-
-        # Block comment, possibly spanning lines; unterminated runs to EOF.
-        if ch == "/" and i + 1 < n and raw_text[i + 1] == "*":
-            comment_lines.add(line)
-            i += 2
-            while i < n:
-                if raw_text[i] == "\n":
-                    line += 1
-                    comment_lines.add(line)
-                elif raw_text[i] == "*" and i + 1 < n and raw_text[i + 1] == "/":
-                    i += 2
-                    break
-                i += 1
+    for match in _TOKEN.finditer(raw_text):
+        group = match.lastgroup
+        text = match.group()
+        if group == "space":
+            line += text.count("\n")
+        elif group == "comment":
+            end = line + text.count("\n")
+            comment_lines.update(range(line, end + 1))
+            line = end
+        elif group == "skipped":
+            skipped += 1
+        else:
+            if group == "word":
+                kind = _WORD_KINDS.get(text, TokenKind.IDENTIFIER)
             else:
-                i = n
-            continue
-
-        # String / char literal, kept as one token including quotes.
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n and raw_text[j] != quote:
-                if raw_text[j] == "\\":
-                    j += 1
-                if j < n and raw_text[j] == "\n":
-                    break  # unterminated on this line; close it here
-                j += 1
-            j = min(j + 1, n)
-            emit(raw_text[i:j], TokenKind.LITERAL)
-            i = j
-            continue
-
-        # Number literal (int/float/hex/binary, underscores, suffixes).
-        if ch in _DIGITS or (ch == "." and i + 1 < n and raw_text[i + 1] in _DIGITS):
-            j = i
-            allowed = _DIGITS | frozenset("abcdefABCDEF_xXbB.")
-            while j < n and raw_text[j] in allowed:
-                j += 1
-                # exponent sign: 1e-5
-                if (
-                    j < n
-                    and raw_text[j] in "+-"
-                    and raw_text[j - 1] in "eEpP"
-                    and raw_text[i] in _DIGITS | {"."}
-                ):
-                    j += 1
-            if j < n and raw_text[j] in "lLfFdD":
-                j += 1
-            emit(raw_text[i:j], TokenKind.LITERAL)
-            i = j
-            continue
-
-        # Identifier, keyword, or word literal.
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and raw_text[j] in _IDENT_PART:
-                j += 1
-            word = raw_text[i:j]
-            if word in KEYWORDS:
-                emit(word, TokenKind.KEYWORD)
-            elif word in WORD_LITERALS:
-                emit(word, TokenKind.LITERAL)
-            else:
-                emit(word, TokenKind.IDENTIFIER)
-            i = j
-            continue
-
-        if ch in PUNCTUATION:
-            emit(ch, TokenKind.PUNCTUATION)
-            i += 1
-            continue
-
-        matched = False
-        for op in MULTI_OPERATORS:
-            if raw_text.startswith(op, i):
-                emit(op, TokenKind.OPERATOR)
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in SINGLE_OPERATORS:
-            emit(ch, TokenKind.OPERATOR)
-            i += 1
-            continue
-
-        # Anything else (stray unicode, control bytes) is skipped.
-        skipped += 1
-        i += 1
-
+                kind = _GROUP_KINDS[group]
+            tokens.append(Token(text, kind, line))
+            code_lines.add(line)
     return ScanResult(
         tokens=tuple(tokens),
         code_lines=frozenset(code_lines),

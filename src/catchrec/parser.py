@@ -1,9 +1,10 @@
 """Fragment parser: tokens in, :class:`SourceUnit` out.
 
-Works directly on the token stream with brace/paren matching, so incomplete
-or non-compilable fragments degrade instead of erroring: a fragment that
-cannot be segmented at all is marked ``Failed`` (tokens stay available for
-the lexical path), recoverable anomalies are marked ``Partial``.
+Works directly on the token stream. One pass matches every ``{`` and ``(``
+with its closer, so incomplete or non-compilable fragments degrade instead
+of erroring: a fragment with a closer that has no opener cannot be segmented
+at all and is marked ``Failed`` (tokens stay available for the lexical
+path), recoverable anomalies are marked ``Partial``.
 
 Type resolution is purely syntactic. An object's type comes from its
 declaration, a ``new T(...)`` expression, or a cast; calls on receivers that
@@ -58,11 +59,12 @@ def parse(raw_text: str) -> SourceUnit:
     if result.skipped:
         diagnostics.append(f"skipped {result.skipped} unlexable characters")
 
-    status = _bracket_status(tokens, diagnostics)
+    brackets = _brackets(tokens)
     line_count = len(raw_text.splitlines())
     sloc = len(result.code_lines)
 
-    if status is ParseStatus.FAILED:
+    if brackets is None:
+        diagnostics.append("closing bracket without matching opener")
         return SourceUnit(
             raw_text=raw_text,
             tokens=tokens,
@@ -77,7 +79,16 @@ def parse(raw_text: str) -> SourceUnit:
             diagnostics=tuple(diagnostics),
         )
 
-    handlers, catch_header_spans, orphan = _handler_structure(tokens, result.code_lines)
+    closers, unclosed = brackets
+    status = ParseStatus.FULL
+    if unclosed:
+        diagnostics.append("unclosed block recovered at end of input")
+        status = ParseStatus.PARTIAL
+    if tokens and tokens[-1].text not in {";", "{", "}"}:
+        diagnostics.append("fragment ends mid-statement")
+        status = ParseStatus.PARTIAL
+
+    handlers, catch_header_spans, orphan = _handler_structure(tokens, closers, result.code_lines)
     if orphan:
         status = ParseStatus.PARTIAL
         diagnostics.append("catch clause without a preceding try block")
@@ -103,31 +114,26 @@ def parse(raw_text: str) -> SourceUnit:
     )
 
 
-def _bracket_status(tokens: tuple[Token, ...], diagnostics: list[str]) -> ParseStatus:
-    brace = paren = 0
-    for tok in tokens:
+def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:
+    """Index of the closer of every closed ``{`` and ``(``, keyed by the
+    opener's index, and whether any opener is left unclosed; ``None`` when
+    a ``}`` or ``)`` has no opener of its kind before it."""
+    closers: dict[int, int] = {}
+    open_braces: list[int] = []
+    open_parens: list[int] = []
+    for i, tok in enumerate(tokens):
         if tok.kind is not TokenKind.PUNCTUATION:
             continue
         if tok.text == "{":
-            brace += 1
-        elif tok.text == "}":
-            brace -= 1
+            open_braces.append(i)
         elif tok.text == "(":
-            paren += 1
-        elif tok.text == ")":
-            paren -= 1
-        if brace < 0 or paren < 0:
-            diagnostics.append("closing bracket without matching opener")
-            return ParseStatus.FAILED
-
-    status = ParseStatus.FULL
-    if brace > 0 or paren > 0:
-        diagnostics.append("unclosed block recovered at end of input")
-        status = ParseStatus.PARTIAL
-    if tokens and tokens[-1].text not in {";", "{", "}"}:
-        diagnostics.append("fragment ends mid-statement")
-        status = ParseStatus.PARTIAL
-    return status
+            open_parens.append(i)
+        elif tok.text in ("}", ")"):
+            stack = open_braces if tok.text == "}" else open_parens
+            if not stack:
+                return None
+            closers[stack.pop()] = i
+    return closers, bool(open_braces or open_parens)
 
 
 # ---------------------------------------------------------------------------
@@ -135,35 +141,8 @@ def _bracket_status(tokens: tuple[Token, ...], diagnostics: list[str]) -> ParseS
 # ---------------------------------------------------------------------------
 
 
-def _match_brace(tokens: tuple[Token, ...], open_idx: int) -> int:
-    """Index of the ``}`` matching ``tokens[open_idx]``; last index if unclosed."""
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        text = tokens[i].text
-        if text == "{":
-            depth += 1
-        elif text == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(tokens) - 1
-
-
-def _find_close_paren(tokens: tuple[Token, ...], open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        text = tokens[i].text
-        if text == "(":
-            depth += 1
-        elif text == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(tokens) - 1
-
-
 def _handler_structure(
-    tokens: tuple[Token, ...], code_lines: frozenset[int]
+    tokens: tuple[Token, ...], closers: dict[int, int], code_lines: frozenset[int]
 ) -> tuple[HandlerInfo, list[tuple[int, int]], bool]:
     try_blocks = 0
     finally_blocks = 0
@@ -183,16 +162,16 @@ def _handler_structure(
         try_blocks += 1
         j = i + 1
         if j < n and tokens[j].text == "(":  # try-with-resources header
-            j = _find_close_paren(tokens, j) + 1
+            j = closers.get(j, n - 1) + 1
         if j < n and tokens[j].text == "{":
-            j = _match_brace(tokens, j) + 1
+            j = closers.get(j, n - 1) + 1
         while j < n and tokens[j].kind is TokenKind.KEYWORD:
             if tokens[j].text == "catch":
                 claimed_catches.add(j)
-                j = _parse_catch(tokens, j, catches, header_spans, handler_lines)
+                j = _parse_catch(tokens, closers, j, catches, header_spans, handler_lines)
             elif tokens[j].text == "finally":
                 finally_blocks += 1
-                j = _parse_finally(tokens, j, handler_lines)
+                j = _parse_finally(tokens, closers, j, handler_lines)
             else:
                 break
 
@@ -203,7 +182,7 @@ def _handler_structure(
             and i not in claimed_catches
         ):
             orphan = True
-            _parse_catch(tokens, i, catches, header_spans, handler_lines)
+            _parse_catch(tokens, closers, i, catches, header_spans, handler_lines)
 
     info = HandlerInfo(
         try_blocks=try_blocks,
@@ -216,6 +195,7 @@ def _handler_structure(
 
 def _parse_catch(
     tokens: tuple[Token, ...],
+    closers: dict[int, int],
     catch_idx: int,
     catches: list[CatchClause],
     header_spans: list[tuple[int, int]],
@@ -226,14 +206,14 @@ def _parse_catch(
     j = catch_idx + 1
     types: tuple[str, ...] = ()
     if j < n and tokens[j].text == "(":
-        close = _find_close_paren(tokens, j)
+        close = closers.get(j, n - 1)
         types = _catch_types(tokens[j + 1 : close])
         header_spans.append((catch_idx, close))
         j = close + 1
     statements: tuple[StatementInfo, ...] = ()
     end_line = header_line
     if j < n and tokens[j].text == "{":
-        close = _match_brace(tokens, j)
+        close = closers.get(j, n - 1)
         statements = _split_statements(tokens[j + 1 : close])
         end_line = tokens[close].line
         j = close + 1
@@ -244,6 +224,7 @@ def _parse_catch(
 
 def _parse_finally(
     tokens: tuple[Token, ...],
+    closers: dict[int, int],
     finally_idx: int,
     handler_lines: set[int],
 ) -> int:
@@ -252,7 +233,7 @@ def _parse_finally(
     j = finally_idx + 1
     end_line = header_line
     if j < n and tokens[j].text == "{":
-        close = _match_brace(tokens, j)
+        close = closers.get(j, n - 1)
         end_line = tokens[close].line
         j = close + 1
     handler_lines.update(range(header_line, end_line + 1))

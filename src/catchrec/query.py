@@ -106,7 +106,7 @@ def select_exception(
     An explicit name must look like an exception type (suffix ``Exception``
     or ``Error``) or be one the knowledge base lists, so a typo'd class name
     cannot silently become a search term."""
-    if explicit:
+    if explicit is not None:
         if (
             explicit.endswith("Exception")
             or explicit.endswith("Error")

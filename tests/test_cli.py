@@ -42,15 +42,21 @@ def test_analyze_graph_dot(run, listing2_path):
 
 
 def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
-    """``analyze --emit graph`` in JSON and in DOT, for every fixture, is
-    byte for byte the recorded output (kept as SHA-256 digests)."""
+    """``analyze --emit graph`` in JSON and in DOT, and ``--emit tokens`` and
+    ``--emit handlers`` in JSON, for every fixture, are byte for byte the
+    recorded output (kept as SHA-256 digests)."""
     expected = json.loads((fixtures_dir / "graph_output_digests.json").read_text())
     paths = sorted(fixtures_dir.rglob("*.java"))
     assert [p.relative_to(fixtures_dir).as_posix() for p in paths] == sorted(expected)
     for path in paths:
         digests = {}
-        for name, fmt in (("json", "json"), ("dot", "text")):
-            code, out, _err = run("analyze", str(path), "--emit", "graph", "--format", fmt)
+        for name, emit, fmt in (
+            ("json", "graph", "json"),
+            ("dot", "graph", "text"),
+            ("tokens", "tokens", "json"),
+            ("handlers", "handlers", "json"),
+        ):
+            code, out, _err = run("analyze", str(path), "--emit", emit, "--format", fmt)
             assert code == 0
             digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digests == expected[path.relative_to(fixtures_dir).as_posix()], path
@@ -96,6 +102,14 @@ def test_query_explicit_override(run, listing1_path):
     code, out, _err = run("query", listing1_path, "--exception", "SQLException")
     assert code == 0
     assert out.strip() == "SQLException URL"
+
+
+@pytest.mark.parametrize("override", ["", "  "], ids=["empty", "blank"])
+def test_query_empty_exception_override_exits_2(run, listing1_path, override):
+    code, out, err = run("query", listing1_path, "--exception", override)
+    assert code == 2
+    assert out == ""
+    assert "does not look like an exception type" in err
 
 
 def test_query_object_free_file_fails(run, tmp_path):
@@ -261,12 +275,13 @@ def _first_case(cases, **changes):
         ("cases", lambda cases: _first_case(cases, case_id=None)),
         ("cases", lambda cases: _first_case(cases, context_path=5)),
         ("cases", lambda cases: _first_case(cases, exception_name=5)),
+        ("cases", lambda cases: {"cases": cases["cases"][:1] * 2}),
         ("oracle", lambda oracle: ["x"]),
         ("oracle", lambda oracle: {"c1": 5}),
     ],
     ids=[
         "cases-empty-object", "cases-list", "entry-without-case-id", "context-path-number",
-        "exception-name-number", "oracle-list", "oracle-ids-number",
+        "exception-name-number", "duplicate-case-id", "oracle-list", "oracle-ids-number",
     ],
 )
 def test_evaluate_malformed_suite_file_exits_2(run, tmp_path, which, corrupt):

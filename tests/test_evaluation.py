@@ -5,6 +5,7 @@ import random
 import pytest
 
 from catchrec import Oracle, evaluate, load_cases
+from catchrec.errors import CatchrecError
 from catchrec.evaluation import (
     CaseSpec,
     average_precision_at_k,
@@ -248,6 +249,16 @@ def test_empty_oracle_set_warns(tmp_path, caplog):
     assert 0.0 <= report.per_k[1].mean_precision <= 1.0
 
 
+def test_empty_exception_name_fails_the_case(tmp_path):
+    cases_path, oracle_path = build_suite(tmp_path)
+    payload = json.loads(cases_path.read_text())
+    payload["cases"][2]["exception_name"] = ""
+    cases_path.write_text(json.dumps(payload))
+    report = evaluate(load_cases(cases_path), Oracle.from_file(oracle_path), ks=(1,))
+    assert report.per_case["case_c"]["error"].startswith("UnknownException:")
+    assert report.per_case["case_c"]["ranked_ids"] == []
+
+
 def test_load_cases_rejects_duplicates(tmp_path):
     payload = {
         "cases": [
@@ -257,8 +268,9 @@ def test_load_cases_rejects_duplicates(tmp_path):
     }
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
+    with pytest.raises(CatchrecError, match="duplicate case id: x") as excinfo:
         load_cases(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_report_serializations(tmp_path):

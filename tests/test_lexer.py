@@ -1,4 +1,158 @@
-from catchrec.lexer import Token, TokenKind, scan
+import re
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from catchrec.lexer import (
+    KEYWORDS,
+    MULTI_OPERATORS,
+    WORD_LITERALS,
+    ScanResult,
+    Token,
+    TokenKind,
+    scan,
+)
+
+SINGLE_OPERATORS = frozenset("+-*/%=<>!&|^~?:")
+PUNCTUATION = frozenset("(){}[];,.@")
+
+_IDENT_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+)
+_IDENT_PART = _IDENT_START | frozenset("0123456789")
+_DIGITS = frozenset("0123456789")
+
+
+def _reference_scan(raw_text: str) -> ScanResult:
+    """Character-at-a-time scanner that ``scan`` must equal on every input;
+    the oracle of ``test_scan_equals_reference_scanner``."""
+    tokens: list[Token] = []
+    code_lines: set[int] = set()
+    comment_lines: set[int] = set()
+    skipped = 0
+
+    i = 0
+    line = 1
+    n = len(raw_text)
+
+    def emit(text: str, kind: TokenKind) -> None:
+        tokens.append(Token(text, kind, line))
+        code_lines.add(line)
+
+    while i < n:
+        ch = raw_text[i]
+
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            continue
+
+        # Line comment.
+        if ch == "/" and i + 1 < n and raw_text[i + 1] == "/":
+            comment_lines.add(line)
+            while i < n and raw_text[i] != "\n":
+                i += 1
+            continue
+
+        # Block comment, possibly spanning lines; unterminated runs to EOF.
+        if ch == "/" and i + 1 < n and raw_text[i + 1] == "*":
+            comment_lines.add(line)
+            i += 2
+            while i < n:
+                if raw_text[i] == "\n":
+                    line += 1
+                    comment_lines.add(line)
+                elif raw_text[i] == "*" and i + 1 < n and raw_text[i + 1] == "/":
+                    i += 2
+                    break
+                i += 1
+            else:
+                i = n
+            continue
+
+        # String / char literal, kept as one token including quotes.
+        if ch in "\"'":
+            quote = ch
+            j = i + 1
+            while j < n and raw_text[j] != quote:
+                if raw_text[j] == "\\":
+                    j += 1
+                if j < n and raw_text[j] == "\n":
+                    break  # unterminated on this line; close it here
+                j += 1
+            j = min(j + 1, n)
+            emit(raw_text[i:j], TokenKind.LITERAL)
+            i = j
+            continue
+
+        # Number literal (int/float/hex/binary, underscores, suffixes).
+        if ch in _DIGITS or (ch == "." and i + 1 < n and raw_text[i + 1] in _DIGITS):
+            j = i
+            allowed = _DIGITS | frozenset("abcdefABCDEF_xXbB.")
+            while j < n and raw_text[j] in allowed:
+                j += 1
+                # exponent sign: 1e-5
+                if (
+                    j < n
+                    and raw_text[j] in "+-"
+                    and raw_text[j - 1] in "eEpP"
+                    and raw_text[i] in _DIGITS | {"."}
+                ):
+                    j += 1
+            if j < n and raw_text[j] in "lLfFdD":
+                j += 1
+            emit(raw_text[i:j], TokenKind.LITERAL)
+            i = j
+            continue
+
+        # Identifier, keyword, or word literal.
+        if ch in _IDENT_START:
+            j = i + 1
+            while j < n and raw_text[j] in _IDENT_PART:
+                j += 1
+            word = raw_text[i:j]
+            if word in KEYWORDS:
+                emit(word, TokenKind.KEYWORD)
+            elif word in WORD_LITERALS:
+                emit(word, TokenKind.LITERAL)
+            else:
+                emit(word, TokenKind.IDENTIFIER)
+            i = j
+            continue
+
+        if ch in PUNCTUATION:
+            emit(ch, TokenKind.PUNCTUATION)
+            i += 1
+            continue
+
+        matched = False
+        for op in MULTI_OPERATORS:
+            if raw_text.startswith(op, i):
+                emit(op, TokenKind.OPERATOR)
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch in SINGLE_OPERATORS:
+            emit(ch, TokenKind.OPERATOR)
+            i += 1
+            continue
+
+        # Anything else (stray unicode, control bytes) is skipped.
+        skipped += 1
+        i += 1
+
+    return ScanResult(
+        tokens=tuple(tokens),
+        code_lines=frozenset(code_lines),
+        comment_lines=frozenset(comment_lines),
+        skipped=skipped,
+    )
 
 
 def kinds(tokens):
@@ -107,3 +261,40 @@ def test_token_requires_text():
 
     with pytest.raises(ValueError):
         Token("", TokenKind.IDENTIFIER)
+
+
+# Single characters and a few pairs that exercise every branch of the
+# scanner: both quotes and escapes, number characters and exponent signs,
+# comment openers and closers, Unicode spaces and a non-ASCII letter.
+_FUZZ_PIECES = st.sampled_from(
+    list("\"'\\eE0x.+-/*\n \x0b\x1c\xa0\u2028\u00e9aZ_$19lLpPfFdDbB(){}[];,@=<>!&|^~?:%`#")
+    + ["/*", "*/", "//", "0x", "1e", ">>>=", "->", "::"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_FUZZ_PIECES, max_size=40).map("".join))
+@example('"ab\n')
+@example("'x\\")
+@example("0xE+1")
+@example("/*/")
+@example(".5e-3")
+@example("1e+-2")
+@example("a-->b")
+@example(">>>=")
+@example("\u00e9")
+@example("\x1c")
+@example("\u2028")
+def test_scan_equals_reference_scanner(text):
+    assert scan(text) == _reference_scan(text)
+
+
+def test_regex_space_is_str_isspace():
+    """The ``space`` alternative assumes ``\\s`` and ``str.isspace`` agree."""
+    space = re.compile(r"\s")
+    disagree = [
+        hex(code)
+        for code in range(sys.maxunicode + 1)
+        if bool(space.fullmatch(chr(code))) != chr(code).isspace()
+    ]
+    assert disagree == []

@@ -1,8 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catchrec import parse
+from catchrec.lexer import TokenKind
 from catchrec.model import ParseStatus
 
 
@@ -84,6 +87,35 @@ def test_failed_parse_keeps_tokens():
     assert unit.handlers.catch_clauses == ()
     assert len(unit.tokens) > 0
     assert unit.sloc == 3
+
+
+_JAVA_PIECES = st.sampled_from(
+    ["try", "catch", "finally", "{", "}", "(", ")", "[", "]", ";", " ", "\n", "e",
+     "IOException", "a.f()", "new A(", "A a = ", "(B) ", "<T>", "//", "/*", "*/",
+     '"', "'", "\\", "catch (E e)", "try {", "import x.Y;", "|", "@"]
+)
+
+
+def _closer_before_opener(tokens):
+    """Whether some prefix of the punctuation has more ``}`` than ``{`` or
+    more ``)`` than ``(``."""
+    seen = {"{": 0, "}": 0, "(": 0, ")": 0}
+    for tok in tokens:
+        if tok.kind is TokenKind.PUNCTUATION and tok.text in seen:
+            seen[tok.text] += 1
+            if seen["}"] > seen["{"] or seen[")"] > seen["("]:
+                return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=80), st.lists(_JAVA_PIECES, max_size=40).map("".join)))
+@example("({)}")
+@example("try { } catch (E e) { ) }")
+@example('"}" { /* ) */ }')
+def test_parse_never_raises_and_fails_only_on_an_unopened_closer(text):
+    unit = parse(text)
+    assert (unit.parse_status is ParseStatus.FAILED) == _closer_before_opener(unit.tokens)
 
 
 def test_empty_input_unit():

@@ -30,6 +30,12 @@ def test_explicit_exception_must_look_like_one(listing1, kb):
         select_exception(listing1, kb, "Banana")
 
 
+@pytest.mark.parametrize("override", ["", "  "], ids=["empty", "blank"])
+def test_empty_explicit_exception_is_rejected(listing1, kb, override):
+    with pytest.raises(UnknownException):
+        select_exception(listing1, kb, override)
+
+
 def test_single_object_unit():
     unit = parse("FileReader reader = new FileReader(path); reader.read();")
     assert dominant_api_class(unit) == "FileReader"
