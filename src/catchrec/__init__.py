@@ -2,7 +2,7 @@
 fragment by combining usage-graph matching, token similarity, and handler
 quality metrics, with an offline evaluation harness."""
 
-from .corpus import Candidate, CorpusFilter, fetch_remote, ingest_local
+from .corpus import Candidate, fetch_remote, ingest_local
 from .evaluation import EvalReport, Oracle, evaluate, load_cases
 from .graph import ApiUsageGraph, extract_usage_graph
 from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApiUsageGraph",
     "Candidate",
-    "CorpusFilter",
     "EvalReport",
     "ExceptionKnowledgeBase",
     "LexicalReport",

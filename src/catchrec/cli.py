@@ -93,7 +93,10 @@ def _emit_json(payload) -> None:
 def _load_unit(path: str) -> SourceUnit:
     if path == "-":
         return parse(sys.stdin.read())
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CatchrecError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_kb(path: str | None) -> ExceptionKnowledgeBase:
@@ -189,17 +192,9 @@ def _cmd_recommend(args) -> int:
     kb = _load_kb(args.kb)
     config = _load_config(args.config)
     query = formulate_query(unit, kb, args.exception)
-    if args.no_filter:
-        corpus_filter = corpus_mod.CorpusFilter(
-            require_try_catch=False,
-            require_exception_mention=False,
-            min_sloc=0,
-            max_sloc=10**9,
-        )
-    else:
-        corpus_filter = corpus_mod.CorpusFilter()
+    filter_query = None if args.no_filter else query
     if args.corpus:
-        candidates = corpus_mod.ingest_local(args.corpus, query, corpus_filter)
+        candidates = corpus_mod.ingest_local(args.corpus, filter_query)
     else:
         fetched = corpus_mod.fetch_remote(
             query,
@@ -207,7 +202,7 @@ def _cmd_recommend(args) -> int:
             limit=args.limit,
             cache_dir=args.cache_dir,
         )
-        candidates = corpus_mod.apply_filter(fetched, corpus_filter, query)
+        candidates, _excluded = corpus_mod.apply_filter_detailed(fetched, filter_query)
     if not candidates:
         raise CatchrecError("no candidates survived corpus construction")
     breakdowns = rank(unit, candidates, config, k=args.top)

@@ -81,16 +81,8 @@ class Candidate:
         return self._unit
 
 
-@dataclass(frozen=True)
-class CorpusFilter:
-    require_try_catch: bool = True
-    require_exception_mention: bool = True
-    max_sloc: int = 300
-    min_sloc: int = 3
-
-    def __post_init__(self) -> None:
-        if self.min_sloc > self.max_sloc:
-            raise ValueError("min_sloc must not exceed max_sloc")
+MIN_SLOC = 3
+MAX_SLOC = 300
 
 
 @dataclass(frozen=True)
@@ -100,17 +92,15 @@ class Exclusion:
 
 
 def apply_filter_detailed(
-    candidates: list[Candidate],
-    corpus_filter: CorpusFilter,
-    query: SearchQuery | None = None,
+    candidates: list[Candidate], query: SearchQuery | None
 ) -> tuple[list[Candidate], list[Exclusion]]:
-    """Order-preserving filter; every drop is recorded with a reason code."""
-    if corpus_filter.require_exception_mention and query is None:
-        raise ValueError("exception-mention filtering needs the search query")
+    """Order-preserving filter; every drop is recorded with a reason code.
+    With a query every rule applies; with ``None`` only candidates without a
+    token are dropped."""
     kept: list[Candidate] = []
     excluded: list[Exclusion] = []
     for cand in candidates:
-        reason = _exclusion_reason(cand, corpus_filter, query)
+        reason = _exclusion_reason(cand, query)
         if reason is None:
             kept.append(cand)
         else:
@@ -118,48 +108,34 @@ def apply_filter_detailed(
     return kept, excluded
 
 
-def apply_filter(
-    candidates: list[Candidate],
-    corpus_filter: CorpusFilter,
-    query: SearchQuery | None = None,
-) -> list[Candidate]:
-    kept, _ = apply_filter_detailed(candidates, corpus_filter, query)
-    return kept
-
-
-def _exclusion_reason(
-    cand: Candidate, corpus_filter: CorpusFilter, query: SearchQuery | None
-) -> str | None:
+def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
     unit = cand.unit
     if not unit.tokens:
         return "unlexable"
+    if query is None:
+        return None
     # A token test rather than the parsed handlers, so that a candidate whose
     # parse failed (and so carries no handler structure) is still kept.
-    if corpus_filter.require_try_catch and not any(
+    if not any(
         t.kind is TokenKind.KEYWORD and t.text in ("try", "catch") for t in unit.tokens
     ):
         return "no-handler"
-    if corpus_filter.require_exception_mention and query is not None:
-        if not any(t.text == query.exception_name for t in unit.tokens):
-            return "no-exception-mention"
-    if unit.sloc < corpus_filter.min_sloc:
+    if not any(t.text == query.exception_name for t in unit.tokens):
+        return "no-exception-mention"
+    if unit.sloc < MIN_SLOC:
         return "too-short"
-    if unit.sloc > corpus_filter.max_sloc:
+    if unit.sloc > MAX_SLOC:
         return "too-long"
     return None
 
 
-def ingest_local(
-    directory: str | Path,
-    query: SearchQuery | None = None,
-    corpus_filter: CorpusFilter | None = None,
-) -> list[Candidate]:
-    """Load every ``.java`` file under ``directory`` that passes the filter,
-    in id order. Unreadable files are skipped with a diagnostic, not fatal."""
+def ingest_local(directory: str | Path, query: SearchQuery | None) -> list[Candidate]:
+    """Load every ``.java`` file under ``directory`` that passes the filter
+    for ``query`` (see :func:`apply_filter_detailed`), in id order.
+    Unreadable files are skipped with a diagnostic, not fatal."""
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    corpus_filter = corpus_filter or CorpusFilter()
 
     candidates: list[Candidate] = []
     for path in sorted(root.rglob("*.java")):
@@ -171,7 +147,7 @@ def ingest_local(
             continue
         candidates.append(Candidate.from_origin(LocalOrigin(rel), text))
 
-    kept, excluded = apply_filter_detailed(candidates, corpus_filter, query)
+    kept, excluded = apply_filter_detailed(candidates, query)
     for exc in excluded:
         logger.debug("filtered out %s: %s", exc.candidate_id, exc.reason)
     return sorted(kept, key=lambda c: c.id)
@@ -259,9 +235,13 @@ def _write_cache(
     tmp.replace(manifest_path)
 
 
-def _request_json(
+def _search_items(
     url: str, headers: dict[str, str], transport: Transport, sleeper: Callable[[float], None]
-) -> dict | list:
+) -> list[dict]:
+    """The ``items`` of one search response. A body that is not a UTF-8 JSON
+    object with a list of items, each an object with a string ``url`` (and
+    an object ``repository`` if any), raises :class:`NetworkFailure` naming
+    the URL."""
     for attempt in range(_MAX_ATTEMPTS):
         status, body = transport(url, headers)
         if status in (403, 429):
@@ -275,7 +255,20 @@ def _request_json(
             raise AuthMissing("the search API rejected the auth token")
         if status >= 400:
             raise NetworkFailure(f"search API returned HTTP {status} for {url}")
-        return json.loads(body.decode("utf-8"))
+        try:
+            items = json.loads(body.decode("utf-8"))["items"]
+        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad UTF-8 and JSON
+            raise NetworkFailure(
+                f"malformed search response from {url}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict)
+            and isinstance(item.get("url"), str)
+            and isinstance(item.get("repository", {}), dict)
+            for item in items
+        ):
+            raise NetworkFailure(f"malformed search response from {url}: bad items")
+        return items
     raise RateLimited("unreachable")  # pragma: no cover
 
 
@@ -317,8 +310,7 @@ def fetch_remote(
                 break
             q = f"{query.rendered} language:java org:{org}"
             url = f"{SEARCH_ENDPOINT}?{urllib.parse.urlencode({'q': q, 'per_page': limit})}"
-            payload = _request_json(url, headers, transport, sleeper)
-            items.extend(payload.get("items", [])[: limit - len(items)])
+            items.extend(_search_items(url, headers, transport, sleeper)[: limit - len(items)])
     except RateLimited:
         if not items:
             raise

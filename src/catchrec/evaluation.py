@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CorpusFilter, ingest_local
+from .corpus import ingest_local
 from .errors import CatchrecError
 from .parser import parse
 from .query import ExceptionKnowledgeBase, formulate_query
@@ -49,7 +49,7 @@ class Oracle:
                 if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                     raise TypeError(f"case {case!r} must map to a list of candidate ids")
                 relevant[case] = frozenset(ids)
-        except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+        except (ValueError, AttributeError, TypeError) as exc:  # bad UTF-8 and JSON are ValueErrors
             raise CatchrecError(
                 f"malformed oracle file {path}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -224,14 +224,13 @@ def run_case(
     oracle: Oracle,
     config: WeightConfig,
     kb: ExceptionKnowledgeBase,
-    corpus_filter: CorpusFilter,
     max_k: int,
 ) -> CaseResult:
     relevant = oracle.for_case(case.case_id)
     try:
         context = parse(Path(case.context_path).read_text(encoding="utf-8"))
         query = formulate_query(context, kb, case.exception_name)
-        candidates = ingest_local(case.corpus_dir, query, corpus_filter)
+        candidates = ingest_local(case.corpus_dir, query)
         breakdowns = rank(context, candidates, config, k=max_k)
         return CaseResult(
             case_id=case.case_id,
@@ -254,8 +253,6 @@ def evaluate(
     oracle: Oracle,
     config: WeightConfig | None = None,
     ks: tuple[int, ...] = DEFAULT_KS,
-    kb: ExceptionKnowledgeBase | None = None,
-    corpus_filter: CorpusFilter | None = None,
 ) -> EvalReport:
     """Run the full pipeline for every case and aggregate all metrics."""
     if not cases:
@@ -263,12 +260,11 @@ def evaluate(
     if not ks or any(k < 1 for k in ks):
         raise ValueError("cutoffs must be positive")
     config = config or WeightConfig()
-    kb = kb or ExceptionKnowledgeBase.bundled()
-    corpus_filter = corpus_filter or CorpusFilter()
+    kb = ExceptionKnowledgeBase.bundled()
     max_k = max(ks)
 
     results = sorted(
-        (run_case(c, oracle, config, kb, corpus_filter, max_k) for c in cases),
+        (run_case(c, oracle, config, kb, max_k) for c in cases),
         key=lambda r: r.case_id,
     )
 

@@ -44,7 +44,10 @@ class ExceptionKnowledgeBase:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExceptionKnowledgeBase":
-        return cls._parse(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls._parse(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # covers UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from exc
 
     @classmethod
     def bundled(cls) -> "ExceptionKnowledgeBase":

@@ -74,7 +74,7 @@ def load_weights(path: str | Path) -> WeightConfig:
     the documented set raise :class:`ConfigError`."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise ConfigError(f"cannot read weight config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("weight config must be a JSON object")
@@ -100,14 +100,6 @@ def load_weights(path: str | Path) -> WeightConfig:
         quality=QualityWeights(**sections["quality"]),
         top_level=TopLevelWeights(**sections["top_level"]),
     )
-
-
-def dump_weights(config: WeightConfig) -> dict[str, float]:
-    """Inverse of :func:`load_weights`, to document and round-trip configs."""
-    return {
-        key: float(getattr(getattr(config, section), attr))
-        for key, (section, attr) in _CONFIG_KEYS.items()
-    }
 
 
 def normalize_pool(values: list[float]) -> list[float]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from catchrec import cli
+from catchrec.corpus import LocalOrigin, candidate_id
 
 
 @pytest.fixture()
@@ -176,6 +177,52 @@ def test_recommend_json_deterministic(run, listing1_path, fixtures_dir):
     assert first == second
 
 
+def test_recommend_filter_settings(run, listing1_path, tmp_path):
+    files = {
+        "pass.java": "try {\n  new URL(s).openStream();\n} catch (IOException e) {\n  log(e);\n}\n",
+        "plain.java": "URL u = new URL(s);\nu.openStream();\nint x = 1;\n",
+        "comment.java": "// nothing but a comment\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = {candidate_id(LocalOrigin(name)): name for name in files}
+
+    def ranked(*flags):
+        code, out, _err = run(
+            "recommend", listing1_path, "--corpus", str(tmp_path), "--format", "json", *flags
+        )
+        assert code == 0
+        return {names[b["candidate_id"]] for b in json.loads(out)}
+
+    assert ranked() == {"pass.java"}
+    assert ranked("--no-filter") == {"pass.java", "plain.java"}
+
+
+@pytest.mark.parametrize(
+    "option, content",
+    [
+        ("--config", b"\xff\xfe{}"),
+        ("--kb", b"\xff\xfeURL\topenStream\tIOException\n"),
+        ("--kb", b"URL\topenStream\n"),
+        ("file", b"\xff\xfeclass A {}"),
+    ],
+    ids=["config-not-utf8", "kb-not-utf8", "kb-two-columns", "context-not-utf8"],
+)
+def test_recommend_unreadable_input_file_exits_2(
+    run, listing1_path, fixtures_dir, tmp_path, option, content
+):
+    bad = tmp_path / "input"
+    bad.write_bytes(content)
+    context, extra = (str(bad), ()) if option == "file" else (listing1_path, (option, str(bad)))
+    code, out, err = run(
+        "recommend", context, "--corpus", str(fixtures_dir / "rankpool"), *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(bad) in err
+
+
 def test_recommend_weight_config(run, listing1_path, fixtures_dir, tmp_path):
     config = tmp_path / "weights.json"
     config.write_text('{"w_str": 1.0, "w_lex": 1.0, "w_ehc": 1.0}')
@@ -278,10 +325,12 @@ def _first_case(cases, **changes):
         ("cases", lambda cases: {"cases": cases["cases"][:1] * 2}),
         ("oracle", lambda oracle: ["x"]),
         ("oracle", lambda oracle: {"c1": 5}),
+        ("oracle", lambda oracle: b"\xff\xfe{}"),
     ],
     ids=[
         "cases-empty-object", "cases-list", "entry-without-case-id", "context-path-number",
         "exception-name-number", "duplicate-case-id", "oracle-list", "oracle-ids-number",
+        "oracle-not-utf8",
     ],
 )
 def test_evaluate_malformed_suite_file_exits_2(run, tmp_path, which, corrupt):
@@ -289,7 +338,11 @@ def test_evaluate_malformed_suite_file_exits_2(run, tmp_path, which, corrupt):
 
     paths = dict(zip(("cases", "oracle"), build_suite(tmp_path)))
     bad = paths[which]
-    bad.write_text(json.dumps(corrupt(json.loads(bad.read_text()))))
+    content = corrupt(json.loads(bad.read_text()))
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(json.dumps(content))
     code, out, err = run("evaluate", "--cases", str(paths["cases"]), "--oracle", str(paths["oracle"]))
     assert code == 2
     assert out == ""
@@ -355,6 +408,32 @@ def test_fetch_bad_manifest_exits_2(run, tmp_path, monkeypatch, corrupt):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert str(manifest_path) in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"\xff\xfe",
+        b"not json",
+        b"[]",
+        b'{"items": "x"}',
+        b'{"items": [5]}',
+        b'{"items": [{"path": "a"}]}',
+        b'{"items": [{"url": "u", "repository": "r"}]}',
+    ],
+    ids=["not-utf8", "not-json", "list", "items-string", "item-number", "item-without-url",
+         "repository-string"],
+)
+def test_fetch_malformed_search_response_exits_3(run, tmp_path, monkeypatch, body):
+    monkeypatch.setattr("catchrec.corpus._default_transport", lambda url, headers: (200, body))
+    monkeypatch.setenv("GITHUB_TOKEN", "token")
+    code, out, err = run(
+        "fetch", "--query", "IOException URL", "--orgs", "apache", "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "malformed search response from https://api.github.com/search/code?" in err
 
 
 def test_fetch_without_token_exits_3(run, tmp_path, monkeypatch):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catchrec import CorpusFilter, ParseStatus, SearchQuery, ingest_local
+from catchrec import ParseStatus, SearchQuery, ingest_local
 from catchrec.corpus import (
+    MAX_SLOC,
+    MIN_SLOC,
     Candidate,
+    Exclusion,
     LocalOrigin,
     RemoteOrigin,
-    apply_filter,
     apply_filter_detailed,
     candidate_id,
     fetch_remote,
@@ -26,13 +28,13 @@ def corpus_dir(fixtures_dir) -> Path:
 
 
 def test_ingest_keeps_the_listing(corpus_dir):
-    kept = ingest_local(corpus_dir, QUERY, CorpusFilter())
+    kept = ingest_local(corpus_dir, QUERY)
     names = {c.origin.path for c in kept}
     assert "listing2.java" in names
 
 
 def test_ingest_filters_by_rule(corpus_dir):
-    kept = ingest_local(corpus_dir, QUERY, CorpusFilter())
+    kept = ingest_local(corpus_dir, QUERY)
     names = {c.origin.path for c in kept}
     assert "plain.java" not in names       # no try/catch
     assert "unrelated.java" not in names   # never mentions IOException
@@ -45,7 +47,7 @@ def test_exclusion_reasons(corpus_dir):
         Candidate.from_origin(LocalOrigin(p.name), p.read_text())
         for p in sorted(corpus_dir.glob("*.java"))
     ]
-    kept, excluded = apply_filter_detailed(candidates, CorpusFilter(), QUERY)
+    kept, excluded = apply_filter_detailed(candidates, QUERY)
     reasons = { {c.id: c.origin.path for c in candidates}[e.candidate_id]: e.reason
                 for e in excluded }
     assert reasons == {
@@ -58,21 +60,20 @@ def test_exclusion_reasons(corpus_dir):
 
 
 def test_empty_directory(tmp_path):
-    assert ingest_local(tmp_path, QUERY, CorpusFilter()) == []
+    assert ingest_local(tmp_path, QUERY) == []
 
 
 def test_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
-        ingest_local(tmp_path / "nope", QUERY, CorpusFilter())
+        ingest_local(tmp_path / "nope", QUERY)
 
 
 def test_filter_soundness(corpus_dir):
-    corpus_filter = CorpusFilter()
-    for cand in ingest_local(corpus_dir, QUERY, corpus_filter):
+    for cand in ingest_local(corpus_dir, QUERY):
         unit = cand.unit
         assert unit.handlers.try_blocks >= 1 or unit.handlers.catch_clauses
         assert any(t.text == QUERY.exception_name for t in unit.tokens)
-        assert corpus_filter.min_sloc <= unit.sloc <= corpus_filter.max_sloc
+        assert MIN_SLOC <= unit.sloc <= MAX_SLOC
 
 
 def test_failed_parse_with_handler_stays_in_pool():
@@ -82,7 +83,7 @@ def test_failed_parse_with_handler_stays_in_pool():
     )
     cand = Candidate.from_origin(LocalOrigin("broken.java"), text)
     assert cand.unit.parse_status is ParseStatus.FAILED
-    kept, excluded = apply_filter_detailed([cand], CorpusFilter(), QUERY)
+    kept, excluded = apply_filter_detailed([cand], QUERY)
     assert excluded == []
     assert kept == [cand]
 
@@ -101,15 +102,14 @@ def test_handler_filter_agrees_with_parsed_handlers(text):
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
     unit = cand.unit
     assume(unit.tokens and unit.parse_status is not ParseStatus.FAILED)
-    only_handlers = CorpusFilter(require_exception_mention=False, min_sloc=0, max_sloc=10**9)
-    _kept, excluded = apply_filter_detailed([cand], only_handlers)
+    _kept, excluded = apply_filter_detailed([cand], QUERY)
     dropped = [e.reason for e in excluded] == ["no-handler"]
     assert dropped == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
 
 
 def test_ingest_order_and_ids_deterministic(corpus_dir):
-    first = ingest_local(corpus_dir, QUERY, CorpusFilter())
-    second = ingest_local(corpus_dir, QUERY, CorpusFilter())
+    first = ingest_local(corpus_dir, QUERY)
+    second = ingest_local(corpus_dir, QUERY)
     assert [c.id for c in first] == [c.id for c in second]
     assert [c.id for c in first] == sorted(c.id for c in first)
 
@@ -122,21 +122,12 @@ def test_candidate_id_is_stable_hash_of_origin():
     assert len(a) == 16
 
 
-def test_filter_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        CorpusFilter(min_sloc=10, max_sloc=5)
-
-
-def test_exception_mention_filter_needs_query(corpus_dir):
-    candidates = [Candidate.from_origin(LocalOrigin("a.java"), "int x;")]
-    with pytest.raises(ValueError):
-        apply_filter(candidates, CorpusFilter(), query=None)
-    # disabled mention check works without a query
-    kept = apply_filter(
-        candidates,
-        CorpusFilter(require_try_catch=False, require_exception_mention=False, min_sloc=1),
-    )
-    assert len(kept) == 1
+def test_filter_without_query_drops_only_unlexable():
+    code = Candidate.from_origin(LocalOrigin("a.java"), "int x;")
+    comment = Candidate.from_origin(LocalOrigin("b.java"), "// nothing but a comment\n")
+    kept, excluded = apply_filter_detailed([code, comment], None)
+    assert kept == [code]
+    assert excluded == [Exclusion(comment.id, "unlexable")]
 
 
 def test_unreadable_file_skipped(tmp_path, caplog):
@@ -147,7 +138,7 @@ def test_unreadable_file_skipped(tmp_path, caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        kept = ingest_local(tmp_path, QUERY, CorpusFilter(min_sloc=1))
+        kept = ingest_local(tmp_path, QUERY)
     assert [c.origin.path for c in kept] == ["good.java"]
     assert any("unreadable" in m for m in caplog.messages)
 

@@ -21,7 +21,6 @@ from catchrec.errors import ConfigError, EmptyPool
 from catchrec.ranking import (
     RawComponents,
     TopLevelWeights,
-    dump_weights,
     explain,
     fuse,
     normalize_pool,
@@ -229,12 +228,14 @@ def test_load_weights_round_trip(tmp_path):
         "w_str": 1.1, "w_lex": 0.9, "w_ehc": 1.3,
     }
     path.write_text(json.dumps(payload))
-    config = load_weights(path)
-    assert config.structural.field_match == 2.0
-    assert config.lexical.cosine == 1.5
-    assert config.quality.handler_ratio == 3.0
-    assert config.top_level.quality == 1.3
-    assert dump_weights(config) == payload
+    assert load_weights(path) == WeightConfig(
+        structural=StructuralWeights(
+            object_match=1.0, field_match=2.0, method_match=0.5, dependency_match=0.25
+        ),
+        lexical=LexicalWeights(cosine=1.5, clone=0.75),
+        quality=QualityWeights(readability=1.0, handler_actions=2.0, handler_ratio=3.0),
+        top_level=TopLevelWeights(structural=1.1, lexical=0.9, quality=1.3),
+    )
 
 
 def test_partial_weight_file_keeps_defaults(tmp_path):
