@@ -17,7 +17,7 @@ from .errors import CatchrecError, CorpusError
 from .evaluation import DEFAULT_KS, Oracle, evaluate, load_cases
 from .graph import extract_usage_graph
 from .model import SourceUnit
-from .parser import parse
+from .parser import parse, parse_file
 from .quality import quality_score
 from .query import ExceptionKnowledgeBase, SearchQuery, formulate_query
 from .ranking import DEFAULT_TOP_K, WeightConfig, explain, load_weights, rank
@@ -91,12 +91,7 @@ def _emit_json(payload) -> None:
 
 
 def _load_unit(path: str) -> SourceUnit:
-    if path == "-":
-        return parse(sys.stdin.read())
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CatchrecError(f"cannot read {path}: {exc}") from exc
+    return parse(sys.stdin.read()) if path == "-" else parse_file(path)
 
 
 def _load_kb(path: str | None) -> ExceptionKnowledgeBase:

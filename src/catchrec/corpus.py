@@ -188,9 +188,12 @@ def _load_cached(cache_dir: Path, key: str) -> list[Candidate] | None:
         candidates = []
         for entry in manifest["candidates"]:
             origin = RemoteOrigin(entry["repo"], entry["path"], entry["url"])
+            cid = candidate_id(origin)
+            if entry["id"] != cid or entry["file"] != f"{cid}.java":
+                raise ValueError(f"entry {entry['id']!r}: id or file does not match its origin")
             text = (files_dir / entry["file"]).read_text(encoding="utf-8")
-            candidates.append(Candidate(id=entry["id"], origin=origin, source_text=text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            candidates.append(Candidate(id=cid, origin=origin, source_text=text))
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise CatchrecError(
             f"unreadable cache manifest {manifest_path}: {type(exc).__name__}: {exc}"
         ) from exc

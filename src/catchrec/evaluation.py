@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import ingest_local
 from .errors import CatchrecError
-from .parser import parse
+from .parser import parse_file
 from .query import ExceptionKnowledgeBase, formulate_query
 from .ranking import WeightConfig, rank
 
@@ -210,14 +210,6 @@ class EvalReport:
         rows.append(f"cases: {self.n_cases}, relevant: {self.total_relevant}")
         return "\n".join(rows) + "\n"
 
-    def to_csv_points(self) -> str:
-        """(K, recall, mean precision) points for external plotting."""
-        lines = ["k,recall,mean_precision"]
-        for k in sorted(self.per_k):
-            m = self.per_k[k]
-            lines.append(f"{k},{m.recall:.6f},{m.mean_precision:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def run_case(
     case: CaseSpec,
@@ -228,7 +220,7 @@ def run_case(
 ) -> CaseResult:
     relevant = oracle.for_case(case.case_id)
     try:
-        context = parse(Path(case.context_path).read_text(encoding="utf-8"))
+        context = parse_file(case.context_path)
         query = formulate_query(context, kb, case.exception_name)
         candidates = ingest_local(case.corpus_dir, query)
         breakdowns = rank(context, candidates, config, k=max_k)

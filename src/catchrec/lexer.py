@@ -4,9 +4,9 @@ One compiled pattern of named alternatives (whitespace, comment, word,
 literal, punctuation, operator, skipped) is matched across the text, and
 each match's group decides what it becomes. Lexing never fails: comments and
 whitespace are dropped, string and char literals come out as single Literal
-tokens, and characters that fit no token class are skipped and counted. The
-token stream stays usable even when no syntactic structure can be recovered
-from the fragment.
+tokens, and characters that fit no token class are skipped. The token
+stream stays usable even when no syntactic structure can be recovered from
+the fragment.
 
 Some choices are kept for stable output rather than Java fidelity:
 
@@ -103,7 +103,6 @@ class ScanResult:
     tokens: tuple[Token, ...]
     code_lines: frozenset[int]     # 1-based lines carrying at least one token
     comment_lines: frozenset[int]  # 1-based lines touched by a comment
-    skipped: int                   # bytes that fit no token class
 
 
 def scan(raw_text: str) -> ScanResult:
@@ -111,7 +110,6 @@ def scan(raw_text: str) -> ScanResult:
     tokens: list[Token] = []
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
-    skipped = 0
     line = 1
     for match in _TOKEN.finditer(raw_text):
         group = match.lastgroup
@@ -122,9 +120,7 @@ def scan(raw_text: str) -> ScanResult:
             end = line + text.count("\n")
             comment_lines.update(range(line, end + 1))
             line = end
-        elif group == "skipped":
-            skipped += 1
-        else:
+        elif group != "skipped":
             if group == "word":
                 kind = _WORD_KINDS.get(text, TokenKind.IDENTIFIER)
             else:
@@ -135,5 +131,4 @@ def scan(raw_text: str) -> ScanResult:
         tokens=tuple(tokens),
         code_lines=frozenset(code_lines),
         comment_lines=frozenset(comment_lines),
-        skipped=skipped,
     )

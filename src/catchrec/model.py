@@ -1,9 +1,9 @@
 """Parsed representation of a source fragment.
 
 A :class:`SourceUnit` is what the rest of the pipeline consumes: the token
-stream, line counts, try/catch structure, and the API objects the fragment
-uses with the data dependencies between them. The objects and dependencies
-are the nodes and edges of the unit's usage graph
+stream, its SLOC and comment lines, try/catch structure, and the API objects
+the fragment uses with the data dependencies between them. The objects and
+dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
 and are frozen.
 """
@@ -88,10 +88,7 @@ class SourceUnit:
     objects: tuple[GraphObject, ...]
     parse_status: ParseStatus
     dependencies: tuple[DependencyEdge, ...] = ()
-    line_count: int = 0
-    code_lines: frozenset[int] = frozenset()
     comment_lines: frozenset[int] = frozenset()
-    diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.parse_status is ParseStatus.FAILED and (self.objects or self.handlers.catch_clauses):

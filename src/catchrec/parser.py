@@ -4,7 +4,8 @@ Works directly on the token stream. One pass matches every ``{`` and ``(``
 with its closer, so incomplete or non-compilable fragments degrade instead
 of erroring: a fragment with a closer that has no opener cannot be segmented
 at all and is marked ``Failed`` (tokens stay available for the lexical
-path), recoverable anomalies are marked ``Partial``.
+path). An opener left unclosed, a last token other than ``;``, ``{`` or
+``}``, or a catch without a try marks the fragment ``Partial``.
 
 Type resolution is purely syntactic. An object's type comes from its
 declaration, a ``new T(...)`` expression, or a cast; calls on receivers that
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
+from .errors import CatchrecError
 from .lexer import Token, TokenKind, scan
 from .model import (
     CONSTRUCTOR_NAME,
@@ -55,63 +58,39 @@ def parse(raw_text: str) -> SourceUnit:
     """Parse ``raw_text`` into a :class:`SourceUnit`; never raises."""
     result = scan(raw_text)
     tokens = result.tokens
-    diagnostics: list[str] = []
-    if result.skipped:
-        diagnostics.append(f"skipped {result.skipped} unlexable characters")
-
     brackets = _brackets(tokens)
-    line_count = len(raw_text.splitlines())
-    sloc = len(result.code_lines)
-
     if brackets is None:
-        diagnostics.append("closing bracket without matching opener")
-        return SourceUnit(
-            raw_text=raw_text,
-            tokens=tokens,
-            sloc=sloc,
-            handlers=HandlerInfo(),
-            objects=(),
-            parse_status=ParseStatus.FAILED,
-            dependencies=(),
-            line_count=line_count,
-            code_lines=result.code_lines,
-            comment_lines=result.comment_lines,
-            diagnostics=tuple(diagnostics),
+        status = ParseStatus.FAILED
+        handlers, objects, dependencies = HandlerInfo(), (), ()
+    else:
+        closers, unclosed = brackets
+        handlers, catch_header_spans, orphan = _handler_structure(
+            tokens, closers, result.code_lines
         )
-
-    closers, unclosed = brackets
-    status = ParseStatus.FULL
-    if unclosed:
-        diagnostics.append("unclosed block recovered at end of input")
-        status = ParseStatus.PARTIAL
-    if tokens and tokens[-1].text not in {";", "{", "}"}:
-        diagnostics.append("fragment ends mid-statement")
-        status = ParseStatus.PARTIAL
-
-    handlers, catch_header_spans, orphan = _handler_structure(tokens, closers, result.code_lines)
-    if orphan:
-        status = ParseStatus.PARTIAL
-        diagnostics.append("catch clause without a preceding try block")
-
-    excluded: set[int] = set()
-    for start, end in catch_header_spans:
-        excluded.update(range(start, end + 1))
-
-    objects, dependencies = _ObjectExtractor(tokens, excluded).run()
-
+        excluded = {i for start, end in catch_header_spans for i in range(start, end + 1)}
+        objects, dependencies = _ObjectExtractor(tokens, excluded).run()
+        mid_statement = bool(tokens) and tokens[-1].text not in {";", "{", "}"}
+        partial = unclosed or mid_statement or orphan
+        status = ParseStatus.PARTIAL if partial else ParseStatus.FULL
     return SourceUnit(
         raw_text=raw_text,
         tokens=tokens,
-        sloc=sloc,
+        sloc=len(result.code_lines),
         handlers=handlers,
         objects=objects,
         parse_status=status,
         dependencies=dependencies,
-        line_count=line_count,
-        code_lines=result.code_lines,
         comment_lines=result.comment_lines,
-        diagnostics=tuple(diagnostics),
     )
+
+
+def parse_file(path: str | Path) -> SourceUnit:
+    """Parse a UTF-8 source file; a file that is not UTF-8 raises
+    :class:`CatchrecError` naming it."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CatchrecError(f"cannot read {path}: {exc}") from exc
 
 
 def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:

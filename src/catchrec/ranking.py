@@ -71,27 +71,28 @@ _CONFIG_KEYS: dict[str, tuple[str, str]] = {
 
 def load_weights(path: str | Path) -> WeightConfig:
     """Weight config from a JSON file of ``key: number`` entries; keys not in
-    the documented set raise :class:`ConfigError`."""
+    the documented set raise :class:`ConfigError`. Every error names the file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise ConfigError(f"cannot read weight config {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("weight config must be a JSON object")
+        raise ConfigError(f"weight config {path}: must be a JSON object")
     sections: dict[str, dict[str, float]] = {
         "structural": {}, "lexical": {}, "quality": {}, "top_level": {}
     }
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown weight config key: {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"weight {key!r} must be a finite non-negative number")
+            raise ConfigError(f"weight config {path}: unknown weight config key: {key!r}")
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
         try:
-            weight = float(value)
+            weight = float(value) if is_number else math.nan
         except OverflowError:  # an integer literal too large for a float
             weight = math.inf
         if not math.isfinite(weight) or weight < 0:
-            raise ConfigError(f"weight {key!r} must be a finite non-negative number")
+            raise ConfigError(
+                f"weight config {path}: weight {key!r} must be a finite non-negative number"
+            )
         section, attr = _CONFIG_KEYS[key]
         sections[section][attr] = weight
     return WeightConfig(

@@ -269,7 +269,9 @@ def test_recommend_non_finite_config_weight(
     )
     assert code == 2
     assert out == ""
-    assert err == "catchrec: weight 'w_lex' must be a finite non-negative number\n"
+    assert err == (
+        f"catchrec: weight config {config}: weight 'w_lex' must be a finite non-negative number\n"
+    )
 
 
 def test_evaluate_cli(run, tmp_path):
@@ -403,6 +405,48 @@ def test_fetch_bad_manifest_exits_2(run, tmp_path, monkeypatch, corrupt):
     assert run(*argv)[0] == 0
     manifest_path = next((tmp_path / "cache").rglob("manifest.json"))
     manifest_path.write_text(json.dumps(corrupt(json.loads(manifest_path.read_text()))))
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(manifest_path) in err
+
+
+def _first_entry(**changes):
+    def corrupt(manifest):
+        entries = [{**manifest["candidates"][0], **changes}, *manifest["candidates"][1:]]
+        return {**manifest, "candidates": entries}
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _first_entry(file="../../../outside/Secret.java"),
+        _first_entry(id="x"),
+        lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+    ],
+    ids=["file-outside-cache", "id-not-from-origin", "manifest-not-utf8"],
+)
+def test_recommend_untrusted_manifest_exits_2(
+    run, tmp_path, monkeypatch, listing1_path, corrupt
+):
+    from test_corpus import fake_transport
+
+    monkeypatch.setattr("catchrec.corpus._default_transport", fake_transport)
+    monkeypatch.setenv("GITHUB_TOKEN", "token")
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "Secret.java").write_text("try { s(); } catch (E e) { t(e); }")
+    argv = ("recommend", listing1_path, "--remote", "--no-filter", "--orgs", "apache",
+            "--limit", "5", "--cache-dir", str(tmp_path / "cache"))
+    assert run(*argv)[0] == 0
+    manifest_path = next((tmp_path / "cache").rglob("manifest.json"))
+    content = corrupt(json.loads(manifest_path.read_text()))
+    if isinstance(content, bytes):
+        manifest_path.write_bytes(content)
+    else:
+        manifest_path.write_text(json.dumps(content))
     code, out, err = run(*argv)
     assert code == 2
     assert out == ""

@@ -30,7 +30,6 @@ def _reference_scan(raw_text: str) -> ScanResult:
     tokens: list[Token] = []
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
-    skipped = 0
 
     i = 0
     line = 1
@@ -144,14 +143,12 @@ def _reference_scan(raw_text: str) -> ScanResult:
             continue
 
         # Anything else (stray unicode, control bytes) is skipped.
-        skipped += 1
         i += 1
 
     return ScanResult(
         tokens=tuple(tokens),
         code_lines=frozenset(code_lines),
         comment_lines=frozenset(comment_lines),
-        skipped=skipped,
     )
 
 
@@ -227,7 +224,6 @@ def test_multichar_operators_longest_match():
 
 def test_unlexable_bytes_skipped_not_fatal():
     result = scan("int a = 1; `` int b = 2;")
-    assert result.skipped == 2
     assert [t.text for t in result.tokens] == ["int", "a", "=", "1", ";", "int", "b", "=", "2", ";"]
 
 

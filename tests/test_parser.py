@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from catchrec import parse
 from catchrec.lexer import TokenKind
-from catchrec.model import ParseStatus
+from catchrec.model import HandlerInfo, ParseStatus
 
 
 def by_var(unit):
@@ -47,7 +47,6 @@ def test_listing2_significant_statement_counts(listing2):
 
 
 def test_listing2_line_counts(listing2):
-    assert listing2.line_count == 26
     assert listing2.sloc == 25  # one comment-only line
     assert listing2.handlers.handler_sloc == 13
 
@@ -76,7 +75,7 @@ def test_listing2_dependencies(listing2):
 
 def test_degenerate_fragment():
     unit = parse("x +")
-    assert unit.parse_status in (ParseStatus.PARTIAL, ParseStatus.FAILED)
+    assert unit.parse_status is ParseStatus.PARTIAL
     assert [t.text for t in unit.tokens] == ["x", "+"]
 
 
@@ -123,7 +122,6 @@ def test_empty_input_unit():
     assert unit.parse_status is ParseStatus.FULL
     assert unit.tokens == ()
     assert unit.sloc == 0
-    assert unit.line_count == 0
 
 
 def test_single_object_constructor():
@@ -176,17 +174,37 @@ def test_untracked_call_absorbs_arguments():
     assert unit.dependencies == ()
 
 
-def test_orphan_catch_is_partial():
-    unit = parse("catch (IOException e) { log(e); }")
+@pytest.mark.parametrize(
+    "text, try_blocks, catch_clauses",
+    [
+        pytest.param("a.run()", 0, 0, id="mid-statement"),
+        pytest.param("try {\n    a.run();\n", 1, 0, id="unclosed-block"),
+        pytest.param("catch (IOException e) { log(e); }", 0, 1, id="orphan-catch"),
+    ],
+)
+def test_each_partial_trigger_alone(text, try_blocks, catch_clauses):
+    unit = parse(text)
     assert unit.parse_status is ParseStatus.PARTIAL
-    assert unit.handlers.try_blocks == 0
-    assert len(unit.handlers.catch_clauses) == 1
+    assert unit.handlers.try_blocks == try_blocks
+    assert len(unit.handlers.catch_clauses) == catch_clauses
 
 
-def test_unclosed_block_is_partial():
-    unit = parse("try {\n    a.run();\n")
-    assert unit.parse_status is ParseStatus.PARTIAL
-    assert unit.handlers.try_blocks == 1
+def test_complete_statement_is_full():
+    unit = parse("a.run();")
+    assert unit.parse_status is ParseStatus.FULL
+
+
+def test_unopened_closer_fails_with_no_structure():
+    unit = parse(
+        "URL u = new URL(s);\n"
+        "try { Reader r = new InputStreamReader(u.openStream()); }\n"
+        "catch (IOException e) { log(e); }\n"
+        "}"
+    )
+    assert unit.parse_status is ParseStatus.FAILED
+    assert unit.handlers == HandlerInfo()
+    assert unit.objects == ()
+    assert unit.dependencies == ()
 
 
 def test_multi_catch_types():
@@ -334,7 +352,7 @@ def test_handler_sloc_never_exceeds_sloc():
 
 def test_sloc_never_exceeds_physical_lines(listing1, listing2):
     for unit in (listing1, listing2, parse("int a;\n\n// c\nint b;")):
-        assert 0 <= unit.sloc <= unit.line_count
+        assert 0 <= unit.sloc <= len(unit.raw_text.splitlines())
 
 
 def test_failed_unit_rejects_objects():

@@ -268,6 +268,17 @@ def test_invalid_weight_values_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text", ["[1]", '{"wstr": 1.0}', '{"w_str": "1"}', '{"w_str": -1.0}', "not json"]
+)
+def test_weight_config_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_weights(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
     "text",
     ['{"w_lex": NaN}', '{"alpha": Infinity}', '{"sigma": -Infinity}', '{"mu": 1e400}',
      '{"kappa": 1' + "0" * 400 + "}"],
