@@ -179,10 +179,12 @@ def cache_paths(cache_dir: Path, key: str) -> tuple[Path, Path]:
     return base / "manifest.json", base / "files"
 
 
-def _load_cached(cache_dir: Path, key: str) -> list[Candidate] | None:
+def _load_cached(cache_dir: Path, key: str) -> tuple[list[Candidate] | None, bool]:
+    """The cached candidates (``None`` when nothing is cached) and whether
+    the manifest marks them ``complete``."""
     manifest_path, files_dir = cache_paths(cache_dir, key)
     if not manifest_path.is_file():
-        return None
+        return None, False
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         candidates = []
@@ -191,13 +193,18 @@ def _load_cached(cache_dir: Path, key: str) -> list[Candidate] | None:
             cid = candidate_id(origin)
             if entry["id"] != cid or entry["file"] != f"{cid}.java":
                 raise ValueError(f"entry {entry['id']!r}: id or file does not match its origin")
-            text = (files_dir / entry["file"]).read_text(encoding="utf-8")
+            path = files_dir / entry["file"]
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise CatchrecError(f"cannot read cached file {path}: {exc}") from exc
             candidates.append(Candidate(id=cid, origin=origin, source_text=text))
+        complete = manifest.get("complete") is True
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise CatchrecError(
             f"unreadable cache manifest {manifest_path}: {type(exc).__name__}: {exc}"
         ) from exc
-    return candidates
+    return candidates, complete
 
 
 def _write_cache(
@@ -286,16 +293,16 @@ def fetch_remote(
 ) -> list[Candidate]:
     """Code-search results for the query, scoped to ``orgs``, at most
     ``limit`` files. A warm cache is served without any network traffic; a
-    rate-limited run returns the partial set it managed to download."""
+    rate-limited run returns the partial set it managed to download, and
+    that partial cache is fetched again on a later run that has a token."""
     if limit <= 0:
         return []
     cache_dir = Path(cache_dir)
     key = _cache_key(query, orgs, limit)
-    cached = _load_cached(cache_dir, key)
-    if cached is not None:
-        return sorted(cached, key=lambda c: c.id)
-
     token = token or os.environ.get(TOKEN_ENV_VAR)
+    cached, complete = _load_cached(cache_dir, key)
+    if cached is not None and (complete or not token):
+        return sorted(cached, key=lambda c: c.id)
     if not token:
         raise AuthMissing(f"set {TOKEN_ENV_VAR} to use remote search")
     transport = transport or _default_transport

@@ -5,7 +5,10 @@ with its closer, so incomplete or non-compilable fragments degrade instead
 of erroring: a fragment with a closer that has no opener cannot be segmented
 at all and is marked ``Failed`` (tokens stay available for the lexical
 path). An opener left unclosed, a last token other than ``;``, ``{`` or
-``}``, or a catch without a try marks the fragment ``Partial``.
+``}``, or a catch without a try marks the fragment ``Partial``. A try claims
+each catch or finally that directly follows its block. The catch clauses
+are the claimed ones in try order, then the orphans in text order; a
+finally that follows no try block is ignored.
 
 Type resolution is purely syntactic. An object's type comes from its
 declaration, a ``new T(...)`` expression, or a cast; calls on receivers that
@@ -64,11 +67,10 @@ def parse(raw_text: str) -> SourceUnit:
         handlers, objects, dependencies = HandlerInfo(), (), ()
     else:
         closers, unclosed = brackets
-        handlers, catch_header_spans, orphan = _handler_structure(
+        handlers, catch_headers, orphan = _handler_structure(
             tokens, closers, result.code_lines
         )
-        excluded = {i for start, end in catch_header_spans for i in range(start, end + 1)}
-        objects, dependencies = _ObjectExtractor(tokens, excluded).run()
+        objects, dependencies = _ObjectExtractor(tokens, catch_headers).run()
         mid_statement = bool(tokens) and tokens[-1].text not in {";", "{", "}"}
         partial = unclosed or mid_statement or orphan
         status = ParseStatus.PARTIAL if partial else ParseStatus.FULL
@@ -122,101 +124,71 @@ def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:
 
 def _handler_structure(
     tokens: tuple[Token, ...], closers: dict[int, int], code_lines: frozenset[int]
-) -> tuple[HandlerInfo, list[tuple[int, int]], bool]:
-    try_blocks = 0
-    finally_blocks = 0
-    catches: list[CatchClause] = []
-    header_spans: list[tuple[int, int]] = []
-    handler_lines: set[int] = set()
-    claimed_catches: set[int] = set()
-    orphan = False
+) -> tuple[HandlerInfo, set[int], bool]:
+    """The try/catch/finally structure from one pass over the tokens, the
+    index of every catch-header token (``catch`` through its ``)``), and
+    whether some catch follows no try block."""
     n = len(tokens)
+    try_blocks = finally_blocks = 0
+    catches: list[CatchClause] = []
+    orphans: list[CatchClause] = []
+    claimed: set[int] = set()
+    header_indices: set[int] = set()
+    handler_lines: set[int] = set()
 
-    # Every try is processed where it appears; nested tries inside bodies are
-    # found by the same linear scan. Each catch is claimed by the try whose
-    # block it directly follows.
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.KEYWORD or tok.text != "try":
-            continue
-        try_blocks += 1
-        j = i + 1
-        if j < n and tokens[j].text == "(":  # try-with-resources header
-            j = closers.get(j, n - 1) + 1
+    def read_clause(k: int) -> int:
+        """Read the catch or finally at ``k``; the index past it. A group
+        left unclosed ends at the last token."""
+        is_catch = tokens[k].text == "catch"
+        j = k + 1
+        types: tuple[str, ...] = ()
+        if is_catch and j < n and tokens[j].text == "(":
+            close = closers.get(j, n - 1)
+            types = _catch_types(tokens[j + 1 : close])
+            header_indices.update(range(k, close + 1))
+            j = close + 1
+        statements: tuple[StatementInfo, ...] = ()
+        end_line = tokens[k].line
         if j < n and tokens[j].text == "{":
-            j = closers.get(j, n - 1) + 1
-        while j < n and tokens[j].kind is TokenKind.KEYWORD:
-            if tokens[j].text == "catch":
-                claimed_catches.add(j)
-                j = _parse_catch(tokens, closers, j, catches, header_spans, handler_lines)
-            elif tokens[j].text == "finally":
-                finally_blocks += 1
-                j = _parse_finally(tokens, closers, j, handler_lines)
-            else:
-                break
+            close = closers.get(j, n - 1)
+            if is_catch:
+                statements = _split_statements(tokens[j + 1 : close])
+            end_line = tokens[close].line
+            j = close + 1
+        handler_lines.update(range(tokens[k].line, end_line + 1))
+        if is_catch:
+            clause = CatchClause(exception_types=types, statements=statements)
+            (catches if k in claimed else orphans).append(clause)
+        return j
 
     for i, tok in enumerate(tokens):
-        if (
-            tok.kind is TokenKind.KEYWORD
-            and tok.text == "catch"
-            and i not in claimed_catches
-        ):
-            orphan = True
-            _parse_catch(tokens, closers, i, catches, header_spans, handler_lines)
+        if tok.kind is not TokenKind.KEYWORD:
+            continue
+        if tok.text == "try":
+            try_blocks += 1
+            j = i + 1
+            if j < n and tokens[j].text == "(":  # try-with-resources header
+                j = closers.get(j, n - 1) + 1
+            if j < n and tokens[j].text == "{":
+                j = closers.get(j, n - 1) + 1
+            while j < n and tokens[j].kind is TokenKind.KEYWORD:
+                if tokens[j].text == "catch":
+                    claimed.add(j)
+                elif tokens[j].text == "finally":
+                    finally_blocks += 1
+                else:
+                    break
+                j = read_clause(j)
+        elif tok.text == "catch" and i not in claimed:  # a claiming try comes earlier
+            read_clause(i)
 
     info = HandlerInfo(
         try_blocks=try_blocks,
-        catch_clauses=tuple(catches),
+        catch_clauses=tuple(catches + orphans),
         finally_blocks=finally_blocks,
         handler_sloc=len(handler_lines & code_lines),
     )
-    return info, header_spans, orphan
-
-
-def _parse_catch(
-    tokens: tuple[Token, ...],
-    closers: dict[int, int],
-    catch_idx: int,
-    catches: list[CatchClause],
-    header_spans: list[tuple[int, int]],
-    handler_lines: set[int],
-) -> int:
-    n = len(tokens)
-    header_line = tokens[catch_idx].line
-    j = catch_idx + 1
-    types: tuple[str, ...] = ()
-    if j < n and tokens[j].text == "(":
-        close = closers.get(j, n - 1)
-        types = _catch_types(tokens[j + 1 : close])
-        header_spans.append((catch_idx, close))
-        j = close + 1
-    statements: tuple[StatementInfo, ...] = ()
-    end_line = header_line
-    if j < n and tokens[j].text == "{":
-        close = closers.get(j, n - 1)
-        statements = _split_statements(tokens[j + 1 : close])
-        end_line = tokens[close].line
-        j = close + 1
-    handler_lines.update(range(header_line, end_line + 1))
-    catches.append(CatchClause(exception_types=types, statements=statements))
-    return j
-
-
-def _parse_finally(
-    tokens: tuple[Token, ...],
-    closers: dict[int, int],
-    finally_idx: int,
-    handler_lines: set[int],
-) -> int:
-    n = len(tokens)
-    header_line = tokens[finally_idx].line
-    j = finally_idx + 1
-    end_line = header_line
-    if j < n and tokens[j].text == "{":
-        close = closers.get(j, n - 1)
-        end_line = tokens[close].line
-        j = close + 1
-    handler_lines.update(range(header_line, end_line + 1))
-    return j
+    return info, header_indices, bool(orphans)
 
 
 def _catch_types(header: tuple[Token, ...]) -> tuple[str, ...]:

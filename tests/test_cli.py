@@ -454,6 +454,24 @@ def test_recommend_untrusted_manifest_exits_2(
     assert str(manifest_path) in err
 
 
+def test_recommend_non_utf8_cached_file_names_it(run, tmp_path, monkeypatch, listing1_path):
+    from test_corpus import fake_transport
+
+    monkeypatch.setattr("catchrec.corpus._default_transport", fake_transport)
+    monkeypatch.setenv("GITHUB_TOKEN", "token")
+    argv = ("recommend", listing1_path, "--remote", "--no-filter", "--orgs", "apache",
+            "--limit", "5", "--cache-dir", str(tmp_path / "cache"))
+    assert run(*argv)[0] == 0
+    cached = sorted((tmp_path / "cache").rglob("files/*.java"))[0]
+    cached.write_bytes(b"\xff\xfe" + cached.read_bytes())
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(cached) in err
+    assert "manifest" not in err
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -250,13 +250,13 @@ def test_fetch_remote_rate_limited_backs_off(tmp_path):
     assert calls["n"] == 4
 
 
-def test_fetch_remote_partial_on_mid_run_rate_limit(tmp_path):
+def _fetch_rate_limited_on_eclipse(tmp_path):
     def flaky(url, headers):
         if "eclipse" in url:  # the query string is percent-encoded
             return 403, b"slow down"
         return fake_transport(url, headers)
 
-    out = fetch_remote(
+    return fetch_remote(
         QUERY,
         ["apache", "eclipse"],
         limit=5,
@@ -265,9 +265,46 @@ def test_fetch_remote_partial_on_mid_run_rate_limit(tmp_path):
         transport=flaky,
         sleeper=lambda _d: None,
     )
+
+
+def test_fetch_remote_partial_on_mid_run_rate_limit(tmp_path):
+    out = _fetch_rate_limited_on_eclipse(tmp_path)
     assert len(out) == 2  # apache results survive
     manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
     assert manifest["complete"] is False
+
+
+def test_fetch_remote_refetches_partial_cache_with_token(tmp_path):
+    _fetch_rate_limited_on_eclipse(tmp_path)
+    calls: list[str] = []
+
+    def counting(url, headers):
+        calls.append(url)
+        return fake_transport(url, headers)
+
+    out = fetch_remote(
+        QUERY, ["apache", "eclipse"], limit=5, cache_dir=tmp_path, token="t", transport=counting
+    )
+    assert calls
+    assert len(out) == 2
+    manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
+    assert manifest["complete"] is True
+
+
+def test_fetch_remote_replays_partial_cache_without_token(tmp_path, monkeypatch):
+    _fetch_rate_limited_on_eclipse(tmp_path)
+    monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    manifest_path = next(tmp_path.rglob("manifest.json"))
+    before = manifest_path.read_bytes()
+
+    def exploding_transport(url, headers):
+        raise AssertionError(f"unexpected network call: {url}")
+
+    out = fetch_remote(
+        QUERY, ["apache", "eclipse"], limit=5, cache_dir=tmp_path, transport=exploding_transport
+    )
+    assert len(out) == 2
+    assert manifest_path.read_bytes() == before
 
 
 def test_fetch_remote_server_error_is_network_failure(tmp_path):

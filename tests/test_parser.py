@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,10 @@ def _closer_before_opener(tokens):
 def test_parse_never_raises_and_fails_only_on_an_unopened_closer(text):
     unit = parse(text)
     assert (unit.parse_status is ParseStatus.FAILED) == _closer_before_opener(unit.tokens)
+    if unit.parse_status is not ParseStatus.FAILED:
+        keywords = Counter(t.text for t in unit.tokens if t.kind is TokenKind.KEYWORD)
+        assert len(unit.handlers.catch_clauses) == keywords["catch"]
+        assert unit.handlers.try_blocks == keywords["try"]
 
 
 def test_empty_input_unit():
@@ -229,6 +234,30 @@ def test_nested_try_blocks_counted():
     )
     assert unit.handlers.try_blocks == 2
     assert len(unit.handlers.catch_clauses) == 2
+
+
+@pytest.mark.parametrize(
+    "text, types, try_blocks, finally_blocks",
+    [
+        pytest.param(
+            "try { try { } catch (A a) { } } catch (B b) { }", ["B", "A"], 2, 0,
+            id="outer-try-first",
+        ),
+        pytest.param(
+            "catch (A a) { } try { } catch (B b) { } catch (C c) { }", ["B", "C", "A"], 1, 0,
+            id="orphans-last",
+        ),
+        pytest.param(
+            "try { } catch (A a) { } finally { } catch (B b) { }", ["A", "B"], 1, 1,
+            id="catch-after-finally",
+        ),
+        pytest.param("finally { } a.run();", [], 0, 0, id="finally-without-try"),
+    ],
+)
+def test_catch_clause_order(text, types, try_blocks, finally_blocks):
+    handlers = parse(text).handlers
+    assert [t for c in handlers.catch_clauses for t in c.exception_types] == types
+    assert (handlers.try_blocks, handlers.finally_blocks) == (try_blocks, finally_blocks)
 
 
 def test_statement_significance_rules():
