@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import AuthMissing, CatchrecError, NetworkFailure, RateLimited
+from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
 from .lexer import TokenKind
 from .model import SourceUnit
 from .parser import parse
@@ -141,9 +141,9 @@ def ingest_local(directory: str | Path, query: SearchQuery | None) -> list[Candi
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            logger.warning("skipping unreadable corpus file %s: %s", path, exc)
+            text = read_input(path, "corpus file", str)
+        except ConfigError as exc:
+            logger.warning("skipping unreadable corpus file %s: %s", path, exc.__cause__)
             continue
         candidates.append(Candidate.from_origin(LocalOrigin(rel), text))
 
@@ -185,26 +185,20 @@ def _load_cached(cache_dir: Path, key: str) -> tuple[list[Candidate] | None, boo
     manifest_path, files_dir = cache_paths(cache_dir, key)
     if not manifest_path.is_file():
         return None, False
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+
+    def cached(text: str) -> tuple[list[Candidate], bool]:
+        manifest = json.loads(text)
         candidates = []
         for entry in manifest["candidates"]:
             origin = RemoteOrigin(entry["repo"], entry["path"], entry["url"])
             cid = candidate_id(origin)
             if entry["id"] != cid or entry["file"] != f"{cid}.java":
                 raise ValueError(f"entry {entry['id']!r}: id or file does not match its origin")
-            path = files_dir / entry["file"]
-            try:
-                text = path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise CatchrecError(f"cannot read cached file {path}: {exc}") from exc
-            candidates.append(Candidate(id=cid, origin=origin, source_text=text))
-        complete = manifest.get("complete") is True
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
-        raise CatchrecError(
-            f"unreadable cache manifest {manifest_path}: {type(exc).__name__}: {exc}"
-        ) from exc
-    return candidates, complete
+            source = read_input(files_dir / entry["file"], "cached file", str)
+            candidates.append(Candidate(id=cid, origin=origin, source_text=source))
+        return candidates, manifest.get("complete") is True
+
+    return read_input(manifest_path, "cache manifest", cached)
 
 
 def _write_cache(
@@ -243,6 +237,8 @@ def _write_cache(
     tmp = manifest_path.with_suffix(".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     tmp.replace(manifest_path)
+    for stale in {p.name for p in files_dir.glob("*.java")} - {e["file"] for e in entries}:
+        (files_dir / stale).unlink()
 
 
 def _search_items(
@@ -267,7 +263,7 @@ def _search_items(
             raise NetworkFailure(f"search API returned HTTP {status} for {url}")
         try:
             items = json.loads(body.decode("utf-8"))["items"]
-        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad UTF-8 and JSON
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise NetworkFailure(
                 f"malformed search response from {url}: {type(exc).__name__}: {exc}"
             ) from exc

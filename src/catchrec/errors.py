@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input-file reader."""
+
+from pathlib import Path
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class CatchrecError(Exception):
@@ -30,7 +35,17 @@ class EmptyPool(CatchrecError):
 
 
 class ConfigError(CatchrecError):
-    """A configuration file contains unknown or invalid entries."""
+    """An input file cannot be read or holds unknown, invalid or malformed entries."""
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the UTF-8 text of the input file ``path``. A file that
+    cannot be read, is not UTF-8 or that ``parse`` rejects (nesting too deep
+    included) raises one :class:`ConfigError` naming it as ``what``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 class CorpusError(CatchrecError):

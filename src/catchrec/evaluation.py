@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import ingest_local
-from .errors import CatchrecError
+from .errors import CatchrecError, read_input
 from .parser import parse_file
 from .query import ExceptionKnowledgeBase, formulate_query
 from .ranking import WeightConfig, rank
@@ -41,19 +41,17 @@ class Oracle:
     @classmethod
     def from_file(cls, path: str | Path) -> "Oracle":
         """Oracle file: ``{case_id: [candidate id, ...], ...}``; any other
-        shape raises one :class:`CatchrecError` naming the file."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            relevant = {}
-            for case, ids in data.items():
+        shape raises one :class:`ConfigError` naming the file."""
+
+        def relevant(text: str) -> dict[str, frozenset[str]]:
+            sets = {}
+            for case, ids in json.loads(text).items():
                 if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                     raise TypeError(f"case {case!r} must map to a list of candidate ids")
-                relevant[case] = frozenset(ids)
-        except (ValueError, AttributeError, TypeError) as exc:  # bad UTF-8 and JSON are ValueErrors
-            raise CatchrecError(
-                f"malformed oracle file {path}: {type(exc).__name__}: {exc}"
-            ) from exc
-        return cls(relevant)
+                sets[case] = frozenset(ids)
+            return sets
+
+        return cls(read_input(path, "oracle", relevant))
 
     def for_case(self, case_id: str) -> frozenset[str]:
         return self.relevant.get(case_id, frozenset())
@@ -63,14 +61,13 @@ def load_cases(path: str | Path) -> list[CaseSpec]:
     """Case file: ``{"cases": [{case_id, context_path, corpus_dir,
     exception_name?}, ...]}``; paths are resolved against the file's
     directory so fixtures stay relocatable. Any other shape raises one
-    :class:`CatchrecError` naming the file."""
-    path = Path(path)
-    base = path.parent
-    cases = []
-    seen: set[str] = set()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for entry in data["cases"]:
+    :class:`ConfigError` naming the file."""
+    base = Path(path).parent
+
+    def cases(text: str) -> list[CaseSpec]:
+        specs = []
+        seen: set[str] = set()
+        for entry in json.loads(text)["cases"]:
             fields = (entry["case_id"], entry["context_path"], entry["corpus_dir"])
             exception_name = entry.get("exception_name")
             if not all(isinstance(f, str) for f in fields) or not isinstance(
@@ -84,7 +81,7 @@ def load_cases(path: str | Path) -> list[CaseSpec]:
             if case_id in seen:
                 raise ValueError(f"duplicate case id: {case_id}")
             seen.add(case_id)
-            cases.append(
+            specs.append(
                 CaseSpec(
                     case_id=case_id,
                     context_path=str(base / context_path),
@@ -92,9 +89,9 @@ def load_cases(path: str | Path) -> list[CaseSpec]:
                     exception_name=exception_name,
                 )
             )
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
-        raise CatchrecError(f"malformed case file {path}: {type(exc).__name__}: {exc}") from exc
-    return cases
+        return specs
+
+    return read_input(path, "case file", cases)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CatchrecError
+from .errors import read_input
 from .lexer import Token, TokenKind, scan
 from .model import (
     CONSTRUCTOR_NAME,
@@ -87,12 +87,9 @@ def parse(raw_text: str) -> SourceUnit:
 
 
 def parse_file(path: str | Path) -> SourceUnit:
-    """Parse a UTF-8 source file; a file that is not UTF-8 raises
-    :class:`CatchrecError` naming it."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CatchrecError(f"cannot read {path}: {exc}") from exc
+    """Parse a UTF-8 source file; a file that cannot be read or is not UTF-8
+    raises :class:`ConfigError` naming it."""
+    return parse(read_input(path, "source file", str))
 
 
 def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:

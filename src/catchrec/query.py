@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import NoApiObjects, UnknownException
+from .errors import NoApiObjects, UnknownException, read_input
 from .model import SourceUnit
 from .parser import GENERIC_EXCEPTIONS
 
@@ -44,10 +44,7 @@ class ExceptionKnowledgeBase:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExceptionKnowledgeBase":
-        try:
-            return cls._parse(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # covers UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from exc
+        return read_input(path, "knowledge base", cls._parse)
 
     @classmethod
     def bundled(cls) -> "ExceptionKnowledgeBase":

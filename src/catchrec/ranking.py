@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable
+from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable, read_input
 from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
 from .model import SourceUnit
 from .quality import QualityReport, QualityWeights, quality_score
@@ -72,10 +72,7 @@ _CONFIG_KEYS: dict[str, tuple[str, str]] = {
 def load_weights(path: str | Path) -> WeightConfig:
     """Weight config from a JSON file of ``key: number`` entries; keys not in
     the documented set raise :class:`ConfigError`. Every error names the file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
-        raise ConfigError(f"cannot read weight config {path}: {exc}") from exc
+    data = read_input(path, "weight config", json.loads)
     if not isinstance(data, dict):
         raise ConfigError(f"weight config {path}: must be a JSON object")
     sections: dict[str, dict[str, float]] = {

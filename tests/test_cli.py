@@ -1,12 +1,24 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchrec import cli
 from catchrec.corpus import LocalOrigin, candidate_id
+
+DEEP = b"[" * 200_000 + b"]" * 200_000  # far deeper than any recursion limit
 
 
 @pytest.fixture()
@@ -202,11 +214,12 @@ def test_recommend_filter_settings(run, listing1_path, tmp_path):
     "option, content",
     [
         ("--config", b"\xff\xfe{}"),
+        ("--config", b'{"w_lex": %s}' % DEEP),
         ("--kb", b"\xff\xfeURL\topenStream\tIOException\n"),
         ("--kb", b"URL\topenStream\n"),
         ("file", b"\xff\xfeclass A {}"),
     ],
-    ids=["config-not-utf8", "kb-not-utf8", "kb-two-columns", "context-not-utf8"],
+    ids=["config-not-utf8", "config-deep", "kb-not-utf8", "kb-two-columns", "context-not-utf8"],
 )
 def test_recommend_unreadable_input_file_exits_2(
     run, listing1_path, fixtures_dir, tmp_path, option, content
@@ -325,14 +338,16 @@ def _first_case(cases, **changes):
         ("cases", lambda cases: _first_case(cases, context_path=5)),
         ("cases", lambda cases: _first_case(cases, exception_name=5)),
         ("cases", lambda cases: {"cases": cases["cases"][:1] * 2}),
+        ("cases", lambda cases: b'{"cases": %s}' % DEEP),
         ("oracle", lambda oracle: ["x"]),
         ("oracle", lambda oracle: {"c1": 5}),
         ("oracle", lambda oracle: b"\xff\xfe{}"),
+        ("oracle", lambda oracle: b'{"case_a": %s}' % DEEP),
     ],
     ids=[
         "cases-empty-object", "cases-list", "entry-without-case-id", "context-path-number",
-        "exception-name-number", "duplicate-case-id", "oracle-list", "oracle-ids-number",
-        "oracle-not-utf8",
+        "exception-name-number", "duplicate-case-id", "cases-deep", "oracle-list",
+        "oracle-ids-number", "oracle-not-utf8", "oracle-deep",
     ],
 )
 def test_evaluate_malformed_suite_file_exits_2(run, tmp_path, which, corrupt):
@@ -426,8 +441,9 @@ def _first_entry(**changes):
         _first_entry(file="../../../outside/Secret.java"),
         _first_entry(id="x"),
         lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+        lambda m: b'{"candidates": %s}' % DEEP,
     ],
-    ids=["file-outside-cache", "id-not-from-origin", "manifest-not-utf8"],
+    ids=["file-outside-cache", "id-not-from-origin", "manifest-not-utf8", "manifest-deep"],
 )
 def test_recommend_untrusted_manifest_exits_2(
     run, tmp_path, monkeypatch, listing1_path, corrupt
@@ -482,9 +498,10 @@ def test_recommend_non_utf8_cached_file_names_it(run, tmp_path, monkeypatch, lis
         b'{"items": [5]}',
         b'{"items": [{"path": "a"}]}',
         b'{"items": [{"url": "u", "repository": "r"}]}',
+        b'{"items": %s}' % DEEP,
     ],
     ids=["not-utf8", "not-json", "list", "items-string", "item-number", "item-without-url",
-         "repository-string"],
+         "repository-string", "body-deep"],
 )
 def test_fetch_malformed_search_response_exits_3(run, tmp_path, monkeypatch, body):
     monkeypatch.setattr("catchrec.corpus._default_transport", lambda url, headers: (200, body))
@@ -544,3 +561,117 @@ def test_query_reads_stdin(listing1_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "IOException URL"
+
+
+# ---------------------------------------------------------------------------
+# Property: no input file makes the CLI raise
+# ---------------------------------------------------------------------------
+
+# Each input file (a glob under the inputs directory) and the command that reads it.
+_READERS = {
+    "weights.json": ["recommend", "{root}/context.java", "--corpus", "{root}/rankpool",
+                     "--no-filter", "--config", "{root}/weights.json"],
+    "kb.tsv": ["query", "{root}/context.java", "--kb", "{root}/kb.tsv"],
+    "cases.json": ["evaluate", "--cases", "{root}/cases.json", "--oracle", "{root}/oracle.json"],
+    "oracle.json": ["evaluate", "--cases", "{root}/cases.json", "--oracle", "{root}/oracle.json"],
+    "cache/*/manifest.json": ["recommend", "{root}/context.java", "--remote", "--no-filter",
+                              "--orgs", "apache", "--limit", "5", "--cache-dir", "{root}/cache"],
+}
+_READERS["cache/*/files/*.java"] = _READERS["cache/*/manifest.json"]
+
+# Generated strings hold no "/" or ".", so a generated corpus_dir can name
+# neither the root nor a parent directory and send a case over the file system.
+_TEXT = st.text(st.characters(exclude_characters="/."), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+_HOLE = "\0hole"  # a placeholder that no valid input file holds
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, fixtures_dir):
+    """A directory of valid input files, one for each entry of ``_READERS``."""
+    from test_corpus import fake_transport
+    from test_evaluation import build_suite
+
+    root = tmp_path_factory.mktemp("inputs")
+    build_suite(root)
+    shutil.copy(fixtures_dir / "listing1.java", root / "context.java")
+    shutil.copytree(fixtures_dir / "rankpool", root / "rankpool")
+    (root / "weights.json").write_text('{"alpha": 0.3, "w_str": 1.0, "w_lex": 2.0, "w_ehc": 0.5}')
+    (root / "kb.tsv").write_text(
+        "# type\tmethod\texceptions\nURL\t<init>\tMalformedURLException\n"
+        "URL\topenConnection\tIOException\nHttpURLConnection\tgetInputStream\tIOException\n"
+    )
+    argv = [arg.format(root=root) for arg in _READERS["cache/*/manifest.json"]]
+    with mock.patch("catchrec.corpus._default_transport", fake_transport), mock.patch.dict(
+        os.environ, {"GITHUB_TOKEN": "token"}
+    ), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return root
+
+
+def _slots(doc, path=()):
+    """The key path of every value in a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _slots(value, (*path, key))
+
+
+def _put(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with a few bytes replaced, inserted or deleted, or with a
+    generated JSON value or brackets nested up to 200,000 deep in place of
+    one of its JSON values (inserted anywhere, if it is not JSON)."""
+    arm = draw(st.sampled_from(["bytes", "json", "deep"]))
+    if arm == "bytes":
+        data = bytearray(valid)
+        for _ in range(draw(st.integers(1, 4))):
+            pos = draw(st.integers(0, len(data)))
+            op = draw(st.sampled_from(["replace", "insert", "delete"]))
+            new = b"" if op == "delete" else bytes([draw(st.integers(0, 255))])
+            data[pos : pos + (op != "insert")] = new
+        return bytes(data)
+    if arm == "json":
+        payload = json.dumps(draw(_JSON)).encode()
+    else:
+        depth = draw(st.sampled_from([1, 1_000, 200_000]))
+        payload = b"[" * depth + b"]" * depth
+    try:
+        doc = json.loads(valid)
+    except ValueError:  # the knowledge base and Java files
+        pos = draw(st.integers(0, len(valid)))
+        return valid[:pos] + payload + valid[pos:]
+    path = draw(st.sampled_from(list(_slots(doc))))
+    return json.dumps(_put(doc, path, _HOLE)).encode().replace(json.dumps(_HOLE).encode(), payload)
+
+
+@pytest.mark.parametrize("target", list(_READERS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cli_survives_mutated_input_files(inputs, target, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(inputs, Path(tmp) / "inputs")
+        path = sorted(root.glob(target))[0]
+        path.write_bytes(data.draw(_mutated(path.read_bytes())))
+        out, err = io.StringIO(), io.StringIO()
+        no_token = mock.patch.dict(os.environ, {"GITHUB_TOKEN": ""})  # so nothing is fetched
+        with no_token, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(root=root) for arg in _READERS[target]])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

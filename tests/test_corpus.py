@@ -307,6 +307,25 @@ def test_fetch_remote_replays_partial_cache_without_token(tmp_path, monkeypatch)
     assert manifest_path.read_bytes() == before
 
 
+def test_refetch_removes_cached_files_the_manifest_drops(tmp_path):
+    def failing(suffix):
+        def transport(url, headers):
+            return (404, b"gone") if url.endswith(suffix) else fake_transport(url, headers)
+
+        return transport
+
+    for suffix in ("/two", "/one"):  # the first fetch is partial, so the second refetches
+        fetch_remote(
+            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=failing(suffix)
+        )
+    manifest_path = next(tmp_path.rglob("manifest.json"))
+    listed = [entry["file"] for entry in json.loads(manifest_path.read_text())["candidates"]]
+    files_dir = manifest_path.parent / "files"
+    assert len(listed) == 1
+    assert sorted(p.name for p in files_dir.iterdir()) == listed
+    assert len(ingest_local(files_dir, None)) == 1
+
+
 def test_fetch_remote_server_error_is_network_failure(tmp_path):
     def broken(url, headers):
         return 500, b"boom"

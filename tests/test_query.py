@@ -1,7 +1,7 @@
 import pytest
 
 from catchrec import SearchQuery, formulate_query, parse
-from catchrec.errors import NoApiObjects, UnknownException
+from catchrec.errors import ConfigError, NoApiObjects, UnknownException
 from catchrec.query import ExceptionKnowledgeBase, dominant_api_class, select_exception
 
 
@@ -148,5 +148,5 @@ def test_kb_file_parsing(tmp_path):
 def test_kb_rejects_malformed_lines(tmp_path):
     kb_file = tmp_path / "kb.tsv"
     kb_file.write_text("A\tf\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExceptionKnowledgeBase.from_file(kb_file)
