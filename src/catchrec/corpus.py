@@ -10,6 +10,7 @@ injectable for tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,7 +20,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -68,17 +69,14 @@ class Candidate:
     id: str
     origin: LocalOrigin | RemoteOrigin
     source_text: str
-    _unit: SourceUnit | None = field(default=None, repr=False)
 
     @classmethod
     def from_origin(cls, origin: LocalOrigin | RemoteOrigin, source_text: str) -> "Candidate":
         return cls(id=candidate_id(origin), origin=origin, source_text=source_text)
 
-    @property
+    @functools.cached_property
     def unit(self) -> SourceUnit:
-        if self._unit is None:
-            self._unit = parse(self.source_text)
-        return self._unit
+        return parse(self.source_text)
 
 
 MIN_SLOC = 3

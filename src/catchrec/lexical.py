@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .graph import ApiUsageGraph, extract_usage_graph
 from .lexer import Token, TokenKind
-from .model import ParseStatus, SourceUnit
+from .model import ParseStatus, SourceUnit, Weights
 
 SIGNIFICANT_KINDS = frozenset(
     {TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL}
@@ -54,9 +54,7 @@ def subtokens(token: Token) -> list[str]:
     underscores and camel-case boundaries, other tokens pass through."""
     if token.kind is not TokenKind.IDENTIFIER:
         return [token.text]
-    parts: list[str] = []
-    for chunk in re.split(r"[_$]+", token.text):
-        parts.extend(m.group(0).lower() for m in _CAMEL.finditer(chunk))
+    parts = [m.group(0).lower() for m in _CAMEL.finditer(token.text)]
     return parts or [token.text.lower()]
 
 
@@ -84,14 +82,9 @@ def prepare(unit: SourceUnit) -> PreparedUnit:
 
 
 @dataclass(frozen=True)
-class LexicalWeights:
+class LexicalWeights(Weights):
     cosine: float = 1.0
     clone: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("cosine", "clone"):
-            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,38 @@ stream, its SLOC and comment lines, try/catch structure, and the API objects
 the fragment uses with the data dependencies between them. The objects and
 dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
-and are frozen.
+and are frozen. The scorers' weight classes share the check in :class:`Weights`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .lexer import Token
+
+
+def check_weight(name: str, value: object) -> float:
+    """``value`` as a float if it is a finite, non-negative int or float
+    (not a bool); an int too large for a float counts as infinite."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        weight = float(value) if is_number else math.nan
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight) or weight < 0:
+        raise ValueError(f"{name} must be a finite non-negative number")
+    return weight
+
+
+@dataclass(frozen=True)
+class Weights:
+    """Every field of a weight class must pass :func:`check_weight`."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            check_weight(f.name, getattr(self, f.name))
 
 
 class ParseStatus(Enum):

@@ -10,12 +10,11 @@ contract (longer lines and denser parentheses always lower it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import EmptyUnit
 from .lexer import TokenKind
-from .model import HandlerInfo, SourceUnit
+from .model import HandlerInfo, SourceUnit, Weights
 
 # (feature weight, zero point) pairs documented in docs/readability.md.
 _WEIGHT_AVG_LINE = 0.25
@@ -34,15 +33,10 @@ _BLANK_FULL = 0.10       # blank-line density earning full credit
 
 
 @dataclass(frozen=True)
-class QualityWeights:
+class QualityWeights(Weights):
     readability: float = 1.0
     handler_actions: float = 1.0
     handler_ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("readability", "handler_actions", "handler_ratio"):
-            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ call, and :func:`score_candidate` prepares each candidate once for both.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable, read_input
 from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
-from .model import SourceUnit
+from .model import SourceUnit, Weights, check_weight
 from .quality import QualityReport, QualityWeights, quality_score
 from .structural import MatchReport, StructuralWeights, structural_score
 
@@ -32,15 +31,10 @@ DEFAULT_TOP_K = 15
 
 
 @dataclass(frozen=True)
-class TopLevelWeights:
+class TopLevelWeights(Weights):
     structural: float = 1.2787
     lexical: float = 1.0152
     quality: float = 1.1588
-
-    def __post_init__(self) -> None:
-        for name in ("structural", "lexical", "quality"):
-            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -81,15 +75,10 @@ def load_weights(path: str | Path) -> WeightConfig:
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"weight config {path}: unknown weight config key: {key!r}")
-        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
         try:
-            weight = float(value) if is_number else math.nan
-        except OverflowError:  # an integer literal too large for a float
-            weight = math.inf
-        if not math.isfinite(weight) or weight < 0:
-            raise ConfigError(
-                f"weight config {path}: weight {key!r} must be a finite non-negative number"
-            )
+            weight = check_weight(f"weight {key!r}", value)
+        except ValueError as exc:
+            raise ConfigError(f"weight config {path}: {exc}") from exc
         section, attr = _CONFIG_KEYS[key]
         sections[section][attr] = weight
     return WeightConfig(

@@ -23,28 +23,23 @@ and scoring it raises :class:`~catchrec.errors.StructureUnavailable`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import StructureUnavailable
 from .graph import ApiUsageGraph, DependencyEdge, GraphObject
 from .lexical import PreparedUnit
+from .model import Weights
 
 # Exhaustive pairing is used while the assignment space stays below this.
 _MAX_ASSIGNMENTS = 20_000
 
 
 @dataclass(frozen=True)
-class StructuralWeights:
+class StructuralWeights(Weights):
     object_match: float = 1.0      # per matched object
     field_match: float = 1.0       # per summed field-access fraction
     method_match: float = 1.0      # per summed method-invocation fraction
     dependency_match: float = 1.0  # per summed dependency weight
-
-    def __post_init__(self) -> None:
-        for name in ("object_match", "field_match", "method_match", "dependency_match"):
-            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,9 @@ class MatchReport:
     method_fractions: tuple[float, ...]
     dependency_matches: tuple[tuple[DependencyEdge, float], ...]
     raw: float
-    exhaustive: bool = True
-    context_labels: tuple[str, ...] = field(default=(), compare=False)
-    candidate_labels: tuple[str, ...] = field(default=(), compare=False)
+    exhaustive: bool
+    context_labels: tuple[str, ...] = field(compare=False)
+    candidate_labels: tuple[str, ...] = field(compare=False)
 
     @property
     def field_total(self) -> float:
@@ -76,8 +71,8 @@ class MatchReport:
             "matched_objects": self.matched_objects,
             "pairings": [
                 {
-                    "context": self.context_labels[c] if self.context_labels else c,
-                    "candidate": self.candidate_labels[k] if self.candidate_labels else k,
+                    "context": self.context_labels[c],
+                    "candidate": self.candidate_labels[k],
                     "field_fraction": self.field_fractions[i],
                     "method_fraction": self.method_fractions[i],
                 }
@@ -85,8 +80,8 @@ class MatchReport:
             ],
             "dependency_matches": [
                 {
-                    "consumer": self.context_labels[e.consumer] if self.context_labels else e.consumer,
-                    "producer": self.context_labels[e.producer] if self.context_labels else e.producer,
+                    "consumer": self.context_labels[e.consumer],
+                    "producer": self.context_labels[e.producer],
                     "access_point": e.access_point,
                     "weight": w,
                 }
@@ -134,9 +129,6 @@ class _PairTable:
     method_fractions: dict[tuple[int, int], float]
     # (consumer, producer) -> ((edge index, access point), ...) in edge order
     candidate_edges: dict[tuple[int, int], tuple[tuple[int, str], ...]]
-    # per context edge, the position of the first edge equal to it: equal
-    # edges share one match, as they would when matches are keyed by edge
-    edge_keys: tuple[int, ...]
 
 
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
@@ -162,10 +154,6 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     edges: dict[tuple[int, int], list[tuple[int, str]]] = {}
     for idx, edge in enumerate(candidate.dependencies):
         edges.setdefault((edge.consumer, edge.producer), []).append((idx, edge.access_point))
-    first: dict[DependencyEdge, int] = {}
-    edge_keys = tuple(
-        first.setdefault(edge, pos) for pos, edge in enumerate(context.dependencies)
-    )
     return _PairTable(
         context=context,
         candidate=candidate,
@@ -174,7 +162,6 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
         field_fractions=field_fractions,
         method_fractions=method_fractions,
         candidate_edges={ends: tuple(found) for ends, found in edges.items()},
-        edge_keys=edge_keys,
     )
 
 
@@ -195,24 +182,23 @@ def _dependency_matches(
         found = () if cc is None or cp is None else table.candidate_edges.get((cc, cp), ())
         backing.append(found)
     used: set[int] = set()
-    matches: dict[int, float] = {}  # context edge key -> weight
-    rows = list(zip(context_edges, table.edge_keys, backing))
-    for edge, key, found in rows:  # exact access-point matches first
+    matches: dict[int, float] = {}  # context edge position -> weight
+    for pos, (edge, found) in enumerate(zip(context_edges, backing)):  # exact matches first
         for idx, access_point in found:
             if idx not in used and access_point == edge.access_point:
                 used.add(idx)
-                matches[key] = 1.0
+                matches[pos] = 1.0
                 break
-    for _edge, key, found in rows:
-        if key in matches:
+    for pos, found in enumerate(backing):
+        if pos in matches:
             continue
         for idx, _access_point in found:
             if idx not in used:
                 used.add(idx)
-                matches[key] = 0.5
+                matches[pos] = 0.5
                 break
 
-    return [(edge, matches[key]) for edge, key, _found in rows if key in matches]
+    return [(edge, matches[pos]) for pos, edge in enumerate(context_edges) if pos in matches]
 
 
 def _score_pairing(
@@ -286,16 +272,14 @@ def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
 def _best_pairing(
     table: _PairTable, weights: StructuralWeights
 ) -> tuple[list[tuple[int, int]], bool]:
-    if _assignment_space(table) <= _MAX_ASSIGNMENTS:
-        best: list[tuple[int, int]] | None = None
-        best_key: tuple[float, int] | None = None
-        for pairing in _enumerate_pairings(table):
-            raw, _f, _m, _d = _score_pairing(pairing, table, weights)
-            key = (raw, len(pairing))
-            if best_key is None or key > best_key:
-                best, best_key = pairing, key
-        return best if best is not None else [], True
-    return _greedy_pairing(table), False
+    if _assignment_space(table) > _MAX_ASSIGNMENTS:
+        return _greedy_pairing(table), False
+    # max keeps the first of equal keys: enumeration order breaks ties
+    best = max(
+        _enumerate_pairings(table),
+        key=lambda p: (_score_pairing(p, table, weights)[0], len(p)),
+    )
+    return best, True
 
 
 def structural_score(

@@ -555,7 +555,7 @@ def test_console_script_entry_point(listing1_path):
 def test_query_reads_stdin(listing1_path):
     result = subprocess.run(
         [sys.executable, "-m", "catchrec.cli", "query", "-"],
-        input=open(listing1_path).read(),
+        input=Path(listing1_path).read_text(),
         capture_output=True,
         text=True,
     )

@@ -42,6 +42,13 @@ def test_ingest_filters_by_rule(corpus_dir):
     assert "long.java" not in names        # above the sloc ceiling
 
 
+def test_reading_the_unit_keeps_candidates_equal():
+    a, b = (Candidate.from_origin(LocalOrigin("a.java"), "int x;") for _ in range(2))
+    assert a.unit.tokens
+    assert a == b
+    assert "unit" not in repr(a)
+
+
 def test_exclusion_reasons(corpus_dir):
     candidates = [
         Candidate.from_origin(LocalOrigin(p.name), p.read_text())

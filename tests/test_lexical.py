@@ -61,6 +61,10 @@ def test_subtoken_splitting():
         "get", "input", "stream",
     ]
     assert subtokens(Token("utf8Name", TokenKind.IDENTIFIER)) == ["utf8", "name"]
+    assert subtokens(Token("__init__", TokenKind.IDENTIFIER)) == ["init"]
+    assert subtokens(Token("$x_Y", TokenKind.IDENTIFIER)) == ["x", "y"]
+    assert subtokens(Token("A_B$cD", TokenKind.IDENTIFIER)) == ["a", "b", "c", "d"]
+    assert subtokens(Token("_", TokenKind.IDENTIFIER)) == ["_"]
     # non-identifiers pass through untouched
     assert subtokens(Token("try", TokenKind.KEYWORD)) == ["try"]
     assert subtokens(Token('"GET"', TokenKind.LITERAL)) == ['"GET"']

@@ -194,6 +194,57 @@ def test_each_partial_trigger_alone(text, try_blocks, catch_clauses):
     assert len(unit.handlers.catch_clauses) == catch_clauses
 
 
+@pytest.mark.parametrize(
+    "text, objects, catch_types",
+    [
+        pytest.param(
+            "conn = (HttpURLConnection) url.openConnection(); conn.connect();",
+            [("HttpURLConnection", "conn", (), (("connect", 1),))], [], id="cast-binding",
+        ),
+        pytest.param(
+            "new Foo[2]; Foo.reset();",
+            [("Foo", "", (), (("reset", 1),))], [], id="array-creation-then-static-access",
+        ),
+        pytest.param(
+            "x = new Socket(h, p); x.close();",
+            [("Socket", "x", (), (("<init>", 1), ("close", 1)))], [], id="new-binds-undeclared",
+        ),
+        pytest.param(
+            "Foo f = new Foo; f.run();",
+            [("Foo", "f", (), (("run", 1),))], [], id="new-without-parentheses",
+        ),
+        pytest.param(
+            "Reader r = new Reader(); r.in.read();",
+            [("Reader", "r", (("in", 1),), (("<init>", 1),))], [], id="field-in-call-chain",
+        ),
+        pytest.param(
+            "Map<String, List<Map<String, Integer>>> m = new HashMap<>(); m.put(k, v);",
+            [("Map", "m", (), (("<init>", 1), ("put", 1)))], [], id="shift-closed-generics",
+        ),
+        pytest.param(
+            "List<? extends Number> xs = make(); xs.size();",
+            [("List", "xs", (), (("size", 1),))], [], id="wildcard-generics",
+        ),
+        pytest.param(
+            "Socket[] socks = pool(); use(socks);",
+            [("Socket", "socks", (), ())], [], id="array-declarator",
+        ),
+        pytest.param(
+            "import static java.lang.Math.max; Socket s = new Socket(h, p); s.close();",
+            [("Socket", "s", (), (("<init>", 1), ("close", 1)))], [], id="static-import",
+        ),
+        pytest.param(
+            "try { f(); } catch (final @Deprecated IOException | java.sql.SQLException e) { log(e); }",
+            [], [("IOException", "java.sql.SQLException")], id="annotated-catch-header",
+        ),
+    ],
+)
+def test_documented_object_and_catch_rules(text, objects, catch_types):
+    unit = parse(text)
+    assert [(o.type_name, o.variable_name, o.fields, o.methods) for o in unit.objects] == objects
+    assert [c.exception_types for c in unit.handlers.catch_clauses] == catch_types
+
+
 def test_complete_statement_is_full():
     unit = parse("a.run();")
     assert unit.parse_status is ParseStatus.FULL

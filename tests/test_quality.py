@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from catchrec import parse, quality_score
@@ -21,7 +23,7 @@ def test_readability_in_unit_interval():
         "// only a comment\nint a = 1;",
         "x" * 500,
         "((((((((()))))))))" * 10,
-        open(__file__).read(),  # any text lexes
+        Path(__file__).read_text(),  # any text lexes
     ]
     for text in samples:
         assert 0.0 <= readability(parse(text)) <= 1.0

@@ -178,6 +178,15 @@ def test_failed_candidate_scored_with_zero_structure(listing1):
     assert broken.lexical_raw > 0.0  # tokens still score
 
 
+def test_empty_and_failed_candidates_are_flagged(listing1):
+    empty = Candidate.from_origin(LocalOrigin("empty.java"), "")
+    broken = Candidate.from_origin(LocalOrigin("broken.java"), "} catch (IOException e) {}")
+    ranked = {b.candidate_id: b for b in rank(listing1, [empty, broken], k=2)}
+    assert not ranked[empty.id].quality_available
+    assert ranked[empty.id].quality_raw == 0.0
+    assert "structural component unavailable (parse failed); scored 0" in explain(ranked[broken.id])
+
+
 def test_failed_context_zeroes_all_structural(rank_pool):
     broken_context = parse("} catch }")
     ranked = rank(broken_context, rank_pool, k=5)
@@ -293,7 +302,11 @@ def test_non_finite_weight_values_rejected(tmp_path, text):
 @pytest.mark.parametrize(
     "weights", [StructuralWeights, LexicalWeights, QualityWeights, TopLevelWeights]
 )
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, True, pytest.param("2", id="str-2"), None,
+     pytest.param(10**400, id="10**400")],
+)
 def test_weight_dataclasses_reject_non_finite(weights, value):
     name = next(iter(weights.__dataclass_fields__))
     with pytest.raises(ValueError, match="finite"):
