@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -32,6 +33,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage errors, not 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not an integer of at least 1: {text!r}")
+    return value
+
+
+def _cutoffs(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(k) for k in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--corpus", help="local corpus directory")
     source.add_argument("--remote", action="store_true", help="search remotely")
     recommend.add_argument("--exception", help="explicit exception name override")
-    recommend.add_argument("--top", type=int, default=DEFAULT_TOP_K)
+    recommend.add_argument("--top", type=_positive_int, default=DEFAULT_TOP_K)
     recommend.add_argument(
         "--config",
         help=f"weight config JSON path (default: ./{DEFAULT_CONFIG_NAME} when present)",
@@ -73,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="run the evaluation harness")
     ev.add_argument("--cases", required=True)
     ev.add_argument("--oracle", required=True)
-    ev.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_KS))
+    ev.add_argument("--ks", type=_cutoffs, default=DEFAULT_KS)
     ev.add_argument("--config", help="weight config JSON path")
     ev.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -127,24 +142,9 @@ def _cmd_analyze(args) -> int:
         print(graph.to_json() if args.format == "json" else graph.to_dot(), end="")
         return EXIT_OK
     if args.emit == "handlers":
-        handlers = unit.handlers
-        payload = {
-            "try_blocks": handlers.try_blocks,
-            "finally_blocks": handlers.finally_blocks,
-            "handler_sloc": handlers.handler_sloc,
-            "sloc": unit.sloc,
-            "catch_clauses": [
-                {
-                    "exception_types": list(c.exception_types),
-                    "significant_statements": c.significant_count,
-                    "statements": [
-                        {"text": s.text, "significant": s.significant}
-                        for s in c.statements
-                    ],
-                }
-                for c in handlers.catch_clauses
-            ],
-        }
+        payload = {**asdict(unit.handlers), "sloc": unit.sloc}
+        for row, clause in zip(payload["catch_clauses"], unit.handlers.catch_clauses):
+            row["significant_statements"] = clause.significant_count
         if args.format == "json":
             _emit_json(payload)
         else:
@@ -211,10 +211,9 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ks = tuple(int(k) for k in args.ks.split(",") if k.strip())
     cases = load_cases(args.cases)
     oracle = Oracle.from_file(args.oracle)
-    report = evaluate(cases, oracle, _load_config(args.config), ks=ks)
+    report = evaluate(cases, oracle, _load_config(args.config), ks=args.ks)
     if args.format == "json":
         print(report.to_json(), end="")
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import ingest_local
@@ -160,14 +160,7 @@ class KMetrics:
     handled_fraction: float       # handled_cases / number of cases
 
     def to_dict(self) -> dict:
-        return {
-            "mean_precision": self.mean_precision,
-            "mean_average_precision": self.mean_average_precision,
-            "recall": self.recall,
-            "handled_cases": self.handled_cases,
-            "retrieved_relevant": self.retrieved_relevant,
-            "handled_fraction": self.handled_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

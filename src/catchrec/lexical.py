@@ -31,7 +31,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import ApiUsageGraph, extract_usage_graph
 from .lexer import Token, TokenKind
@@ -96,13 +96,7 @@ class LexicalReport:
     raw: float
 
     def to_dict(self) -> dict:
-        return {
-            "cosine": self.cosine,
-            "clone_ratio": self.clone_ratio,
-            "lcs_length": self.lcs_length,
-            "context_token_count": self.context_token_count,
-            "raw": self.raw,
-        }
+        return asdict(self)
 
 
 def cosine_similarity(context: PreparedUnit, candidate: PreparedUnit) -> float:

@@ -10,7 +10,7 @@ contract (longer lines and denser parentheses always lower it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyUnit
 from .lexer import TokenKind
@@ -47,12 +47,7 @@ class QualityReport:
     raw: float
 
     def to_dict(self) -> dict:
-        return {
-            "readability": self.readability,
-            "handler_actions": self.handler_actions,
-            "handler_ratio": self.handler_ratio,
-            "raw": self.raw,
-        }
+        return asdict(self)
 
 
 def _clamp(x: float) -> float:

@@ -18,7 +18,7 @@ call, and :func:`score_candidate` prepares each candidate once for both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable, read_input
@@ -101,15 +101,24 @@ def normalize_pool(values: list[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class RawComponents:
+    """A flag is true exactly when its report is present, so hand-built raws
+    without reports read as unavailable (no test reads their flags)."""
+
     candidate_id: str
     structural_raw: float
     lexical_raw: float
     quality_raw: float
-    structure_available: bool = True
-    quality_available: bool = True
     match: MatchReport | None = None
     lexical: LexicalReport | None = None
     quality: QualityReport | None = None
+
+    @property
+    def structure_available(self) -> bool:
+        return self.match is not None
+
+    @property
+    def quality_available(self) -> bool:
+        return self.quality is not None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -121,22 +130,13 @@ class ScoreBreakdown(RawComponents):
     rank: int
 
     def to_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "structural_raw": self.structural_raw,
-            "lexical_raw": self.lexical_raw,
-            "quality_raw": self.quality_raw,
-            "structural_norm": self.structural_norm,
-            "lexical_norm": self.lexical_norm,
-            "quality_norm": self.quality_norm,
-            "total": self.total,
-            "rank": self.rank,
-            "structure_available": self.structure_available,
-            "quality_available": self.quality_available,
-            "match": self.match.to_dict() if self.match else None,
-            "lexical": self.lexical.to_dict() if self.lexical else None,
-            "quality": self.quality.to_dict() if self.quality else None,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("match", "lexical", "quality"):
+            if payload[name] is not None:
+                payload[name] = payload[name].to_dict()
+        payload["structure_available"] = self.structure_available
+        payload["quality_available"] = self.quality_available
+        return payload
 
 
 def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreakdown]:
@@ -183,25 +183,21 @@ def score_candidate(
     prepared = prepare(candidate)
     try:
         match = structural_score(context, prepared, config.structural)
-        structural_raw, structure_available = match.raw, True
     except StructureUnavailable:
-        match, structural_raw, structure_available = None, 0.0, False
+        match = None
 
     lex = lexical_score(context, prepared, config.lexical)
 
     try:
         qual = quality_score(candidate, config.quality)
-        quality_raw, quality_available = qual.raw, True
     except EmptyUnit:
-        qual, quality_raw, quality_available = None, 0.0, False
+        qual = None
 
     return RawComponents(
         candidate_id=candidate_id,
-        structural_raw=structural_raw,
+        structural_raw=match.raw if match else 0.0,
         lexical_raw=lex.raw,
-        quality_raw=quality_raw,
-        structure_available=structure_available,
-        quality_available=quality_available,
+        quality_raw=qual.raw if qual else 0.0,
         match=match,
         lexical=lex,
         quality=qual,
@@ -228,7 +224,7 @@ def rank(
     raws = [
         score_candidate(prepared, cand.id, cand.unit, config) for cand in candidates
     ]
-    return fuse(raws, config.top_level)[: min(k, len(raws))]
+    return fuse(raws, config.top_level)[:k]
 
 
 _METRIC_ROWS = (
@@ -249,19 +245,12 @@ def explain(breakdown: ScoreBreakdown) -> str:
     lines = [f"candidate {breakdown.candidate_id} (rank {breakdown.rank})"]
     for name, getter in _METRIC_ROWS:
         lines.append(f"  {name:<18} {getter(breakdown):10.4f}")
-    lines.append(
-        f"  {'structural':<18} {breakdown.structural_raw:10.4f}"
-        f"  (normalized {breakdown.structural_norm:.4f})"
-    )
-    lines.append(
-        f"  {'lexical':<18} {breakdown.lexical_raw:10.4f}"
-        f"  (normalized {breakdown.lexical_norm:.4f})"
-    )
-    lines.append(
-        f"  {'quality':<18} {breakdown.quality_raw:10.4f}"
-        f"  (normalized {breakdown.quality_norm:.4f})"
-    )
+    for name in ("structural", "lexical", "quality"):
+        raw, norm = getattr(breakdown, f"{name}_raw"), getattr(breakdown, f"{name}_norm")
+        lines.append(f"  {name:<18} {raw:10.4f}  (normalized {norm:.4f})")
     if not breakdown.structure_available:
         lines.append("  structural component unavailable (parse failed); scored 0")
+    if not breakdown.quality_available:
+        lines.append("  quality component unavailable (no code lines); scored 0")
     lines.append(f"  {'total':<18} {breakdown.total:10.4f}")
     return "\n".join(lines)

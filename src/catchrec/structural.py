@@ -44,7 +44,6 @@ class StructuralWeights(Weights):
 
 @dataclass(frozen=True)
 class MatchReport:
-    matched_objects: int
     pairings: tuple[tuple[int, int], ...]       # (context index, candidate index)
     field_fractions: tuple[float, ...]          # aligned with pairings
     method_fractions: tuple[float, ...]
@@ -53,6 +52,10 @@ class MatchReport:
     exhaustive: bool
     context_labels: tuple[str, ...] = field(compare=False)
     candidate_labels: tuple[str, ...] = field(compare=False)
+
+    @property
+    def matched_objects(self) -> int:
+        return len(self.pairings)
 
     @property
     def field_total(self) -> float:
@@ -295,7 +298,6 @@ def structural_score(
     pairing, exhaustive = _best_pairing(table, weights)
     raw, fam, mim, deps = _score_pairing(pairing, table, weights)
     return MatchReport(
-        matched_objects=len(pairing),
         pairings=tuple(pairing),
         field_fractions=tuple(fam),
         method_fractions=tuple(mim),

@@ -55,9 +55,10 @@ def test_analyze_graph_dot(run, listing2_path):
 
 
 def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
-    """``analyze --emit graph`` in JSON and in DOT, and ``--emit tokens`` and
-    ``--emit handlers`` in JSON, for every fixture, are byte for byte the
-    recorded output (kept as SHA-256 digests)."""
+    """``analyze --emit graph`` in JSON and in DOT, ``--emit tokens`` in JSON,
+    and ``--emit handlers`` and ``--emit quality`` in JSON and in text, for
+    every fixture, are byte for byte the recorded output (kept as SHA-256
+    digests)."""
     expected = json.loads((fixtures_dir / "graph_output_digests.json").read_text())
     paths = sorted(fixtures_dir.rglob("*.java"))
     assert [p.relative_to(fixtures_dir).as_posix() for p in paths] == sorted(expected)
@@ -68,6 +69,9 @@ def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
             ("dot", "graph", "text"),
             ("tokens", "tokens", "json"),
             ("handlers", "handlers", "json"),
+            ("handlers-text", "handlers", "text"),
+            ("quality", "quality", "json"),
+            ("quality-text", "quality", "text"),
         ):
             code, out, _err = run("analyze", str(path), "--emit", emit, "--format", fmt)
             assert code == 0
@@ -536,6 +540,32 @@ def test_fetch_malformed_query(run, tmp_path, monkeypatch):
 def test_usage_error_exits_1(run):
     code, _out, _err = run("recommend")  # missing required arguments
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("recommend", "--top", "0"),
+        ("recommend", "--top", "-3"),
+        ("evaluate", "--ks", "5,x"),
+        ("evaluate", "--ks", "0"),
+        ("evaluate", "--ks", ","),
+    ],
+    ids=["top-0", "top-negative", "ks-not-int", "ks-0", "ks-empty"],
+)
+def test_out_of_range_top_or_ks_is_a_usage_error(run, listing1_path, fixtures_dir, option):
+    command, flag, value = option
+    suite = fixtures_dir / "evalsuite"
+    argv = {
+        "recommend": ["recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool")],
+        "evaluate": [
+            "evaluate", "--cases", str(suite / "cases.json"), "--oracle", str(suite / "oracle.json"),
+        ],
+    }[command]
+    code, out, err = run(*argv, flag, value)
+    assert code == 1
+    assert "usage:" in err
+    assert out == ""
 
 
 def test_unknown_command_exits_1(run):

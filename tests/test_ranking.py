@@ -184,6 +184,7 @@ def test_empty_and_failed_candidates_are_flagged(listing1):
     ranked = {b.candidate_id: b for b in rank(listing1, [empty, broken], k=2)}
     assert not ranked[empty.id].quality_available
     assert ranked[empty.id].quality_raw == 0.0
+    assert "quality component unavailable (no code lines); scored 0" in explain(ranked[empty.id])
     assert "structural component unavailable (parse failed); scored 0" in explain(ranked[broken.id])
 
 
