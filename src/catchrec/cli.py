@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--kb", help="knowledge base TSV path")
     recommend.add_argument("--format", choices=["text", "json"], default="text")
     recommend.add_argument("--orgs", default="apache,eclipse,facebook,twitter")
-    recommend.add_argument("--limit", type=int, default=70)
+    recommend.add_argument("--limit", type=_positive_int, default=70)
     recommend.add_argument("--cache-dir", default=".catchrec-cache")
     recommend.add_argument("--no-filter", action="store_true", help="rank the raw corpus")
 
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="build a cached corpus from remote search")
     fetch.add_argument("--query", required=True, help='two terms: "<exception> <class>"')
     fetch.add_argument("--orgs", required=True)
-    fetch.add_argument("--limit", type=int, default=70)
+    fetch.add_argument("--limit", type=_positive_int, default=70)
     fetch.add_argument("--out", required=True, help="cache directory")
 
     return parser

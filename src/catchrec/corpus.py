@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
-from .lexer import TokenKind
+from .lexer import ScanResult, TokenKind, scan
 from .model import SourceUnit
 from .parser import parse
 from .query import SearchQuery
@@ -75,8 +75,12 @@ class Candidate:
         return cls(id=candidate_id(origin), origin=origin, source_text=source_text)
 
     @functools.cached_property
+    def scanned(self) -> ScanResult:
+        return scan(self.source_text)
+
+    @functools.cached_property
     def unit(self) -> SourceUnit:
-        return parse(self.source_text)
+        return parse(self.source_text, self.scanned)
 
 
 MIN_SLOC = 3
@@ -107,22 +111,22 @@ def apply_filter_detailed(
 
 
 def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
-    unit = cand.unit
-    if not unit.tokens:
+    """Judged on the scan alone, so a dropped candidate is never parsed."""
+    tokens = cand.scanned.tokens
+    if not tokens:
         return "unlexable"
     if query is None:
         return None
     # A token test rather than the parsed handlers, so that a candidate whose
     # parse failed (and so carries no handler structure) is still kept.
-    if not any(
-        t.kind is TokenKind.KEYWORD and t.text in ("try", "catch") for t in unit.tokens
-    ):
+    if not any(t.kind is TokenKind.KEYWORD and t.text in ("try", "catch") for t in tokens):
         return "no-handler"
-    if not any(t.text == query.exception_name for t in unit.tokens):
+    if not any(t.text == query.exception_name for t in tokens):
         return "no-exception-mention"
-    if unit.sloc < MIN_SLOC:
+    sloc = len(cand.scanned.code_lines)
+    if sloc < MIN_SLOC:
         return "too-short"
-    if unit.sloc > MAX_SLOC:
+    if sloc > MAX_SLOC:
         return "too-long"
     return None
 

@@ -236,11 +236,13 @@ def evaluate(
     config: WeightConfig | None = None,
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> EvalReport:
-    """Run the full pipeline for every case and aggregate all metrics."""
+    """Run the full pipeline for every case and aggregate all metrics at
+    each distinct cutoff in ``ks``."""
     if not cases:
         raise ValueError("no cases to evaluate")
     if not ks or any(k < 1 for k in ks):
         raise ValueError("cutoffs must be positive")
+    ks = tuple(sorted(set(ks)))
     config = config or WeightConfig()
     kb = ExceptionKnowledgeBase.bundled()
     max_k = max(ks)
@@ -258,7 +260,7 @@ def evaluate(
 
     total_relevant = sum(len(r.relevant) for r in results)
     per_k: dict[int, KMetrics] = {}
-    for k in sorted(ks):
+    for k in ks:
         precisions = [precision_at_list(list(r.ranked_ids), r.relevant, k) for r in results]
         aps = [average_precision_at_k(list(r.ranked_ids), r.relevant, k) for r in results]
         hit_counts = [
@@ -283,14 +285,14 @@ def evaluate(
             "relevant": sorted(r.relevant),
             "average_precision": {
                 str(k): average_precision_at_k(list(r.ranked_ids), r.relevant, k)
-                for k in sorted(ks)
+                for k in ks
             },
         }
         for r in results
     }
 
     return EvalReport(
-        ks=tuple(sorted(ks)),
+        ks=ks,
         n_cases=len(results),
         total_relevant=total_relevant,
         per_k=per_k,

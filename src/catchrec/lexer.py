@@ -8,6 +8,11 @@ tokens, and characters that fit no token class are skipped. The token
 stream stays usable even when no syntactic structure can be recovered from
 the fragment.
 
+A :class:`Token` is a slotted dataclass, not a frozen one, because a frozen
+dataclass pays for ``object.__setattr__`` on every construction and ``scan``
+builds one per token. No stage writes to a token after ``scan`` makes it.
+Tokens compare by value and, being mutable, are unhashable.
+
 Some choices are kept for stable output rather than Java fidelity:
 
 - an unterminated string or char literal ends at its newline and includes
@@ -33,7 +38,7 @@ class TokenKind(Enum):
     PUNCTUATION = "Punctuation"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     text: str
     kind: TokenKind

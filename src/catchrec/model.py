@@ -5,7 +5,10 @@ stream, its SLOC and comment lines, try/catch structure, and the API objects
 the fragment uses with the data dependencies between them. The objects and
 dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
-and are frozen. The scorers' weight classes share the check in :class:`Weights`.
+and are frozen. Their tokens are :class:`~catchrec.lexer.Token` objects:
+slotted, unfrozen and unhashable dataclasses that no stage writes to, so a
+unit cannot be hashed either. The scorers' weight classes share the check in
+:class:`Weights`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import read_input
-from .lexer import Token, TokenKind, scan
+from .lexer import ScanResult, Token, TokenKind, scan
 from .model import (
     CONSTRUCTOR_NAME,
     CatchClause,
@@ -57,9 +57,11 @@ _DECL_FOLLOW = frozenset({"=", ";", ":", ",", ")"})
 _STMT_CONTINUATIONS = frozenset({"catch", "finally", "else", "while"})
 
 
-def parse(raw_text: str) -> SourceUnit:
-    """Parse ``raw_text`` into a :class:`SourceUnit`; never raises."""
-    result = scan(raw_text)
+def parse(raw_text: str, scanned: ScanResult | None = None) -> SourceUnit:
+    """Parse ``raw_text`` into a :class:`SourceUnit`; never raises.
+    ``scanned`` must be ``scan(raw_text)`` when given; ``raw_text`` is
+    scanned only when it is not."""
+    result = scan(raw_text) if scanned is None else scanned
     tokens = result.tokens
     brackets = _brackets(tokens)
     if brackets is None:

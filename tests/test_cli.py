@@ -550,22 +550,34 @@ def test_usage_error_exits_1(run):
         ("evaluate", "--ks", "5,x"),
         ("evaluate", "--ks", "0"),
         ("evaluate", "--ks", ","),
+        ("remote", "--limit", "-5"),
+        ("remote", "--limit", "0"),
+        ("fetch", "--limit", "0"),
     ],
-    ids=["top-0", "top-negative", "ks-not-int", "ks-0", "ks-empty"],
+    ids=[
+        "top-0", "top-negative", "ks-not-int", "ks-0", "ks-empty",
+        "remote-limit-negative", "remote-limit-0", "fetch-limit-0",
+    ],
 )
-def test_out_of_range_top_or_ks_is_a_usage_error(run, listing1_path, fixtures_dir, option):
+def test_out_of_range_top_or_ks_is_a_usage_error(
+    run, listing1_path, fixtures_dir, tmp_path, option
+):
     command, flag, value = option
     suite = fixtures_dir / "evalsuite"
+    cache = str(tmp_path / "cache")
     argv = {
         "recommend": ["recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool")],
+        "remote": ["recommend", listing1_path, "--remote", "--cache-dir", cache],
         "evaluate": [
             "evaluate", "--cases", str(suite / "cases.json"), "--oracle", str(suite / "oracle.json"),
         ],
+        "fetch": ["fetch", "--query", "IOException URL", "--orgs", "apache", "--out", cache],
     }[command]
     code, out, err = run(*argv, flag, value)
     assert code == 1
     assert "usage:" in err
     assert out == ""
+    assert not (tmp_path / "cache").exists()
 
 
 def test_unknown_command_exits_1(run):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catchrec import ParseStatus, SearchQuery, ingest_local
+from catchrec import ParseStatus, SearchQuery, WeightConfig, ingest_local, rank
+from catchrec import corpus as corpus_mod
+from catchrec import parser as parser_mod
 from catchrec.corpus import (
     MAX_SLOC,
     MIN_SLOC,
@@ -46,7 +48,7 @@ def test_reading_the_unit_keeps_candidates_equal():
     a, b = (Candidate.from_origin(LocalOrigin("a.java"), "int x;") for _ in range(2))
     assert a.unit.tokens
     assert a == b
-    assert "unit" not in repr(a)
+    assert "unit" not in repr(a) and "scanned" not in repr(a)
 
 
 def test_exclusion_reasons(corpus_dir):
@@ -64,6 +66,87 @@ def test_exclusion_reasons(corpus_dir):
         "long.java": "too-long",
     }
     assert [c.origin.path for c in kept] == ["listing2.java"]
+
+
+def _one_file_per_rule(corpus_dir) -> list[Candidate]:
+    """The listing, one file for each rule with a query, and an unlexable one."""
+    candidates = [
+        Candidate.from_origin(LocalOrigin(p.name), p.read_text())
+        for p in sorted(corpus_dir.glob("*.java"))
+    ]
+    return candidates + [Candidate.from_origin(LocalOrigin("blank.java"), "// only\n")]
+
+
+def _spy_front_end(monkeypatch) -> tuple[list[str], list[str]]:
+    """The texts passed to ``scan`` (by the corpus or inside ``parse``) and
+    to ``parse``, in call order."""
+    scanned: list[str] = []
+    parsed: list[str] = []
+    scan, parse = corpus_mod.scan, corpus_mod.parse
+
+    def spy_scan(text):
+        scanned.append(text)
+        return scan(text)
+
+    def spy_parse(text, *args):
+        parsed.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(corpus_mod, "scan", spy_scan)
+    monkeypatch.setattr(parser_mod, "scan", spy_scan)
+    monkeypatch.setattr(corpus_mod, "parse", spy_parse)
+    return scanned, parsed
+
+
+def test_filter_scans_each_candidate_once_and_parses_only_the_kept(
+    corpus_dir, listing1, monkeypatch
+):
+    candidates = _one_file_per_rule(corpus_dir)
+    scanned, parsed = _spy_front_end(monkeypatch)
+    kept, excluded = apply_filter_detailed(candidates, QUERY)
+    assert sorted(e.reason for e in excluded) == [
+        "no-exception-mention", "no-handler", "too-long", "too-short", "unlexable",
+    ]
+    assert parsed == []
+    rank(listing1, kept, WeightConfig())
+    assert scanned == [c.source_text for c in candidates]
+    assert parsed == [c.source_text for c in kept] == [(corpus_dir / "listing2.java").read_text()]
+
+
+def test_no_filter_still_parses_every_lexable_candidate(corpus_dir, listing1, monkeypatch):
+    candidates = _one_file_per_rule(corpus_dir)
+    scanned, parsed = _spy_front_end(monkeypatch)
+    kept, excluded = apply_filter_detailed(candidates, None)
+    assert [e.reason for e in excluded] == ["unlexable"]
+    rank(listing1, kept, WeightConfig())
+    assert scanned == [c.source_text for c in candidates]
+    assert parsed == [c.source_text for c in candidates[:-1]]
+
+
+_LONG_BODY = "".join(f"  a{i}();\n" for i in range(MAX_SLOC))
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("/* nothing */ // here\n", "unlexable"),
+        ("int x;", "no-handler"),  # also no mention and too short
+        ("try { a(); } catch (E e) { }", "no-exception-mention"),  # also too short
+        ("try { a(); } catch (IOException e) { }", "too-short"),
+        ("} try {\n a();\n} catch (IOException e) {\n}", None),  # Failed parse, kept
+        ("}\ntry { a(); }\n", "no-exception-mention"),  # Failed parse
+        ("try {\n" + _LONG_BODY + "} catch (IOException e) {\n}\n", "too-long"),
+        (") try {\n" + _LONG_BODY + "} catch (IOException e) {\n}\n", "too-long"),
+    ],
+    ids=[
+        "unlexable", "no-handler", "no-mention", "too-short", "failed-kept",
+        "failed-no-mention", "too-long", "failed-too-long",
+    ],
+)
+def test_first_failing_rule_names_the_exclusion(text, reason):
+    cand = Candidate.from_origin(LocalOrigin("x.java"), text)
+    _kept, excluded = apply_filter_detailed([cand], QUERY)
+    assert [e.reason for e in excluded] == ([reason] if reason else [])
 
 
 def test_empty_directory(tmp_path):

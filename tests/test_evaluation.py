@@ -293,6 +293,14 @@ def test_report_serializations(tmp_path):
     assert "MP" in text and "MAPK" in text and "TEH" in text and "PEH" in text and "Recall" in text
 
 
+def test_repeated_cutoffs_count_once(tmp_path):
+    cases_path, oracle_path = build_suite(tmp_path)
+    cases, oracle = load_cases(cases_path), Oracle.from_file(oracle_path)
+    report = evaluate(cases, oracle, ks=(3, 1, 3, 1))
+    assert report.ks == (1, 3)
+    assert report.to_json() == evaluate(cases, oracle, ks=(1, 3)).to_json()
+
+
 def test_report_json_deterministic(tmp_path):
     cases_path, oracle_path = build_suite(tmp_path)
     cases, oracle = load_cases(cases_path), Oracle.from_file(oracle_path)

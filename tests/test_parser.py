@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import parse
-from catchrec.lexer import TokenKind
+from catchrec.lexer import TokenKind, scan
 from catchrec.model import HandlerInfo, ParseStatus
+from test_lexer import _FUZZ_PIECES
 
 
 def by_var(unit):
@@ -120,6 +121,18 @@ def test_parse_never_raises_and_fails_only_on_an_unopened_closer(text):
         keywords = Counter(t.text for t in unit.tokens if t.kind is TokenKind.KEYWORD)
         assert len(unit.handlers.catch_clauses) == keywords["catch"]
         assert unit.handlers.try_blocks == keywords["try"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_FUZZ_PIECES, _JAVA_PIECES), max_size=40).map("".join))
+def test_parse_of_its_scan_equals_parse(text):
+    assert parse(text, scan(text)) == parse(text)
+
+
+def test_parse_of_its_scan_equals_parse_on_every_fixture(fixtures_dir):
+    for path in sorted(fixtures_dir.rglob("*.java")):
+        text = path.read_text()
+        assert parse(text, scan(text)) == parse(text), path
 
 
 def test_empty_input_unit():
