@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
-from .lexer import ScanResult, TokenKind, scan
+from .lexer import ScanResult, scan
 from .model import SourceUnit
 from .parser import parse
 from .query import SearchQuery
@@ -112,16 +112,17 @@ def apply_filter_detailed(
 
 def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
     """Judged on the scan alone, so a dropped candidate is never parsed."""
-    tokens = cand.scanned.tokens
-    if not tokens:
+    texts = cand.scanned.texts
+    if not texts:
         return "unlexable"
     if query is None:
         return None
     # A token test rather than the parsed handlers, so that a candidate whose
-    # parse failed (and so carries no handler structure) is still kept.
-    if not any(t.kind is TokenKind.KEYWORD and t.text in ("try", "catch") for t in tokens):
+    # parse failed (and so carries no handler structure) is still kept. Only
+    # a keyword token has the text try or catch.
+    if "try" not in texts and "catch" not in texts:
         return "no-handler"
-    if not any(t.text == query.exception_name for t in tokens):
+    if query.exception_name not in texts:
         return "no-exception-mention"
     sloc = len(cand.scanned.code_lines)
     if sloc < MIN_SLOC:

@@ -8,10 +8,13 @@ tokens, and characters that fit no token class are skipped. The token
 stream stays usable even when no syntactic structure can be recovered from
 the fragment.
 
-A :class:`Token` is a slotted dataclass, not a frozen one, because a frozen
-dataclass pays for ``object.__setattr__`` on every construction and ``scan``
-builds one per token. No stage writes to a token after ``scan`` makes it.
-Tokens compare by value and, being mutable, are unhashable.
+A scan holds its token stream as three parallel tuples, ``texts``, ``kinds``
+and ``lines``: token ``i`` is ``(texts[i], kinds[i], lines[i])``. Every
+stage reads them by index, so ``scan`` builds no object per token and leaves
+the garbage collector nothing per token to track. A :class:`Token` is only a
+view of one position, built on demand by the ``tokens`` property of a scan
+or a unit (for display and tests) and never stored. It is a slotted,
+unfrozen dataclass that compares by value and is unhashable.
 
 Some choices are kept for stable output rather than Java fidelity:
 
@@ -105,15 +108,23 @@ _WORD_KINDS = {
 
 @dataclass(frozen=True)
 class ScanResult:
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]         # token texts, in order
+    kinds: tuple[TokenKind, ...]   # kind of each token
+    lines: tuple[int, ...]         # 1-based line of each token, non-decreasing
     code_lines: frozenset[int]     # 1-based lines carrying at least one token
     comment_lines: frozenset[int]  # 1-based lines touched by a comment
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The token stream as :class:`Token` views, built on each call."""
+        return tuple(map(Token, self.texts, self.kinds, self.lines))
 
 
 def scan(raw_text: str) -> ScanResult:
     """Full scan keeping per-line bookkeeping for SLOC and comment density."""
-    tokens: list[Token] = []
-    code_lines: set[int] = set()
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    lines: list[int] = []
     comment_lines: set[int] = set()
     line = 1
     for match in _TOKEN.finditer(raw_text):
@@ -127,13 +138,15 @@ def scan(raw_text: str) -> ScanResult:
             line = end
         elif group != "skipped":
             if group == "word":
-                kind = _WORD_KINDS.get(text, TokenKind.IDENTIFIER)
+                kinds.append(_WORD_KINDS.get(text, TokenKind.IDENTIFIER))
             else:
-                kind = _GROUP_KINDS[group]
-            tokens.append(Token(text, kind, line))
-            code_lines.add(line)
+                kinds.append(_GROUP_KINDS[group])
+            texts.append(text)
+            lines.append(line)
     return ScanResult(
-        tokens=tuple(tokens),
-        code_lines=frozenset(code_lines),
+        texts=tuple(texts),
+        kinds=tuple(kinds),
+        lines=tuple(lines),
+        code_lines=frozenset(lines),
         comment_lines=frozenset(comment_lines),
     )

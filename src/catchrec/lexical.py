@@ -22,7 +22,8 @@ Context and candidate are the same kind of thing, a parsed fragment, so both
 reach the scorers as a :class:`PreparedUnit` from :func:`prepare`: the
 significant-token texts, the subtoken vector and its norm, and the usage
 graph that :mod:`catchrec.structural` matches (``None`` for a failed parse).
-Ranking prepares the context once per query and each candidate once.
+Ranking prepares the context once per query and each candidate once, with
+one subtoken memo (identifier text to its parts) shared by the whole call.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ SIGNIFICANT_KINDS = frozenset(
     {TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL}
 )
 
+# Read in the loop of ``prepare``, where an identity test against a module
+# global is cheaper than hashing an Enum member for ``SIGNIFICANT_KINDS``.
+_IDENTIFIER, _OPERATOR, _PUNCTUATION = (
+    TokenKind.IDENTIFIER, TokenKind.OPERATOR, TokenKind.PUNCTUATION
+)
+
 _CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 
@@ -54,8 +61,12 @@ def subtokens(token: Token) -> list[str]:
     underscores and camel-case boundaries, other tokens pass through."""
     if token.kind is not TokenKind.IDENTIFIER:
         return [token.text]
-    parts = [m.group(0).lower() for m in _CAMEL.finditer(token.text)]
-    return parts or [token.text.lower()]
+    return _identifier_parts(token.text)
+
+
+def _identifier_parts(text: str) -> list[str]:
+    parts = [m.group(0).lower() for m in _CAMEL.finditer(text)]
+    return parts or [text.lower()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +79,29 @@ class PreparedUnit:
     graph: ApiUsageGraph | None  # None when the parse failed
 
 
-def prepare(unit: SourceUnit) -> PreparedUnit:
-    """Compute one unit's side of every measure."""
-    tokens = significant_tokens(unit)
-    vector = Counter(s for t in tokens for s in subtokens(t))
+def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
+    """Compute one unit's side of every measure. ``memo`` maps identifier
+    texts to their :func:`subtokens`; units prepared with one memo split
+    each distinct identifier once."""
+    if memo is None:
+        memo = {}
+    texts: list[str] = []
+    parts: list[str] = []
+    for text, kind in zip(unit.texts, unit.kinds):
+        if kind is _PUNCTUATION or kind is _OPERATOR:
+            continue
+        texts.append(text)
+        if kind is _IDENTIFIER:
+            split = memo.get(text)
+            if split is None:
+                split = memo[text] = _identifier_parts(text)
+            parts += split
+        else:
+            parts.append(text)
+    vector = Counter(parts)
     graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)
     return PreparedUnit(
-        texts=tuple(t.text for t in tokens),
+        texts=tuple(texts),
         subtokens=vector,
         norm=math.sqrt(sum(c * c for c in vector.values())),
         graph=graph,

@@ -5,10 +5,10 @@ stream, its SLOC and comment lines, try/catch structure, and the API objects
 the fragment uses with the data dependencies between them. The objects and
 dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
-and are frozen. Their tokens are :class:`~catchrec.lexer.Token` objects:
-slotted, unfrozen and unhashable dataclasses that no stage writes to, so a
-unit cannot be hashed either. The scorers' weight classes share the check in
-:class:`Weights`.
+and are frozen. The token stream is the scan's three parallel tuples,
+``texts``, ``kinds`` and ``lines``; :class:`~catchrec.lexer.Token` objects
+exist only as the on-demand ``tokens`` view. The scorers' weight classes
+share the check in :class:`Weights`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .lexer import Token
+from .lexer import Token, TokenKind
 
 
 def check_weight(name: str, value: object) -> float:
@@ -108,7 +108,9 @@ class DependencyEdge:
 @dataclass(frozen=True)
 class SourceUnit:
     raw_text: str
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]        # token texts, in order (see catchrec.lexer)
+    kinds: tuple[TokenKind, ...]  # kind of each token
+    lines: tuple[int, ...]        # 1-based line of each token
     sloc: int
     handlers: HandlerInfo
     objects: tuple[GraphObject, ...]
@@ -119,3 +121,8 @@ class SourceUnit:
     def __post_init__(self) -> None:
         if self.parse_status is ParseStatus.FAILED and (self.objects or self.handlers.catch_clauses):
             raise ValueError("failed parse must not carry objects or handlers")
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The token stream as :class:`Token` views, built on each call."""
+        return tuple(map(Token, self.texts, self.kinds, self.lines))

@@ -1,6 +1,9 @@
 """Fragment parser: tokens in, :class:`SourceUnit` out.
 
-Works directly on the token stream. One pass matches every ``{`` and ``(``
+Works directly on the scan's parallel ``texts`` and ``kinds`` tuples, read
+by index. Where a rule names a keyword or a punctuation mark, the text
+alone decides, because no identifier is spelled like a keyword and a
+literal keeps its quotes. One pass matches every ``{`` and ``(``
 with its closer, so incomplete or non-compilable fragments degrade instead
 of erroring: a fragment with a closer that has no opener cannot be segmented
 at all and is marked ``Failed`` (tokens stay available for the lexical
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import read_input
-from .lexer import ScanResult, Token, TokenKind, scan
+from .lexer import ScanResult, TokenKind, scan
 from .model import (
     CONSTRUCTOR_NAME,
     CatchClause,
@@ -62,23 +65,23 @@ def parse(raw_text: str, scanned: ScanResult | None = None) -> SourceUnit:
     ``scanned`` must be ``scan(raw_text)`` when given; ``raw_text`` is
     scanned only when it is not."""
     result = scan(raw_text) if scanned is None else scanned
-    tokens = result.tokens
-    brackets = _brackets(tokens)
+    texts = result.texts
+    brackets = _brackets(texts)
     if brackets is None:
         status = ParseStatus.FAILED
         handlers, objects, dependencies = HandlerInfo(), (), ()
     else:
         closers, unclosed = brackets
-        handlers, catch_headers, orphan = _handler_structure(
-            tokens, closers, result.code_lines
-        )
-        objects, dependencies = _ObjectExtractor(tokens, catch_headers).run()
-        mid_statement = bool(tokens) and tokens[-1].text not in {";", "{", "}"}
+        handlers, catch_headers, orphan = _handler_structure(result, closers)
+        objects, dependencies = _ObjectExtractor(texts, result.kinds, catch_headers).run()
+        mid_statement = bool(texts) and texts[-1] not in {";", "{", "}"}
         partial = unclosed or mid_statement or orphan
         status = ParseStatus.PARTIAL if partial else ParseStatus.FULL
     return SourceUnit(
         raw_text=raw_text,
-        tokens=tokens,
+        texts=texts,
+        kinds=result.kinds,
+        lines=result.lines,
         sloc=len(result.code_lines),
         handlers=handlers,
         objects=objects,
@@ -94,22 +97,20 @@ def parse_file(path: str | Path) -> SourceUnit:
     return parse(read_input(path, "source file", str))
 
 
-def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:
+def _brackets(texts: tuple[str, ...]) -> tuple[dict[int, int], bool] | None:
     """Index of the closer of every closed ``{`` and ``(``, keyed by the
     opener's index, and whether any opener is left unclosed; ``None`` when
     a ``}`` or ``)`` has no opener of its kind before it."""
     closers: dict[int, int] = {}
     open_braces: list[int] = []
     open_parens: list[int] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.PUNCTUATION:
-            continue
-        if tok.text == "{":
+    for i, text in enumerate(texts):
+        if text == "{":
             open_braces.append(i)
-        elif tok.text == "(":
+        elif text == "(":
             open_parens.append(i)
-        elif tok.text in ("}", ")"):
-            stack = open_braces if tok.text == "}" else open_parens
+        elif text == "}" or text == ")":
+            stack = open_braces if text == "}" else open_parens
             if not stack:
                 return None
             closers[stack.pop()] = i
@@ -122,12 +123,13 @@ def _brackets(tokens: tuple[Token, ...]) -> tuple[dict[int, int], bool] | None:
 
 
 def _handler_structure(
-    tokens: tuple[Token, ...], closers: dict[int, int], code_lines: frozenset[int]
+    scanned: ScanResult, closers: dict[int, int]
 ) -> tuple[HandlerInfo, set[int], bool]:
     """The try/catch/finally structure from one pass over the tokens, the
     index of every catch-header token (``catch`` through its ``)``), and
     whether some catch follows no try block."""
-    n = len(tokens)
+    texts, kinds, lines = scanned.texts, scanned.kinds, scanned.lines
+    n = len(texts)
     try_blocks = finally_blocks = 0
     catches: list[CatchClause] = []
     orphans: list[CatchClause] = []
@@ -138,59 +140,55 @@ def _handler_structure(
     def read_clause(k: int) -> int:
         """Read the catch or finally at ``k``; the index past it. A group
         left unclosed ends at the last token."""
-        is_catch = tokens[k].text == "catch"
+        is_catch = texts[k] == "catch"
         j = k + 1
         types: tuple[str, ...] = ()
-        if is_catch and j < n and tokens[j].text == "(":
+        if is_catch and j < n and texts[j] == "(":
             close = closers.get(j, n - 1)
-            types = _catch_types(tokens[j + 1 : close])
+            types = _catch_types(texts[j + 1 : close], kinds[j + 1 : close])
             header_indices.update(range(k, close + 1))
             j = close + 1
         statements: tuple[StatementInfo, ...] = ()
-        end_line = tokens[k].line
-        if j < n and tokens[j].text == "{":
+        end_line = lines[k]
+        if j < n and texts[j] == "{":
             close = closers.get(j, n - 1)
             if is_catch:
-                statements = _split_statements(tokens[j + 1 : close])
-            end_line = tokens[close].line
+                statements = _split_statements(texts[j + 1 : close], kinds[j + 1 : close])
+            end_line = lines[close]
             j = close + 1
-        handler_lines.update(range(tokens[k].line, end_line + 1))
+        handler_lines.update(range(lines[k], end_line + 1))
         if is_catch:
             clause = CatchClause(exception_types=types, statements=statements)
             (catches if k in claimed else orphans).append(clause)
         return j
 
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.KEYWORD:
-            continue
-        if tok.text == "try":
+    for i, text in enumerate(texts):
+        if text == "try":
             try_blocks += 1
             j = i + 1
-            if j < n and tokens[j].text == "(":  # try-with-resources header
+            if j < n and texts[j] == "(":  # try-with-resources header
                 j = closers.get(j, n - 1) + 1
-            if j < n and tokens[j].text == "{":
+            if j < n and texts[j] == "{":
                 j = closers.get(j, n - 1) + 1
-            while j < n and tokens[j].kind is TokenKind.KEYWORD:
-                if tokens[j].text == "catch":
+            while j < n and texts[j] in ("catch", "finally"):
+                if texts[j] == "catch":
                     claimed.add(j)
-                elif tokens[j].text == "finally":
-                    finally_blocks += 1
                 else:
-                    break
+                    finally_blocks += 1
                 j = read_clause(j)
-        elif tok.text == "catch" and i not in claimed:  # a claiming try comes earlier
+        elif text == "catch" and i not in claimed:  # a claiming try comes earlier
             read_clause(i)
 
     info = HandlerInfo(
         try_blocks=try_blocks,
         catch_clauses=tuple(catches + orphans),
         finally_blocks=finally_blocks,
-        handler_sloc=len(handler_lines & code_lines),
+        handler_sloc=len(handler_lines & scanned.code_lines),
     )
     return info, header_indices, bool(orphans)
 
 
-def _catch_types(header: tuple[Token, ...]) -> tuple[str, ...]:
+def _catch_types(texts: tuple[str, ...], kinds: tuple[TokenKind, ...]) -> tuple[str, ...]:
     """Exception type names from a catch header; the parameter name and any
     ``final`` or annotation is dropped, multi-catch segments all kept."""
     segments: list[list[str]] = [[]]
@@ -204,23 +202,23 @@ def _catch_types(header: tuple[Token, ...]) -> tuple[str, ...]:
             segments[-1].append(".".join(chain))
             chain = []
 
-    for tok in header:
-        if tok.text == "|":
+    for text, kind in zip(texts, kinds):
+        if text == "|":
             close_chain()
             segments.append([])
             pending_dot = False
-        elif tok.text == "@":
+        elif text == "@":
             close_chain()
             skip_annotation = True
-        elif tok.kind is TokenKind.IDENTIFIER:
+        elif kind is TokenKind.IDENTIFIER:
             if skip_annotation:
                 skip_annotation = False
                 continue
             if chain and not pending_dot:
                 close_chain()
-            chain.append(tok.text)
+            chain.append(text)
             pending_dot = False
-        elif tok.text == ".":
+        elif text == ".":
             pending_dot = True
         else:
             close_chain()
@@ -230,62 +228,67 @@ def _catch_types(header: tuple[Token, ...]) -> tuple[str, ...]:
     return tuple(seg[0] for seg in segments if seg)
 
 
-def _split_statements(body: tuple[Token, ...]) -> tuple[StatementInfo, ...]:
+def _split_statements(
+    texts: tuple[str, ...], kinds: tuple[TokenKind, ...]
+) -> tuple[StatementInfo, ...]:
     """Top-level statements of a block; multi-line calls stay single
     statements, a control structure with its block counts as one."""
     statements: list[StatementInfo] = []
-    current: list[Token] = []
+    start = 0  # first token of the current statement
     brace = paren = 0
-    n = len(body)
-    for idx, tok in enumerate(body):
-        text = tok.text
-        current.append(tok)
+    n = len(texts)
+    for idx, text in enumerate(texts):
+        end = idx + 1
         if text == "{":
             brace += 1
         elif text == "}":
             brace -= 1
             if brace == 0 and paren == 0:
-                nxt = body[idx + 1].text if idx + 1 < n else ""
+                nxt = texts[end] if end < n else ""
                 if nxt not in _STMT_CONTINUATIONS:
-                    _flush(statements, current)
-                    current = []
+                    _flush(statements, texts[start:end], kinds[start:end])
+                    start = end
         elif text == "(":
             paren += 1
         elif text == ")":
             paren = max(0, paren - 1)
         elif text == ";" and brace == 0 and paren == 0:
-            _flush(statements, current)
-            current = []
-    _flush(statements, current)
+            _flush(statements, texts[start:end], kinds[start:end])
+            start = end
+    _flush(statements, texts[start:], kinds[start:])
     return tuple(statements)
 
 
-def _flush(statements: list[StatementInfo], toks: list[Token]) -> None:
-    meaningful = [t for t in toks if t.text != ";"]
+def _flush(
+    statements: list[StatementInfo], texts: tuple[str, ...], kinds: tuple[TokenKind, ...]
+) -> None:
+    meaningful = [i for i, text in enumerate(texts) if text != ";"]
     if not meaningful:
         return
     statements.append(
         StatementInfo(
-            text=" ".join(t.text for t in toks).strip(),
-            significant=_is_significant(meaningful),
+            text=" ".join(texts).strip(),
+            significant=_is_significant(
+                [texts[i] for i in meaningful], [kinds[i] for i in meaningful]
+            ),
         )
     )
 
 
-def _is_significant(toks: list[Token]) -> bool:
+def _is_significant(texts: list[str], kinds: list[TokenKind]) -> bool:
     """Stack-trace prints and console writes are noise; everything else is a
     real handler action (logging frameworks and UI notifications included)."""
     chain: list[str] = []
     i = 0
-    n = len(toks)
-    while i < n and toks[i].kind is TokenKind.IDENTIFIER:
-        chain.append(toks[i].text)
-        if i + 1 < n and toks[i + 1].text == ".":
+    n = len(texts)
+    while i < n and kinds[i] is TokenKind.IDENTIFIER:
+        chain.append(texts[i])
+        if i + 1 < n and texts[i + 1] == ".":
             i += 2
         else:
             i += 1
             break
-    if not chain or i >= n or toks[i].text != "(":
+    if not chain or i >= n or texts[i] != "(":
         return True  # not a plain call statement
     if chain[-1] == "printStackTrace":
         return False
@@ -326,8 +329,9 @@ class _ObjectExtractor:
     references inside their own arguments.
     """
 
-    def __init__(self, tokens: tuple[Token, ...], excluded: set[int]):
-        self.tokens = tokens
+    def __init__(self, texts: tuple[str, ...], kinds: tuple[TokenKind, ...], excluded: set[int]):
+        self.texts = texts
+        self.kinds = kinds
         self.excluded = excluded
         self.uses: list[_Use] = []
         self.bindings: dict[str, int] = {}
@@ -339,26 +343,26 @@ class _ObjectExtractor:
     # -- helpers ----------------------------------------------------------
 
     def _chain(self, i: int) -> _Chain:
-        toks = self.tokens
-        parts = [toks[i].text]
+        texts, kinds = self.texts, self.kinds
+        parts = [texts[i]]
         j = i + 1
         while (
-            j + 1 < len(toks)
-            and toks[j].text == "."
-            and toks[j + 1].kind is TokenKind.IDENTIFIER
+            j + 1 < len(texts)
+            and texts[j] == "."
+            and kinds[j + 1] is TokenKind.IDENTIFIER
         ):
-            parts.append(toks[j + 1].text)
+            parts.append(texts[j + 1])
             j += 2
         return _Chain(parts, j)
 
     def _skip_generics(self, j: int) -> int | None:
-        toks = self.tokens
-        if j >= len(toks) or toks[j].text != "<":
+        texts, kinds = self.texts, self.kinds
+        if j >= len(texts) or texts[j] != "<":
             return None
         depth = 0
         steps = 0
-        while j < len(toks) and steps < 64:
-            text = toks[j].text
+        while j < len(texts) and steps < 64:
+            text = texts[j]
             if text == "<":
                 depth += 1
             elif text == ">":
@@ -369,9 +373,9 @@ class _ObjectExtractor:
                 depth -= 3
             elif text in {",", ".", "?", "[", "]"}:
                 pass
-            elif toks[j].kind is TokenKind.IDENTIFIER:
+            elif kinds[j] is TokenKind.IDENTIFIER:
                 pass
-            elif toks[j].kind is TokenKind.KEYWORD and text in {
+            elif kinds[j] is TokenKind.KEYWORD and text in {
                 "extends", "super", "int", "long", "double", "float",
                 "boolean", "byte", "short", "char",
             }:
@@ -449,48 +453,48 @@ class _ObjectExtractor:
         return tuple(objects), dependencies
 
     def _walk(self) -> None:
-        toks = self.tokens
-        n = len(toks)
+        texts, kinds = self.texts, self.kinds
+        n = len(texts)
         i = 0
         while i < n:
             if i in self.excluded:
                 i += 1
                 continue
-            tok = toks[i]
-            if tok.kind is TokenKind.PUNCTUATION:
-                if tok.text == "(":
+            kind = kinds[i]
+            if kind is TokenKind.PUNCTUATION:
+                if texts[i] == "(":
                     self.paren_stack.append(self._enclosing())
-                elif tok.text == ")":
+                elif texts[i] == ")":
                     if self.paren_stack:
                         self.paren_stack.pop()
                 i += 1
                 continue
-            if tok.kind is TokenKind.KEYWORD:
-                if tok.text == "new":
+            if kind is TokenKind.KEYWORD:
+                if texts[i] == "new":
                     i = self._handle_new(i)
-                elif tok.text == "import":
+                elif texts[i] == "import":
                     i = self._handle_import(i)
                 else:
                     i += 1
                 continue
-            if tok.kind is TokenKind.IDENTIFIER:
+            if kind is TokenKind.IDENTIFIER:
                 i = self._handle_identifier(i)
                 continue
             i += 1
 
     def _handle_import(self, i: int) -> int:
-        toks = self.tokens
+        texts, kinds = self.texts, self.kinds
         j = i + 1
-        if j < len(toks) and toks[j].kind is TokenKind.KEYWORD and toks[j].text == "static":
-            while j < len(toks) and toks[j].text != ";":
+        if j < len(texts) and texts[j] == "static":
+            while j < len(texts) and texts[j] != ";":
                 j += 1
             return j + 1
         parts: list[str] = []
         wildcard = False
-        while j < len(toks) and toks[j].text != ";":
-            if toks[j].kind is TokenKind.IDENTIFIER:
-                parts.append(toks[j].text)
-            elif toks[j].text == "*":
+        while j < len(texts) and texts[j] != ";":
+            if kinds[j] is TokenKind.IDENTIFIER:
+                parts.append(texts[j])
+            elif texts[j] == "*":
                 wildcard = True
             j += 1
         if parts and not wildcard:
@@ -498,19 +502,19 @@ class _ObjectExtractor:
         return j + 1
 
     def _handle_new(self, i: int) -> int:
-        toks = self.tokens
+        texts = self.texts
         j = i + 1
-        if j >= len(toks) or toks[j].kind is not TokenKind.IDENTIFIER:
+        if j >= len(texts) or self.kinds[j] is not TokenKind.IDENTIFIER:
             return i + 1
         chain = self._chain(j)
         j = chain.end
         gen = self._skip_generics(j)
         if gen is not None:
             j = gen
-        if j < len(toks) and toks[j].text == "[":
+        if j < len(texts) and texts[j] == "[":
             self._register_type(".".join(chain.parts))
             return j  # array creation: no object use
-        if j >= len(toks) or toks[j].text != "(":
+        if j >= len(texts) or texts[j] != "(":
             return chain.end
         canonical = self._register_type(".".join(chain.parts))
         consumer: int | None = None
@@ -533,18 +537,18 @@ class _ObjectExtractor:
         return j + 1
 
     def _assigned_var(self, new_idx: int) -> str | None:
-        toks = self.tokens
+        texts = self.texts
         if (
             new_idx >= 2
-            and toks[new_idx - 1].text == "="
-            and toks[new_idx - 2].kind is TokenKind.IDENTIFIER
+            and texts[new_idx - 1] == "="
+            and self.kinds[new_idx - 2] is TokenKind.IDENTIFIER
         ):
-            return toks[new_idx - 2].text
+            return texts[new_idx - 2]
         return None
 
     def _handle_identifier(self, i: int) -> int:
-        toks = self.tokens
-        n = len(toks)
+        texts = self.texts
+        n = len(texts)
         chain = self._chain(i)
         j = chain.end
 
@@ -557,7 +561,7 @@ class _ObjectExtractor:
             return cast_end
 
         head = chain.parts[0]
-        is_call = j < n and toks[j].text == "("
+        is_call = j < n and texts[j] == "("
 
         if is_call:
             consumer: int | None = None
@@ -599,45 +603,44 @@ class _ObjectExtractor:
 
     def _declaration(self, chain: _Chain, j: int) -> int | None:
         """``Type var`` followed by ``= ; : , )`` binds ``var``."""
-        toks = self.tokens
-        n = len(toks)
+        texts = self.texts
+        n = len(texts)
         jj = j
         gen = self._skip_generics(jj)
         if gen is not None:
             jj = gen
-        while jj + 1 < n and toks[jj].text == "[" and toks[jj + 1].text == "]":
+        while jj + 1 < n and texts[jj] == "[" and texts[jj + 1] == "]":
             jj += 2
-        if jj >= n or toks[jj].kind is not TokenKind.IDENTIFIER:
+        if jj >= n or self.kinds[jj] is not TokenKind.IDENTIFIER:
             return None
-        follow = toks[jj + 1].text if jj + 1 < n else ";"
+        follow = texts[jj + 1] if jj + 1 < n else ";"
         if follow not in _DECL_FOLLOW:
             return None
         canonical = self._register_type(".".join(chain.parts))
         if self._trackable(canonical):
-            self._use_for_var(toks[jj].text, canonical)
+            self._use_for_var(texts[jj], canonical)
         return jj + 1
 
     def _cast_binding(self, chain: _Chain, j: int) -> int | None:
         """``x = (T) value`` binds ``x`` when it has no declaration here."""
-        toks = self.tokens
-        n = len(toks)
-        if len(chain.parts) != 1 or j >= n or toks[j].text != "=":
+        texts, kinds = self.texts, self.kinds
+        n = len(texts)
+        if len(chain.parts) != 1 or j >= n or texts[j] != "=":
             return None
-        if j + 1 >= n or toks[j + 1].text != "(":
+        if j + 1 >= n or texts[j + 1] != "(":
             return None
         k = j + 2
-        if k >= n or toks[k].kind is not TokenKind.IDENTIFIER:
+        if k >= n or kinds[k] is not TokenKind.IDENTIFIER:
             return None
         type_chain = self._chain(k)
         k = type_chain.end
-        if k >= n or toks[k].text != ")":
+        if k >= n or texts[k] != ")":
             return None
-        after = toks[k + 1] if k + 1 < n else None
         type_text = ".".join(type_chain.parts)
         looks_like_type = type_text in self.known_types or (
             type_text[0].isupper()
-            and after is not None
-            and (after.kind is TokenKind.IDENTIFIER or after.text == "new")
+            and k + 1 < n
+            and (kinds[k + 1] is TokenKind.IDENTIFIER or texts[k + 1] == "new")
         )
         if not looks_like_type:
             return None

@@ -63,7 +63,9 @@ def readability(unit: SourceUnit) -> float:
 
     avg_line = sum(len(line) for line in nonblank) / len(nonblank)
     max_line = max(len(line) for line in lines)
-    identifiers = [t.text for t in unit.tokens if t.kind is TokenKind.IDENTIFIER]
+    identifiers = [
+        text for text, kind in zip(unit.texts, unit.kinds) if kind is TokenKind.IDENTIFIER
+    ]
     avg_ident = sum(len(i) for i in identifiers) / len(identifiers) if identifiers else 0.0
     comment_density = len(unit.comment_lines) / len(lines)
     paren_density = (unit.raw_text.count("(") + unit.raw_text.count(")")) / len(nonblank)

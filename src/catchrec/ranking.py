@@ -175,12 +175,13 @@ def score_candidate(
     candidate_id: str,
     candidate: SourceUnit,
     config: WeightConfig,
+    memo: dict[str, list[str]] | None = None,
 ) -> RawComponents:
     """Raw component scores for one candidate; structural and quality
     failures degrade to zero components instead of dropping the candidate.
-    The candidate is prepared once for both the structural and the lexical
-    scorer."""
-    prepared = prepare(candidate)
+    The candidate is prepared once, with the subtoken ``memo`` if given,
+    for both the structural and the lexical scorer."""
+    prepared = prepare(candidate, memo)
     try:
         match = structural_score(context, prepared, config.structural)
     except StructureUnavailable:
@@ -220,9 +221,10 @@ def rank(
     if k < 1:
         raise ValueError("k must be at least 1")
     config = config or WeightConfig()
-    prepared = prepare(context)  # once per call, not per candidate
+    memo: dict[str, list[str]] = {}  # one subtoken memo for the whole call
+    prepared = prepare(context, memo)  # once per call, not per candidate
     raws = [
-        score_candidate(prepared, cand.id, cand.unit, config) for cand in candidates
+        score_candidate(prepared, cand.id, cand.unit, config, memo) for cand in candidates
     ]
     return fuse(raws, config.top_level)[:k]
 

@@ -55,8 +55,8 @@ def test_analyze_graph_dot(run, listing2_path):
 
 
 def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
-    """``analyze --emit graph`` in JSON and in DOT, ``--emit tokens`` in JSON,
-    and ``--emit handlers`` and ``--emit quality`` in JSON and in text, for
+    """``analyze --emit graph`` in JSON and in DOT, and ``--emit tokens``,
+    ``--emit handlers`` and ``--emit quality`` in JSON and in text, for
     every fixture, are byte for byte the recorded output (kept as SHA-256
     digests)."""
     expected = json.loads((fixtures_dir / "graph_output_digests.json").read_text())
@@ -68,6 +68,7 @@ def test_analyze_graph_output_matches_recorded_digests(run, fixtures_dir):
             ("json", "graph", "json"),
             ("dot", "graph", "text"),
             ("tokens", "tokens", "json"),
+            ("tokens-text", "tokens", "text"),
             ("handlers", "handlers", "json"),
             ("handlers-text", "handlers", "text"),
             ("quality", "quality", "json"),

@@ -20,6 +20,7 @@ from catchrec.corpus import (
     fetch_remote,
 )
 from catchrec.errors import AuthMissing, NetworkFailure, RateLimited
+from catchrec.lexer import Token, TokenKind
 
 QUERY = SearchQuery("IOException", "URL")
 
@@ -137,16 +138,40 @@ _LONG_BODY = "".join(f"  a{i}();\n" for i in range(MAX_SLOC))
         ("}\ntry { a(); }\n", "no-exception-mention"),  # Failed parse
         ("try {\n" + _LONG_BODY + "} catch (IOException e) {\n}\n", "too-long"),
         (") try {\n" + _LONG_BODY + "} catch (IOException e) {\n}\n", "too-long"),
+        ('a("try { } catch (IOException e) { }");\nb();\nc();\n', "no-handler"),
+        ("// try { } catch (IOException e) { }\na();\nb();\nc();\n", "no-handler"),
+        ("/* try */ a();\n/* catch */ b();\nc(IOException);\n", "no-handler"),
+        ('try {\n  a("IOException");\n} catch (E e) {\n}\n', "no-exception-mention"),
     ],
     ids=[
         "unlexable", "no-handler", "no-mention", "too-short", "failed-kept",
-        "failed-no-mention", "too-long", "failed-too-long",
+        "failed-no-mention", "too-long", "failed-too-long", "handler-in-string",
+        "handler-in-line-comment", "handler-in-block-comments", "mention-in-string",
     ],
 )
 def test_first_failing_rule_names_the_exclusion(text, reason):
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
     _kept, excluded = apply_filter_detailed([cand], QUERY)
     assert [e.reason for e in excluded] == ([reason] if reason else [])
+
+
+def test_ingest_and_rank_build_no_token(monkeypatch, fixtures_dir, listing1):
+    """The ranking path reads the scan's parallel tuples; a ``Token`` is
+    only built for display."""
+    built = []
+    post_init = Token.__post_init__
+
+    def counting(self):
+        built.append(self.text)
+        post_init(self)
+
+    monkeypatch.setattr(Token, "__post_init__", counting)
+    kept = ingest_local(fixtures_dir / "rankpool", QUERY)
+    assert kept
+    rank(listing1, kept, WeightConfig())
+    assert built == []
+    Token("x", TokenKind.IDENTIFIER)
+    assert built == ["x"]  # the wrapper does count a built token
 
 
 def test_empty_directory(tmp_path):

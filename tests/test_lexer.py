@@ -27,7 +27,9 @@ _DIGITS = frozenset("0123456789")
 def _reference_scan(raw_text: str) -> ScanResult:
     """Character-at-a-time scanner that ``scan`` must equal on every input;
     the oracle of ``test_scan_equals_reference_scanner``."""
-    tokens: list[Token] = []
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    lines: list[int] = []
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
 
@@ -36,7 +38,9 @@ def _reference_scan(raw_text: str) -> ScanResult:
     n = len(raw_text)
 
     def emit(text: str, kind: TokenKind) -> None:
-        tokens.append(Token(text, kind, line))
+        texts.append(text)
+        kinds.append(kind)
+        lines.append(line)
         code_lines.add(line)
 
     while i < n:
@@ -146,7 +150,9 @@ def _reference_scan(raw_text: str) -> ScanResult:
         i += 1
 
     return ScanResult(
-        tokens=tuple(tokens),
+        texts=tuple(texts),
+        kinds=tuple(kinds),
+        lines=tuple(lines),
         code_lines=frozenset(code_lines),
         comment_lines=frozenset(comment_lines),
     )
@@ -282,7 +288,12 @@ _FUZZ_PIECES = st.sampled_from(
 @example("\x1c")
 @example("\u2028")
 def test_scan_equals_reference_scanner(text):
-    assert scan(text) == _reference_scan(text)
+    result = scan(text)
+    # Equality covers texts, kinds, lines, code_lines and comment_lines.
+    assert result == _reference_scan(text)
+    assert len(result.texts) == len(result.kinds) == len(result.lines)
+    assert all(result.texts)
+    assert list(result.lines) == sorted(result.lines)
 
 
 def test_regex_space_is_str_isspace():

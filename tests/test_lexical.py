@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +192,30 @@ def test_shuffle_changes_clone_not_cosine():
         cosine_similarity(ctx, shuffled)
     )
     assert clone_measure(ctx, shuffled)[1] < clone_measure(ctx, ordered)[1]
+
+
+_FRAGMENT_PIECES = st.sampled_from(
+    ["getInputStream", "HTTP_OK", "web_service_url", "utf8Name", "__init__", "$x_Y",
+     "_", "url", "URL", "a", "try", "catch", "new", "null", "true", '"GET"', "'c'",
+     "0x1F", "1.5e-3", "(", ")", "{", "}", ";", ".", "=", "+", "->", "::", " ", "\n",
+     "// note\n", "é"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FRAGMENT_PIECES, max_size=30).map(" ".join), min_size=1, max_size=5))
+def test_prepare_with_a_shared_memo_equals_prepare_alone(fragments):
+    """One memo shared by several units changes nothing; both equal the
+    significant tokens and their subtokens counted in order."""
+    memo: dict = {}
+    for text in fragments:
+        unit = parse(text)
+        shared, alone = prepare(unit, memo), prepare(unit)
+        significant = significant_tokens(unit)
+        assert shared.texts == alone.texts == tuple(t.text for t in significant)
+        expected = list(Counter(s for t in significant for s in subtokens(t)).items())
+        assert list(shared.subtokens.items()) == list(alone.subtokens.items()) == expected
+        assert shared.norm == alone.norm
 
 
 def test_lexical_score_identity():

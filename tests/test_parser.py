@@ -454,7 +454,9 @@ def test_failed_unit_rejects_objects():
 
         SourceUnit(
             raw_text="x",
-            tokens=(),
+            texts=(),
+            kinds=(),
+            lines=(),
             sloc=1,
             handlers=HandlerInfo(),
             objects=(GraphObject("A", 0, "a", (), ()),),
