@@ -89,7 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--cases", required=True)
     ev.add_argument("--oracle", required=True)
     ev.add_argument("--ks", type=_cutoffs, default=DEFAULT_KS)
-    ev.add_argument("--config", help="weight config JSON path")
+    ev.add_argument(
+        "--config",
+        help=f"weight config JSON path (default: ./{DEFAULT_CONFIG_NAME} when present)",
+    )
     ev.add_argument("--format", choices=["text", "json"], default="text")
 
     fetch = sub.add_parser("fetch", help="build a cached corpus from remote search")

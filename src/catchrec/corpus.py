@@ -290,10 +290,11 @@ def fetch_remote(
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
 ) -> list[Candidate]:
-    """Code-search results for the query, scoped to ``orgs``, at most
-    ``limit`` files. A warm cache is served without any network traffic; a
-    rate-limited run returns the partial set it managed to download, and
-    that partial cache is fetched again on a later run that has a token."""
+    """Code-search results for the query, scoped to ``orgs`` (searched in
+    sorted order, as the cache key lists them), at most ``limit`` files. A
+    warm cache is served without any network traffic; a rate-limited run
+    returns the partial set it managed to download, and that partial cache
+    is fetched again on a later run that has a token."""
     if limit <= 0:
         return []
     cache_dir = Path(cache_dir)
@@ -314,7 +315,7 @@ def fetch_remote(
     items: list[dict] = []
     complete = True
     try:
-        for org in orgs:
+        for org in sorted(orgs):
             if len(items) >= limit:
                 break
             q = f"{query.rendered} language:java org:{org}"

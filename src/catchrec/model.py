@@ -5,10 +5,11 @@ stream, its SLOC and comment lines, try/catch structure, and the API objects
 the fragment uses with the data dependencies between them. The objects and
 dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
-and are frozen. The token stream is the scan's three parallel tuples,
-``texts``, ``kinds`` and ``lines``; :class:`~catchrec.lexer.Token` objects
-exist only as the on-demand ``tokens`` view. The scorers' weight classes
-share the check in :class:`Weights`.
+and are frozen. A unit is a :class:`~catchrec.lexer.ScanResult`, so its
+token stream is the scan's three parallel tuples, ``texts``, ``kinds`` and
+``lines``, with :class:`~catchrec.lexer.Token` objects only as the
+on-demand ``tokens`` view. The scorers' weight classes share the check in
+:class:`Weights`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .lexer import Token, TokenKind
+from .lexer import ScanResult
 
 
 def check_weight(name: str, value: object) -> float:
@@ -105,24 +106,22 @@ class DependencyEdge:
     access_point: str = ""
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+@dataclass(frozen=True, kw_only=True)
+class SourceUnit(ScanResult):
+    """The scan of ``raw_text`` (token stream, code and comment lines) plus
+    what the parser recovered from it."""
+
     raw_text: str
-    texts: tuple[str, ...]        # token texts, in order (see catchrec.lexer)
-    kinds: tuple[TokenKind, ...]  # kind of each token
-    lines: tuple[int, ...]        # 1-based line of each token
-    sloc: int
     handlers: HandlerInfo
     objects: tuple[GraphObject, ...]
     parse_status: ParseStatus
     dependencies: tuple[DependencyEdge, ...] = ()
-    comment_lines: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.parse_status is ParseStatus.FAILED and (self.objects or self.handlers.catch_clauses):
             raise ValueError("failed parse must not carry objects or handlers")
 
     @property
-    def tokens(self) -> tuple[Token, ...]:
-        """The token stream as :class:`Token` views, built on each call."""
-        return tuple(map(Token, self.texts, self.kinds, self.lines))
+    def sloc(self) -> int:
+        """Source lines carrying at least one token."""
+        return len(self.code_lines)

@@ -78,16 +78,12 @@ def parse(raw_text: str, scanned: ScanResult | None = None) -> SourceUnit:
         partial = unclosed or mid_statement or orphan
         status = ParseStatus.PARTIAL if partial else ParseStatus.FULL
     return SourceUnit(
+        **vars(result),
         raw_text=raw_text,
-        texts=texts,
-        kinds=result.kinds,
-        lines=result.lines,
-        sloc=len(result.code_lines),
         handlers=handlers,
         objects=objects,
         parse_status=status,
         dependencies=dependencies,
-        comment_lines=result.comment_lines,
     )
 
 

@@ -105,14 +105,12 @@ def select_exception(
 
     An explicit name must look like an exception type (suffix ``Exception``
     or ``Error``) or be one the knowledge base lists, so a typo'd class name
-    cannot silently become a search term."""
+    cannot silently become a search term. A qualified name, explicit or
+    caught, gives its simple name, the one a token can match."""
     if explicit is not None:
-        if (
-            explicit.endswith("Exception")
-            or explicit.endswith("Error")
-            or explicit in kb.known_exceptions()
-        ):
-            return explicit
+        name = explicit.rsplit(".", 1)[-1]
+        if name.endswith("Exception") or name.endswith("Error") or name in kb.known_exceptions():
+            return name
         raise UnknownException(
             f"{explicit!r} does not look like an exception type and the "
             "knowledge base does not list it"

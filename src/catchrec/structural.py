@@ -6,11 +6,14 @@ normalized by the context object's own access counts), and matched data
 dependencies weighted 1.0 when the access point agrees and 0.5 when only
 the endpoints do.
 
-Object pairing is the one underspecified step: when both graphs are small
-the implementation enumerates every injective type-compatible assignment
-and keeps the best-scoring one (ties resolved toward declaration order);
-for larger graphs it falls back to a greedy per-object choice and marks the
-report as non-exhaustive so the approximation is visible downstream.
+Object pairing is the one underspecified step: while the assignment space
+is at most 20,000, a depth-first search visits every injective
+type-compatible assignment, holding one pairing and a copy of the best so
+far (ties resolved toward declaration order). It visits only context
+objects that have a partner, each of which at least doubles the space, so
+its recursion is under 15 deep whatever the graph size. For larger spaces
+it falls back to a greedy per-object choice and marks the report as
+non-exhaustive so the approximation is visible downstream.
 
 Pairings are scored from per-pair tables built once per candidate: the
 field and method fractions of every type-compatible object pair, and the
@@ -230,45 +233,17 @@ def _assignment_space(table: _PairTable) -> int:
     return space
 
 
-def _enumerate_pairings(table: _PairTable) -> list[list[tuple[int, int]]]:
-    """Every injective type-compatible assignment, in an order that prefers
-    pairing over skipping and earlier-declared candidates over later ones."""
-    results: list[list[tuple[int, int]]] = []
-    compat = table.compatible
-
-    def recurse(ci: int, used: set[int], acc: list[tuple[int, int]]) -> None:
-        if ci == len(compat):
-            results.append(list(acc))
-            return
-        for ki in compat[ci]:
-            if ki in used:
-                continue
-            acc.append((ci, ki))
-            used.add(ki)
-            recurse(ci + 1, used, acc)
-            used.remove(ki)
-            acc.pop()
-        recurse(ci + 1, used, acc)  # leave this context object unpaired
-
-    recurse(0, set(), [])
-    return results
-
-
 def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
-    """Declaration-order greedy pick maximizing raw member-overlap counts."""
+    """Declaration-order greedy pick maximizing raw member-overlap counts;
+    of equal overlaps the earlier-declared candidate wins."""
     used: set[int] = set()
     pairing: list[tuple[int, int]] = []
     for ci, partners in enumerate(table.compatible):
-        best: tuple[int, int] | None = None  # (overlap, candidate index)
-        for ki in partners:
-            if ki in used:
-                continue
-            score = table.overlap[ci, ki]
-            if best is None or score > best[0]:
-                best = (score, ki)
-        if best is not None:
-            pairing.append((ci, best[1]))
-            used.add(best[1])
+        free = [ki for ki in partners if ki not in used]
+        if free:
+            best = max(free, key=lambda ki: table.overlap[ci, ki])
+            pairing.append((ci, best))
+            used.add(best)
     return pairing
 
 
@@ -277,11 +252,36 @@ def _best_pairing(
 ) -> tuple[list[tuple[int, int]], bool]:
     if _assignment_space(table) > _MAX_ASSIGNMENTS:
         return _greedy_pairing(table), False
-    # max keeps the first of equal keys: enumeration order breaks ties
-    best = max(
-        _enumerate_pairings(table),
-        key=lambda p: (_score_pairing(p, table, weights)[0], len(p)),
-    )
+    # An object without a partner can only stay unpaired, so the search
+    # skips it; each object it visits at least doubles the assignment
+    # space, which bounds the recursion by log2(_MAX_ASSIGNMENTS).
+    visits = [(ci, partners) for ci, partners in enumerate(table.compatible) if partners]
+    acc: list[tuple[int, int]] = []
+    used: set[int] = set()
+    best: list[tuple[int, int]] = []
+    best_key: tuple[float, int] | None = None
+
+    def search(depth: int) -> None:
+        """Leaves in order of pairing before skipping, earlier-declared
+        candidates first; only a strictly greater key replaces the best,
+        so the first of equal keys wins."""
+        nonlocal best, best_key
+        if depth == len(visits):
+            key = (_score_pairing(acc, table, weights)[0], len(acc))
+            if best_key is None or key > best_key:
+                best, best_key = list(acc), key
+            return
+        ci, partners = visits[depth]
+        for ki in partners:
+            if ki not in used:
+                acc.append((ci, ki))
+                used.add(ki)
+                search(depth + 1)
+                used.remove(ki)
+                acc.pop()
+        search(depth + 1)  # leave this context object unpaired
+
+    search(0)
     return best, True
 
 

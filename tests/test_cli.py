@@ -178,6 +178,35 @@ def test_recommend_text_mode_carries_query(run, listing1_path, fixtures_dir):
     assert "handler_actions" in out
 
 
+def test_recommend_qualified_exception_override_ranks_like_the_simple_one(
+    run, listing1_path, fixtures_dir
+):
+    ranked = []
+    for override in ("IOException", "java.io.IOException"):
+        code, out, _err = run(
+            "recommend", listing1_path, "--corpus", str(fixtures_dir),
+            "--exception", override, "--format", "json",
+        )
+        assert code == 0
+        ranked.append([entry["candidate_id"] for entry in json.loads(out)])
+    assert ranked[0] and ranked[0] == ranked[1]
+
+
+def test_recommend_context_with_1200_tracked_objects(run, fixtures_dir, tmp_path):
+    """Objects without a type-compatible partner add no pairing recursion."""
+    context = tmp_path / "big.java"
+    context.write_text(
+        "URL url = new URL(s);\n" + "".join(f"new T{i}().run{i}();\n" for i in range(1200))
+    )
+    code, out, err = run(
+        "recommend", str(context), "--corpus", str(fixtures_dir / "rankpool"),
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    matches = [entry["match"] for entry in json.loads(out) if entry["match"]]
+    assert matches and all(match["exhaustive"] for match in matches)
+
+
 def test_recommend_empty_corpus_fails(run, listing1_path, tmp_path):
     code, _out, err = run("recommend", listing1_path, "--corpus", str(tmp_path))
     assert code == 2

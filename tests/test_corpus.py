@@ -1,4 +1,5 @@
 import json
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,31 @@ def test_fetch_remote_limit_honored(tmp_path):
     assert len(out) == 1
     manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
     assert len(manifest["candidates"]) <= 1
+
+
+def test_fetch_remote_result_does_not_depend_on_org_order(tmp_path):
+    def per_org(url, headers):
+        if url.startswith("https://api.github.com/search/code"):
+            org = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)["q"][0].rsplit(":", 1)[1]
+            item = {
+                "url": f"https://api.example/fetch/{org}",
+                "path": "R.java",
+                "repository": {"full_name": f"{org}/r"},
+            }
+            return 200, json.dumps({"items": [item]}).encode()
+        return 200, b"try { a(); } catch (IOException e) { b(e); }"
+
+    def repos(orgs, cache_dir, transport=per_org):
+        out = fetch_remote(
+            QUERY, orgs, limit=1, cache_dir=cache_dir, token="t", transport=transport
+        )
+        return [c.origin.repo for c in out]
+
+    def exploding_transport(url, headers):  # any call means the cache missed
+        raise AssertionError(url)
+
+    assert repos(["a", "b"], tmp_path / "ab") == repos(["b", "a"], tmp_path / "ba") == ["a/r"]
+    assert repos(["a", "b"], tmp_path / "ba", exploding_transport) == ["a/r"]
 
 
 def test_fetch_remote_requires_token(tmp_path, monkeypatch):

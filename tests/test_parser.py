@@ -457,7 +457,8 @@ def test_failed_unit_rejects_objects():
             texts=(),
             kinds=(),
             lines=(),
-            sloc=1,
+            code_lines=frozenset({1}),
+            comment_lines=frozenset(),
             handlers=HandlerInfo(),
             objects=(GraphObject("A", 0, "a", (), ()),),
             parse_status=ParseStatus.FAILED,

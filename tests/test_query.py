@@ -28,6 +28,13 @@ def test_explicit_exception_must_look_like_one(listing1, kb):
     assert select_exception(listing1, kb, "OutOfMemoryError") == "OutOfMemoryError"
     with pytest.raises(UnknownException):
         select_exception(listing1, kb, "Banana")
+    with pytest.raises(UnknownException):
+        select_exception(listing1, kb, "java.io.Banana")
+
+
+def test_qualified_explicit_exception_gives_its_simple_name(listing1, kb):
+    assert select_exception(listing1, kb, "java.io.IOException") == "IOException"
+    assert select_exception(listing1, kb, "java.lang.OutOfMemoryError") == "OutOfMemoryError"
 
 
 @pytest.mark.parametrize("override", ["", "  "], ids=["empty", "blank"])

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchrec import extract_usage_graph, parse, prepare, structural_score
 from catchrec.errors import StructureUnavailable
@@ -12,7 +14,6 @@ from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
 from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
-    _enumerate_pairings,
     _greedy_pairing,
     _pair_table,
     _score_pairing,
@@ -99,6 +100,31 @@ def _ref_best_score(ctx, cand, w):
                 ):
                     best = max(best, _ref_score(pairing, ctx, cand, w))
     return best
+
+
+def _enumerate_pairings(table):
+    """Every injective type-compatible assignment of the table, in an order
+    that prefers pairing over skipping and earlier-declared candidates over
+    later ones (the order the search must break ties in)."""
+    results = []
+    compat = table.compatible
+
+    def recurse(ci, used, acc):
+        if ci == len(compat):
+            results.append(list(acc))
+            return
+        for ki in compat[ci]:
+            if ki in used:
+                continue
+            acc.append((ci, ki))
+            used.add(ki)
+            recurse(ci + 1, used, acc)
+            used.remove(ki)
+            acc.pop()
+        recurse(ci + 1, used, acc)  # leave this context object unpaired
+
+    recurse(0, set(), [])
+    return results
 
 
 def _random_graph(rng, max_objects=4, types=("A", "B", "C"), max_deps=3):
@@ -277,20 +303,22 @@ def _score_via_module(ctx, cand, w):
     return raw
 
 
+_WEIGHTINGS = (
+    StructuralWeights(),
+    StructuralWeights(1.25, 0.5, 2.0, 0.75),
+    StructuralWeights(0.1, 0.3, 0.7, 0.9),
+)
+
+
 def test_table_pairing_matches_per_pairing_scan():
     """The table-driven search picks the pairing a scan of every enumerated
     pairing, scored from scratch per pairing, picks: same pairing (first
     best key in enumeration order) and bit-identical raw."""
     rng = random.Random(20240119)
-    weightings = [
-        StructuralWeights(),
-        StructuralWeights(1.25, 0.5, 2.0, 0.75),
-        StructuralWeights(0.1, 0.3, 0.7, 0.9),
-    ]
     for trial in range(300):
         ctx = _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5)
         cand = _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5)
-        w = weightings[trial % len(weightings)]
+        w = _WEIGHTINGS[trial % len(_WEIGHTINGS)]
         table = _pair_table(ctx, cand)
         scan_best, scan_key = None, None
         for pairing in _enumerate_pairings(table):
@@ -346,3 +374,66 @@ def test_greedy_divergence_is_visible_not_silent():
     greedy_raw, *_rest = _score_pairing(greedy, table, w)
     best_raw = _score_via_module(ctx, cand, w)
     assert greedy_raw < best_raw  # a1 grabs c1 greedily, starving a2
+
+
+def _members(names):
+    return st.dictionaries(st.sampled_from(names), st.integers(1, 2)).map(
+        lambda counts: tuple(sorted(counts.items()))
+    )
+
+
+@st.composite
+def _graphs(draw, types):
+    """Up to five objects over few types and members, so equal scores are
+    common; a type the other side lacks gives partnerless objects; edges
+    may repeat endpoints and access points."""
+    objects = tuple(
+        GraphObject(
+            draw(st.sampled_from(types)), i, f"v{i}", draw(_members("xy")), draw(_members("fg"))
+        )
+        for i in range(draw(st.integers(0, 5)))
+    )
+    dependencies = ()
+    if len(objects) > 1:
+        ends = st.lists(st.integers(0, len(objects) - 1), min_size=2, max_size=2, unique=True)
+        edge = st.builds(lambda e, ap: DependencyEdge(*e, ap), ends, st.sampled_from(("", "f", "g")))
+        dependencies = tuple(draw(st.lists(edge, max_size=6)))
+    return ApiUsageGraph(objects=objects, dependencies=dependencies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ctx=_graphs(("A", "B", "p.A", "C")),
+    cand=_graphs(("A", "B", "q.A", "D")),
+    w=st.sampled_from(_WEIGHTINGS),
+)
+def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
+    """The depth-first search returns exactly the pairing that ``max`` over
+    the full enumeration returns, keyed by (raw, pairing size)."""
+    table = _pair_table(ctx, cand)
+    pairing, exhaustive = _best_pairing(table, w)
+    assert exhaustive  # five objects a side stay below the switch
+    assert pairing == max(
+        _enumerate_pairings(table), key=lambda p: (_score_pairing(p, table, w)[0], len(p))
+    )
+
+
+def test_greedy_picks_the_earlier_of_equal_overlaps():
+    ctx = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "a1", (), (("f", 1), ("g", 1))),
+            GraphObject("A", 1, "a2", (), (("f", 1),)),
+        ),
+        dependencies=(),
+    )
+    cand = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "c1", (), (("f", 1),)),
+            GraphObject("A", 1, "c2", (), (("f", 1), ("g", 1))),
+            GraphObject("A", 2, "c3", (), (("g", 1), ("f", 1))),
+            GraphObject("A", 3, "c4", (), (("f", 1),)),
+        ),
+        dependencies=(),
+    )
+    # a1 ties c2 and c3 at two and takes c2; a2 ties c1, c3 and c4 at one
+    assert _greedy_pairing(_pair_table(ctx, cand)) == [(0, 1), (1, 0)]
