@@ -21,9 +21,17 @@ from enum import Enum
 from .lexer import ScanResult
 
 
+# The largest weight accepted. Scores are weighted sums of counts and
+# fractions, so a weight this size keeps every score, normalization and
+# fused total finite; near the float maximum their sums overflow to
+# infinity and the pool normalization turns them into NaN.
+MAX_WEIGHT = 1e6
+
+
 def check_weight(name: str, value: object) -> float:
     """``value`` as a float if it is a finite, non-negative int or float
-    (not a bool); an int too large for a float counts as infinite."""
+    (not a bool) of at most :data:`MAX_WEIGHT`; an int too large for a
+    float counts as infinite."""
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         weight = float(value) if is_number else math.nan
@@ -31,6 +39,8 @@ def check_weight(name: str, value: object) -> float:
         weight = math.inf
     if not math.isfinite(weight) or weight < 0:
         raise ValueError(f"{name} must be a finite non-negative number")
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"{name} must be at most {MAX_WEIGHT:,.0f}")
     return weight
 
 

@@ -7,25 +7,38 @@ dependencies weighted 1.0 when the access point agrees and 0.5 when only
 the endpoints do.
 
 Object pairing is the one underspecified step: while the assignment space
-is at most 20,000, a depth-first search visits every injective
-type-compatible assignment, holding one pairing and a copy of the best so
-far (ties resolved toward declaration order). It visits only context
-objects that have a partner, each of which at least doubles the space, so
-its recursion is under 15 deep whatever the graph size. For larger spaces
-it falls back to a greedy per-object choice and marks the report as
-non-exhaustive so the approximation is visible downstream.
+is at most 20,000, a depth-first branch-and-bound search finds the best
+injective type-compatible assignment, holding one pairing and a copy of
+the best so far (ties resolved toward declaration order). It visits only
+context objects that have a partner, each of which at least doubles the
+space, so its recursion is under 15 deep whatever the graph size. For
+larger spaces it falls back to a greedy per-object choice and marks the
+report as non-exhaustive so the approximation is visible downstream.
+
+The search scores each leaf from running sums, not from scratch: each
+level carries the pairing size, the field- and method-fraction sums (added
+in pairing order) and a dependency total. The dependency term splits by
+context endpoint group ``(consumer, producer)``: a pairing is injective, so
+a candidate edge can back only one group, and each group's term is fixed
+once both its endpoints are paired. Its weights are all 1.0 or 0.5, so the
+total is exact in any order and a leaf's key is the very float the report's
+scoring returns. A subtree is pruned when its bound (the partial score,
+plus each remaining object's best object, field and method term, plus each
+open group's best term) is below the best score by more than a rounding
+margin, so pruning never changes which pairing wins.
 
 Pairings are scored from per-pair tables built once per candidate: the
 field and method fractions of every type-compatible object pair, and the
 candidate's dependency edges indexed by their endpoints. The search and the
-final report use the same table and the same scoring function, and the
-fractions are summed in pairing order. Both graphs come from the two units'
+final report read the same table, and the report's scoring function runs
+once, on the chosen pairing. Both graphs come from the two units'
 :class:`~catchrec.lexical.PreparedUnit`; a unit whose parse failed has none,
 and scoring it raises :class:`~catchrec.errors.StructureUnavailable`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import StructureUnavailable
@@ -35,6 +48,10 @@ from .model import Weights
 
 # Exhaustive pairing is used while the assignment space stays below this.
 _MAX_ASSIGNMENTS = 20_000
+# The search prunes a subtree only when its bound is below the best raw
+# score by more than this fraction of that score (or of 1.0 if larger):
+# far above the rounding error of the sums, far below any real difference.
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -247,41 +264,118 @@ def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
     return pairing
 
 
+# (context consumer, context producer, {(candidate consumer, candidate
+# producer): the group's dependency weight under that pair of partners})
+_Group = tuple[int, int, dict[tuple[int, int], float]]
+
+
+def _dependency_groups(table: _PairTable) -> list[_Group]:
+    """The dependency total of :func:`_dependency_matches` split by context
+    endpoint group: for each context ``(consumer, producer)`` with edges, the
+    weight its edges get from each compatible candidate endpoint pair that
+    has edges. A pairing is injective, so a candidate edge can back only the
+    one group whose endpoints are paired to its own, and the greedy rule
+    (exact access points first, then half weight) gives each group this
+    total on its own: the exact matches, plus half of the edges left on the
+    smaller side. The weights are all 1.0 or 0.5, so the group terms sum to
+    the same float in any order."""
+    if not table.context.dependencies or not table.candidate_edges:
+        return []
+    points: dict[tuple[int, int], list[str]] = {}
+    for edge in table.context.dependencies:
+        points.setdefault((edge.consumer, edge.producer), []).append(edge.access_point)
+    compatible = [set(partners) for partners in table.compatible]
+    groups = []
+    for (c, p), context_points in points.items():
+        terms: dict[tuple[int, int], float] = {}
+        for (kc, kp), found in table.candidate_edges.items():
+            if kc in compatible[c] and kp in compatible[p]:
+                candidate_points = [access_point for _idx, access_point in found]
+                exact = sum(
+                    min(context_points.count(ap), candidate_points.count(ap))
+                    for ap in set(context_points)
+                )
+                terms[kc, kp] = exact + 0.5 * (min(len(context_points), len(found)) - exact)
+        if terms:
+            groups.append((c, p, terms))
+    return groups
+
+
 def _best_pairing(
     table: _PairTable, weights: StructuralWeights
 ) -> tuple[list[tuple[int, int]], bool]:
     if _assignment_space(table) > _MAX_ASSIGNMENTS:
         return _greedy_pairing(table), False
+    wo, wf, wm, wd = (
+        weights.object_match, weights.field_match, weights.method_match, weights.dependency_match
+    )
+    field_fractions, method_fractions = table.field_fractions, table.method_fractions
     # An object without a partner can only stay unpaired, so the search
     # skips it; each object it visits at least doubles the assignment
     # space, which bounds the recursion by log2(_MAX_ASSIGNMENTS).
     visits = [(ci, partners) for ci, partners in enumerate(table.compatible) if partners]
+    # Each dependency group is scored at the depth of its later endpoint;
+    # bound[d] is the most the objects and groups still open at depth d can
+    # add: each object's best object, field and method term, and each
+    # group's best term over compatible partner pairs. bound[0] stays 0.0,
+    # since the root is entered before any leaf sets a cutoff.
+    closing: list[list[_Group]] = [[] for _ in visits]
+    bound = [0.0] * (len(visits) + 1)
+    groups = _dependency_groups(table)
+    if groups:
+        depth = {ci: d for d, (ci, _partners) in enumerate(visits)}
+        for c, p, terms in groups:
+            d = max(depth[c], depth[p])
+            closing[d].append((c, p, terms))
+            bound[d] += wd * max(terms.values())
+    for d in range(len(visits) - 1, 0, -1):
+        ci, partners = visits[d]
+        top = 0.0
+        for ki in partners:
+            unary = wo + wf * field_fractions[ci, ki] + wm * method_fractions[ci, ki]
+            if unary > top:
+                top = unary
+        bound[d] += bound[d + 1] + top
+    partner: list[int | None] = [None] * len(table.compatible)
     acc: list[tuple[int, int]] = []
     used: set[int] = set()
     best: list[tuple[int, int]] = []
-    best_key: tuple[float, int] | None = None
+    best_raw, best_n, cutoff = -math.inf, -1, -math.inf
 
-    def search(depth: int) -> None:
+    def search(d: int, n: int, fsum: float, msum: float, dep: float) -> None:
         """Leaves in order of pairing before skipping, earlier-declared
-        candidates first; only a strictly greater key replaces the best,
-        so the first of equal keys wins."""
-        nonlocal best, best_key
-        if depth == len(visits):
-            key = (_score_pairing(acc, table, weights)[0], len(acc))
-            if best_key is None or key > best_key:
-                best, best_key = list(acc), key
+        candidates first. The sums run in pairing order, so a leaf's raw is
+        the float :func:`_score_pairing` returns; only a strictly greater
+        (raw, size) key replaces the best, so the first of equal keys wins.
+        A subtree whose bound falls below the cutoff holds no such key."""
+        nonlocal best, best_raw, best_n, cutoff
+        raw = wo * n + wf * fsum + wm * msum + wd * dep
+        if d == len(visits):
+            if raw > best_raw or (raw == best_raw and n > best_n):
+                best, best_raw, best_n = list(acc), raw, n
+                cutoff = raw - _PRUNE_SLACK * max(1.0, raw)
             return
-        ci, partners = visits[depth]
+        if raw + bound[d] < cutoff:
+            return
+        ci, partners = visits[d]
         for ki in partners:
             if ki not in used:
                 acc.append((ci, ki))
                 used.add(ki)
-                search(depth + 1)
+                partner[ci] = ki
+                gain = 0.0
+                for c, p, terms in closing[d]:
+                    gain += terms.get((partner[c], partner[p]), 0.0)
+                search(
+                    d + 1, n + 1, fsum + field_fractions[ci, ki],
+                    msum + method_fractions[ci, ki], dep + gain,
+                )
+                partner[ci] = None
                 used.remove(ki)
                 acc.pop()
-        search(depth + 1)  # leave this context object unpaired
+        search(d + 1, n, fsum, msum, dep)  # leave this context object unpaired
 
-    search(0)
+    search(0, 0, 0, 0, 0)
     return best, True
 
 

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from catchrec import cli
 from catchrec.corpus import LocalOrigin, candidate_id
+from catchrec.ranking import _CONFIG_KEYS
 
 DEEP = b"[" * 200_000 + b"]" * 200_000  # far deeper than any recursion limit
 
@@ -319,6 +321,38 @@ def test_recommend_non_finite_config_weight(
     assert err == (
         f"catchrec: weight config {config}: weight 'w_lex' must be a finite non-negative number\n"
     )
+
+
+def test_recommend_weight_above_the_cap(run, listing1_path, fixtures_dir, tmp_path):
+    """Finite weights near the float maximum overflowed the scores to
+    Infinity and the normalized and fused scores to NaN."""
+    config = tmp_path / "weights.json"
+    config.write_text('{"alpha": 1e308, "beta": 1e308}')
+    code, out, err = run(
+        "recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool"),
+        "--format", "json", "--config", str(config),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"catchrec: weight config {config}: weight 'alpha' must be at most 1,000,000\n"
+
+
+def test_recommend_every_weight_at_the_cap_stays_finite(
+    run, listing1_path, fixtures_dir, tmp_path
+):
+    config = tmp_path / "weights.json"
+    config.write_text(json.dumps({key: 1e6 for key in _CONFIG_KEYS}))
+    code, out, _err = run(
+        "recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool"),
+        "--format", "json", "--config", str(config),
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert rows
+    for row in rows:
+        for key in ("structural_raw", "structural_norm", "lexical_raw", "lexical_norm",
+                    "quality_raw", "quality_norm", "total"):
+            assert math.isfinite(row[key]), (row["candidate_id"], key)
 
 
 def test_evaluate_cli(run, tmp_path):

@@ -18,6 +18,7 @@ from catchrec import (
 )
 from catchrec.corpus import Candidate, LocalOrigin
 from catchrec.errors import ConfigError, EmptyPool
+from catchrec.model import MAX_WEIGHT
 from catchrec.ranking import (
     RawComponents,
     TopLevelWeights,
@@ -312,6 +313,18 @@ def test_weight_dataclasses_reject_non_finite(weights, value):
     name = next(iter(weights.__dataclass_fields__))
     with pytest.raises(ValueError, match="finite"):
         weights(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "weights", [StructuralWeights, LexicalWeights, QualityWeights, TopLevelWeights]
+)
+def test_weight_dataclasses_cap_weights_at_max_weight(weights):
+    name = next(iter(weights.__dataclass_fields__))
+    assert getattr(weights(**{name: MAX_WEIGHT}), name) == 1e6
+    assert getattr(weights(**{name: 10**6}), name) == 1e6
+    for value in (math.nextafter(MAX_WEIGHT, math.inf), 10**6 + 1, 1e308):
+        with pytest.raises(ValueError, match="at most 1,000,000"):
+            weights(**{name: value})
 
 
 def _as_json(rows) -> str:

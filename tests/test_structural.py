@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catchrec import extract_usage_graph, parse, prepare, structural_score
+from catchrec import extract_usage_graph, parse, prepare, structural, structural_score
 from catchrec.errors import StructureUnavailable
 from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
 from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
+    _dependency_groups,
+    _dependency_matches,
     _greedy_pairing,
     _pair_table,
     _score_pairing,
@@ -307,6 +309,10 @@ _WEIGHTINGS = (
     StructuralWeights(),
     StructuralWeights(1.25, 0.5, 2.0, 0.75),
     StructuralWeights(0.1, 0.3, 0.7, 0.9),
+    # with zero weights many pairings tie on raw and the pairing size decides
+    StructuralWeights(0, 0, 1, 1),
+    StructuralWeights(0, 0, 0, 0),
+    StructuralWeights(0, 1, 0, 0.5),
 )
 
 
@@ -416,6 +422,53 @@ def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
     assert pairing == max(
         _enumerate_pairings(table), key=lambda p: (_score_pairing(p, table, w)[0], len(p))
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=_graphs(("A", "B", "p.A")), cand=_graphs(("A", "B", "q.A")))
+def test_dependency_groups_sum_to_the_dependency_total(ctx, cand):
+    """For every pairing, the per-group terms the search adds up equal the
+    greedy total over the whole graph, as the same float."""
+    table = _pair_table(ctx, cand)
+    groups = _dependency_groups(table)
+    for pairing in _enumerate_pairings(table):
+        paired = dict(pairing)
+        by_groups = 0.0
+        for c, p, terms in groups:
+            by_groups += terms.get((paired.get(c), paired.get(p)), 0.0)
+        assert by_groups == sum(w for _e, w in _dependency_matches(pairing, table)), pairing
+
+
+def test_equal_raw_goes_to_the_larger_pairing_past_a_pruned_subtree():
+    """With every weight zero each pairing scores 0.0, so the pairing size
+    decides; the first leaf pairs a1 with c1 and starves a2, and only a
+    later subtree of equal raw holds the pairing of both."""
+    ctx = ApiUsageGraph(
+        objects=(GraphObject("A", 0, "a1", (), ()), GraphObject("p.A", 0, "a2", (), ())),
+        dependencies=(),
+    )
+    cand = ApiUsageGraph(
+        objects=(GraphObject("A", 0, "c1", (), ()), GraphObject("q.A", 0, "c2", (), ())),
+        dependencies=(),
+    )
+    pairing, exhaustive = _best_pairing(_pair_table(ctx, cand), StructuralWeights(0, 0, 0, 0))
+    assert exhaustive
+    assert pairing == [(0, 1), (1, 0)]
+
+
+def test_structural_score_scores_one_pairing(listing2, monkeypatch):
+    """The search keys its leaves from running sums; the full scoring runs
+    once, for the report."""
+    calls = []
+
+    def spy(pairings, table, weights):
+        calls.append(list(pairings))
+        return _score_pairing(pairings, table, weights)
+
+    monkeypatch.setattr(structural, "_score_pairing", spy)
+    report = structural_score(prepare(listing2), prepare(listing2))
+    assert calls == [list(report.pairings)]
+    assert report.matched_objects == len(listing2.objects) > 2
 
 
 def test_greedy_picks_the_earlier_of_equal_overlaps():
