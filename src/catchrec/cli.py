@@ -49,6 +49,13 @@ def _cutoffs(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(k) for k in text.split(","))
 
 
+def _org_list(text: str) -> list[str]:
+    orgs = [o.strip() for o in text.split(",") if o.strip()]
+    if not orgs:
+        raise argparse.ArgumentTypeError(f"no organization named: {text!r}")
+    return orgs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catchrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     recommend.add_argument("--kb", help="knowledge base TSV path")
     recommend.add_argument("--format", choices=["text", "json"], default="text")
-    recommend.add_argument("--orgs", default="apache,eclipse,facebook,twitter")
+    recommend.add_argument("--orgs", type=_org_list, default="apache,eclipse,facebook,twitter")
     recommend.add_argument("--limit", type=_positive_int, default=70)
     recommend.add_argument("--cache-dir", default=".catchrec-cache")
     recommend.add_argument("--no-filter", action="store_true", help="rank the raw corpus")
@@ -97,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fetch = sub.add_parser("fetch", help="build a cached corpus from remote search")
     fetch.add_argument("--query", required=True, help='two terms: "<exception> <class>"')
-    fetch.add_argument("--orgs", required=True)
+    fetch.add_argument("--orgs", type=_org_list, required=True)
     fetch.add_argument("--limit", type=_positive_int, default=70)
     fetch.add_argument("--out", required=True, help="cache directory")
 
@@ -196,7 +203,7 @@ def _cmd_recommend(args) -> int:
     else:
         fetched = corpus_mod.fetch_remote(
             query,
-            orgs=[o.strip() for o in args.orgs.split(",") if o.strip()],
+            orgs=args.orgs,
             limit=args.limit,
             cache_dir=args.cache_dir,
         )
@@ -226,9 +233,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_fetch(args) -> int:
     query = _parse_query_string(args.query)
-    orgs = [o.strip() for o in args.orgs.split(",") if o.strip()]
     candidates = corpus_mod.fetch_remote(
-        query, orgs=orgs, limit=args.limit, cache_dir=args.out
+        query, orgs=args.orgs, limit=args.limit, cache_dir=args.out
     )
     print(f"fetched {len(candidates)} candidates into {args.out}")
     return EXIT_OK

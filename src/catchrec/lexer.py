@@ -1,8 +1,15 @@
 """Tokenizer for Java-like source text.
 
-One compiled pattern of named alternatives (whitespace, comment, word,
-literal, punctuation, operator, skipped) is matched across the text, and
-each match's group decides what it becomes. Lexing never fails: comments and
+One compiled pattern of alternatives (whitespace, comment, word, literal,
+punctuation, operator, skipped), none of them capturing, tiles the text, and
+``findall`` returns the matched texts as plain strings, with no match object
+per token. A table of fixed texts gives the kind of every keyword, ``true``,
+``false``, ``null``, punctuation mark and operator. Any other text is named
+by its first character: an ASCII letter, ``_`` or ``$`` starts an
+identifier; a digit, a quote or ``.`` starts a literal; and ``/`` starts a
+comment, since the only operators that begin with ``/``, ``/`` and ``/=``,
+are in the table. What is left is whitespace, which advances the line count
+by its newlines, or a skipped character. Lexing never fails: comments and
 whitespace are dropped, string and char literals come out as single Literal
 tokens, and characters that fit no token class are skipped. The token
 stream stays usable even when no syntactic structure can be recovered from
@@ -29,6 +36,7 @@ Some choices are kept for stable output rather than Java fidelity:
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,38 +79,42 @@ MULTI_OPERATORS = (
     "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
     "<<", ">>", "->", "::",
 )
+_SINGLE_OPERATORS = "-+*/%=<>!&|^~?:"
+_PUNCTUATION = "(){}[];,.@"
 
-# One alternative per token class, tried in this order at each position.
-# Every character matches at least ``skipped``, so the alternatives tile the
-# text. Inner groups are non-capturing, so ``lastgroup`` names the class.
+# One alternative per token class, tried in this order at each position:
+# whitespace, comment, word, literal, punctuation, operator, skipped. Every
+# character matches at least the last, so the alternatives tile the text.
+# No group captures, so ``findall`` returns the matched texts themselves.
 _TOKEN = re.compile(
     "|".join(
-        f"(?P<{group}>{pattern})"
-        for group, pattern in (
-            ("space", r"\s+"),
-            ("comment", r"//[^\n]*|/\*.*?(?:\*/|\Z)"),
-            ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
-            (
-                "literal",
-                r'"(?:\\[^\n]|[^"\\\n])*(?:"|\\?\n|\\?\Z)'
-                r"|'(?:\\[^\n]|[^'\\\n])*(?:'|\\?\n|\\?\Z)"
-                r"|(?:[0-9]|\.(?=[0-9]))(?:[0-9a-dfA-DF_xXbB.]|[eE][+-]?)*[lL]?",
-            ),
-            ("punctuation", r"[(){}\[\];,.@]"),
-            ("operator", "|".join(map(re.escape, MULTI_OPERATORS)) + r"|[-+*/%=<>!&|^~?:]"),
-            ("skipped", "."),
+        f"(?:{pattern})"
+        for pattern in (
+            r"\s+",
+            r"//[^\n]*|/\*.*?(?:\*/|\Z)",
+            r"[A-Za-z_$][A-Za-z0-9_$]*",
+            r'"(?:\\[^\n]|[^"\\\n])*(?:"|\\?\n|\\?\Z)'
+            r"|'(?:\\[^\n]|[^'\\\n])*(?:'|\\?\n|\\?\Z)"
+            r"|(?:[0-9]|\.(?=[0-9]))(?:[0-9a-dfA-DF_xXbB.]|[eE][+-]?)*[lL]?",
+            f"[{re.escape(_PUNCTUATION)}]",
+            "|".join(map(re.escape, MULTI_OPERATORS)) + f"|[{re.escape(_SINGLE_OPERATORS)}]",
+            ".",
         )
     ),
     re.S,
 )
-_GROUP_KINDS = {
-    "literal": TokenKind.LITERAL,
-    "punctuation": TokenKind.PUNCTUATION,
-    "operator": TokenKind.OPERATOR,
-}
-_WORD_KINDS = {
+# The kind of every token whose text is fixed. Any other match is named by
+# its first character (see ``scan``).
+_FIXED_KINDS = {
     **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
     **dict.fromkeys(WORD_LITERALS, TokenKind.LITERAL),
+    **dict.fromkeys(_PUNCTUATION, TokenKind.PUNCTUATION),
+    **dict.fromkeys(MULTI_OPERATORS, TokenKind.OPERATOR),
+    **dict.fromkeys(_SINGLE_OPERATORS, TokenKind.OPERATOR),
+}
+_FIRST_KINDS = {
+    **dict.fromkeys(string.ascii_letters + "_$", TokenKind.IDENTIFIER),
+    **dict.fromkeys(string.digits + "\"'.", TokenKind.LITERAL),
 }
 
 
@@ -127,22 +139,19 @@ def scan(raw_text: str) -> ScanResult:
     lines: list[int] = []
     comment_lines: set[int] = set()
     line = 1
-    for match in _TOKEN.finditer(raw_text):
-        group = match.lastgroup
-        text = match.group()
-        if group == "space":
-            line += text.count("\n")
-        elif group == "comment":
+    for text in _TOKEN.findall(raw_text):
+        kind = _FIXED_KINDS.get(text) or _FIRST_KINDS.get(text[0])
+        if kind is not None:
+            texts.append(text)
+            kinds.append(kind)
+            lines.append(line)
+        elif text[0] == "/":
             end = line + text.count("\n")
             comment_lines.update(range(line, end + 1))
             line = end
-        elif group != "skipped":
-            if group == "word":
-                kinds.append(_WORD_KINDS.get(text, TokenKind.IDENTIFIER))
-            else:
-                kinds.append(_GROUP_KINDS[group])
-            texts.append(text)
-            lines.append(line)
+        else:
+            # Whitespace, or a skipped character, which holds no newline.
+            line += text.count("\n")
     return ScanResult(
         texts=tuple(texts),
         kinds=tuple(kinds),

@@ -299,12 +299,6 @@ def _is_significant(texts: list[str], kinds: list[TokenKind]) -> bool:
 
 
 @dataclass
-class _Chain:
-    parts: list[str]
-    end: int  # index just past the chain
-
-
-@dataclass
 class _Use:
     """An object use while the walk still counts its accesses."""
 
@@ -338,7 +332,9 @@ class _ObjectExtractor:
 
     # -- helpers ----------------------------------------------------------
 
-    def _chain(self, i: int) -> _Chain:
+    def _chain(self, i: int) -> tuple[list[str], int]:
+        """The dotted identifier chain starting at ``i``: its parts, and the
+        index just past it."""
         texts, kinds = self.texts, self.kinds
         parts = [texts[i]]
         j = i + 1
@@ -349,7 +345,7 @@ class _ObjectExtractor:
         ):
             parts.append(texts[j + 1])
             j += 2
-        return _Chain(parts, j)
+        return parts, j
 
     def _skip_generics(self, j: int) -> int | None:
         texts, kinds = self.texts, self.kinds
@@ -502,17 +498,17 @@ class _ObjectExtractor:
         j = i + 1
         if j >= len(texts) or self.kinds[j] is not TokenKind.IDENTIFIER:
             return i + 1
-        chain = self._chain(j)
-        j = chain.end
+        parts, end = self._chain(j)
+        j = end
         gen = self._skip_generics(j)
         if gen is not None:
             j = gen
         if j < len(texts) and texts[j] == "[":
-            self._register_type(".".join(chain.parts))
+            self._register_type(".".join(parts))
             return j  # array creation: no object use
         if j >= len(texts) or texts[j] != "(":
-            return chain.end
-        canonical = self._register_type(".".join(chain.parts))
+            return end
+        canonical = self._register_type(".".join(parts))
         consumer: int | None = None
         if self._trackable(canonical):
             var = self._assigned_var(i)
@@ -545,46 +541,45 @@ class _ObjectExtractor:
     def _handle_identifier(self, i: int) -> int:
         texts = self.texts
         n = len(texts)
-        chain = self._chain(i)
-        j = chain.end
+        parts, j = self._chain(i)
 
-        decl_end = self._declaration(chain, j)
+        decl_end = self._declaration(parts, j)
         if decl_end is not None:
             return decl_end
 
-        cast_end = self._cast_binding(chain, j)
+        cast_end = self._cast_binding(parts, j)
         if cast_end is not None:
             return cast_end
 
-        head = chain.parts[0]
+        head = parts[0]
         is_call = j < n and texts[j] == "("
 
         if is_call:
             consumer: int | None = None
-            if len(chain.parts) == 2:
-                member = chain.parts[1]
+            if len(parts) == 2:
+                member = parts[1]
                 target = self._receiver_use(head)
                 if target is not None:
                     self.uses[target].methods[member] += 1
                     self._add_dep(self._enclosing(), target, member)
                     consumer = target
-            elif len(chain.parts) > 2:
+            elif len(parts) > 2:
                 target = self._receiver_use(head)
                 if target is not None:
-                    self.uses[target].fields[chain.parts[1]] += 1
+                    self.uses[target].fields[parts[1]] += 1
             self.paren_stack.append(consumer)
             return j + 1
 
-        if len(chain.parts) == 1:
+        if len(parts) == 1:
             if head in self.bindings:
                 self._add_dep(self._enclosing(), self.bindings[head], "")
             return j
 
         target = self._receiver_use(head)
         if target is not None:
-            member = chain.parts[1]
+            member = parts[1]
             self.uses[target].fields[member] += 1
-            if len(chain.parts) == 2:
+            if len(parts) == 2:
                 self._add_dep(self._enclosing(), target, member)
         return j
 
@@ -597,7 +592,7 @@ class _ObjectExtractor:
                 return self._use_for_type(canonical)
         return None
 
-    def _declaration(self, chain: _Chain, j: int) -> int | None:
+    def _declaration(self, parts: list[str], j: int) -> int | None:
         """``Type var`` followed by ``= ; : , )`` binds ``var``."""
         texts = self.texts
         n = len(texts)
@@ -612,27 +607,26 @@ class _ObjectExtractor:
         follow = texts[jj + 1] if jj + 1 < n else ";"
         if follow not in _DECL_FOLLOW:
             return None
-        canonical = self._register_type(".".join(chain.parts))
+        canonical = self._register_type(".".join(parts))
         if self._trackable(canonical):
             self._use_for_var(texts[jj], canonical)
         return jj + 1
 
-    def _cast_binding(self, chain: _Chain, j: int) -> int | None:
+    def _cast_binding(self, parts: list[str], j: int) -> int | None:
         """``x = (T) value`` binds ``x`` when it has no declaration here."""
         texts, kinds = self.texts, self.kinds
         n = len(texts)
-        if len(chain.parts) != 1 or j >= n or texts[j] != "=":
+        if len(parts) != 1 or j >= n or texts[j] != "=":
             return None
         if j + 1 >= n or texts[j + 1] != "(":
             return None
         k = j + 2
         if k >= n or kinds[k] is not TokenKind.IDENTIFIER:
             return None
-        type_chain = self._chain(k)
-        k = type_chain.end
+        type_parts, k = self._chain(k)
         if k >= n or texts[k] != ")":
             return None
-        type_text = ".".join(type_chain.parts)
+        type_text = ".".join(type_parts)
         looks_like_type = type_text in self.known_types or (
             type_text[0].isupper()
             and k + 1 < n
@@ -641,7 +635,7 @@ class _ObjectExtractor:
         if not looks_like_type:
             return None
         canonical = self._register_type(type_text)
-        var = chain.parts[0]
+        var = parts[0]
         if var not in self.bindings and self._trackable(canonical):
             self._use_for_var(var, canonical)
         return k + 1

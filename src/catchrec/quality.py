@@ -57,16 +57,18 @@ def _clamp(x: float) -> float:
 def readability(unit: SourceUnit) -> float:
     """Deterministic readability proxy in [0, 1]; 0 for empty input."""
     lines = unit.raw_text.splitlines()
-    nonblank = [line for line in lines if line.strip()]
+    nonblank = list(filter(str.strip, lines))
     if not nonblank:
         return 0.0
 
-    avg_line = sum(len(line) for line in nonblank) / len(nonblank)
-    max_line = max(len(line) for line in lines)
-    identifiers = [
-        text for text, kind in zip(unit.texts, unit.kinds) if kind is TokenKind.IDENTIFIER
-    ]
-    avg_ident = sum(len(i) for i in identifiers) / len(identifiers) if identifiers else 0.0
+    avg_line = sum(map(len, nonblank)) / len(nonblank)
+    max_line = max(map(len, lines))
+    identifiers = identifier_chars = 0
+    for text, kind in zip(unit.texts, unit.kinds):
+        if kind is TokenKind.IDENTIFIER:
+            identifiers += 1
+            identifier_chars += len(text)
+    avg_ident = identifier_chars / identifiers if identifiers else 0.0
     comment_density = len(unit.comment_lines) / len(lines)
     paren_density = (unit.raw_text.count("(") + unit.raw_text.count(")")) / len(nonblank)
     blank_density = (len(lines) - len(nonblank)) / len(lines)

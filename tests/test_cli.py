@@ -644,6 +644,49 @@ def test_out_of_range_top_or_ks_is_a_usage_error(
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("token", ["token", None], ids=["with-token", "without-token"])
+@pytest.mark.parametrize("orgs", [",", " , ,", ""], ids=["comma", "blanks", "empty"])
+@pytest.mark.parametrize("command", ["fetch", "remote"])
+def test_orgs_naming_no_org_is_a_usage_error(
+    run, listing1_path, tmp_path, monkeypatch, command, orgs, token
+):
+    def explode(url, headers):
+        raise AssertionError("network call for an empty org list")
+
+    monkeypatch.setattr("catchrec.corpus._default_transport", explode)
+    if token is None:
+        monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("GITHUB_TOKEN", token)
+    cache = str(tmp_path / "cache")
+    argv = {
+        "fetch": ["fetch", "--query", "SQLException Connection", "--out", cache],
+        "remote": ["recommend", listing1_path, "--remote", "--cache-dir", cache],
+    }[command]
+    code, out, err = run(*argv, "--orgs", orgs)
+    assert code == 1
+    assert "usage:" in err
+    assert "no organization named" in err
+    assert "GITHUB_TOKEN" not in err
+    assert out == ""
+    assert not (tmp_path / "cache").exists()
+
+
+def test_orgs_are_stripped_and_blanks_dropped(run, tmp_path, monkeypatch):
+    from test_corpus import fake_transport
+
+    monkeypatch.setattr("catchrec.corpus._default_transport", fake_transport)
+    monkeypatch.setenv("GITHUB_TOKEN", "token")
+    code, out, _err = run(
+        "fetch", "--query", "IOException URL", "--orgs", " apache , ,", "--limit", "5",
+        "--out", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    assert "fetched 2 candidates" in out
+    manifest = json.loads(next((tmp_path / "cache").rglob("manifest.json")).read_text())
+    assert manifest["orgs"] == ["apache"]
+
+
 def test_unknown_command_exits_1(run):
     assert run("frobnicate")[0] == 1
 

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec.lexer import (
+    _FIXED_KINDS,
+    _TOKEN,
     KEYWORDS,
     MULTI_OPERATORS,
     WORD_LITERALS,
@@ -287,6 +289,11 @@ _FUZZ_PIECES = st.sampled_from(
 @example("\u00e9")
 @example("\x1c")
 @example("\u2028")
+@example("/=")
+@example("a/b")
+@example("/**/")
+@example("x /*")
+@example("1./2")
 def test_scan_equals_reference_scanner(text):
     result = scan(text)
     # Equality covers texts, kinds, lines, code_lines and comment_lines.
@@ -305,3 +312,15 @@ def test_regex_space_is_str_isspace():
         if bool(space.fullmatch(chr(code))) != chr(code).isspace()
     ]
     assert disagree == []
+
+
+def test_token_pattern_captures_nothing():
+    """``findall`` returns the matched texts only while no group captures;
+    one capturing group would make it return tuples."""
+    assert _TOKEN.groups == 0
+
+
+def test_every_fixed_text_scans_to_one_token_of_its_kind():
+    for text, kind in _FIXED_KINDS.items():
+        result = scan(text)
+        assert (result.texts, result.kinds) == ((text,), (kind,)), text

@@ -1,9 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catchrec import parse, quality_score
+from catchrec import quality as q
 from catchrec.errors import EmptyUnit
+from catchrec.lexer import TokenKind
 from catchrec.quality import (
     QualityWeights,
     average_handler_actions,
@@ -50,6 +54,53 @@ def test_readability_rewards_comments_and_blanks():
 def test_readability_deterministic():
     text = "try { a(); } catch (E e) { b(); }"
     assert readability(parse(text)) == readability(parse(text))
+
+
+def _reference_readability(unit) -> float:
+    """Readability spelled out with one list per ingredient; the oracle of
+    ``test_readability_equals_reference``."""
+    lines = unit.raw_text.splitlines()
+    nonblank = [line for line in lines if line.strip()]
+    if not nonblank:
+        return 0.0
+    avg_line = sum(len(line) for line in nonblank) / len(nonblank)
+    max_line = max(len(line) for line in lines)
+    identifiers = [
+        text for text, kind in zip(unit.texts, unit.kinds) if kind is TokenKind.IDENTIFIER
+    ]
+    avg_ident = sum(len(i) for i in identifiers) / len(identifiers) if identifiers else 0.0
+    comment_density = len(unit.comment_lines) / len(lines)
+    paren_density = (unit.raw_text.count("(") + unit.raw_text.count(")")) / len(nonblank)
+    blank_density = (len(lines) - len(nonblank)) / len(lines)
+    score = (
+        q._WEIGHT_AVG_LINE * q._clamp(1.0 - avg_line / q._AVG_LINE_ZERO)
+        + q._WEIGHT_MAX_LINE * q._clamp(1.0 - max_line / q._MAX_LINE_ZERO)
+        + q._WEIGHT_IDENT * q._clamp(1.0 - avg_ident / q._IDENT_ZERO)
+        + q._WEIGHT_COMMENTS * q._clamp(comment_density / q._COMMENT_FULL)
+        + q._WEIGHT_PARENS * q._clamp(1.0 - paren_density / q._PAREN_ZERO)
+        + q._WEIGHT_BLANKS * q._clamp(blank_density / q._BLANK_FULL)
+    )
+    return q._clamp(score)
+
+
+# Java-ish pieces, with the line breaks and blanks ``splitlines`` and
+# ``str.strip`` treat specially.
+_JAVA_PIECES = st.sampled_from(
+    ["int", "a", "value", "conn", "_x$", "e", "(", ")", "{", "}", ";", "=", ".", "1",
+     '"s"', "// note", "/*", "*/", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
+     "\u2028", "\u00a0", "\u00e9"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JAVA_PIECES, max_size=60).map("".join))
+@example("")
+@example(" \n\t\n")
+@example("\u2028x")
+@example("a\x0bb(c);\n\n// d")
+def test_readability_equals_reference(text):
+    unit = parse(text)
+    assert readability(unit) == _reference_readability(unit)
 
 
 def test_listing2_readability_in_open_interval(listing2):
