@@ -259,10 +259,14 @@ def evaluate(
             )
 
     total_relevant = sum(len(r.relevant) for r in results)
+    case_aps = [
+        {k: average_precision_at_k(list(r.ranked_ids), r.relevant, k) for k in ks}
+        for r in results
+    ]
     per_k: dict[int, KMetrics] = {}
     for k in ks:
         precisions = [precision_at_list(list(r.ranked_ids), r.relevant, k) for r in results]
-        aps = [average_precision_at_k(list(r.ranked_ids), r.relevant, k) for r in results]
+        aps = [ap[k] for ap in case_aps]
         hit_counts = [
             sum(1 for cid in r.ranked_ids[:k] if cid in r.relevant) for r in results
         ]
@@ -283,12 +287,9 @@ def evaluate(
             "error": r.error,
             "ranked_ids": list(r.ranked_ids),
             "relevant": sorted(r.relevant),
-            "average_precision": {
-                str(k): average_precision_at_k(list(r.ranked_ids), r.relevant, k)
-                for k in ks
-            },
+            "average_precision": {str(k): value for k, value in ap.items()},
         }
-        for r in results
+        for r, ap in zip(results, case_aps)
     }
 
     return EvalReport(

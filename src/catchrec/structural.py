@@ -15,23 +15,27 @@ space, so its recursion is under 15 deep whatever the graph size. For
 larger spaces it falls back to a greedy per-object choice and marks the
 report as non-exhaustive so the approximation is visible downstream.
 
+Pairings are scored from a table built once per candidate: for each
+context object, a record of its type-compatible candidate objects with the
+field and method fractions and the matched access count of each pair, and
+both graphs' dependency edges grouped by endpoints ``(consumer, producer)``.
+One rule weighs the edges of one context group against the candidate edges
+between its partners: equal access points first, then half weight, each
+candidate edge used once. A pairing is injective, so no two groups share a
+candidate edge and each group is weighed on its own. The report's
+dependency matches are the rule's weights for the chosen pairing, in
+context-edge order.
+
 The search scores each leaf from running sums, not from scratch: each
 level carries the pairing size, the field- and method-fraction sums (added
-in pairing order) and a dependency total. The dependency term splits by
-context endpoint group ``(consumer, producer)``: a pairing is injective, so
-a candidate edge can back only one group, and each group's term is fixed
-once both its endpoints are paired. Its weights are all 1.0 or 0.5, so the
-total is exact in any order and a leaf's key is the very float the report's
-scoring returns. A subtree is pruned when its bound (the partial score,
-plus each remaining object's best object, field and method term, plus each
-open group's best term) is below the best score by more than a rounding
-margin, so pruning never changes which pairing wins.
-
-Pairings are scored from per-pair tables built once per candidate: the
-field and method fractions of every type-compatible object pair, and the
-candidate's dependency edges indexed by their endpoints. The search and the
-final report read the same table, and the report's scoring function runs
-once, on the chosen pairing. Both graphs come from the two units'
+in pairing order) and a dependency total, to which each group's total under
+the rule is added once both its endpoints are paired. Its weights are all
+1.0 or 0.5, so the total is exact in any order and a leaf's key is the very
+float the report's scoring returns, which runs once, on the chosen pairing.
+A subtree is pruned when its bound (the partial score, plus each remaining
+object's best object, field and method term, plus each open group's best
+total) is below the best score by more than a rounding margin, so pruning
+never changes which pairing wins. Both graphs come from the two units'
 :class:`~catchrec.lexical.PreparedUnit`; a unit whose parse failed has none,
 and scoring it raises :class:`~catchrec.errors.StructureUnavailable`.
 """
@@ -135,103 +139,91 @@ def _overlap(context_counts, candidate_counts) -> tuple[int, int]:
     return matched, total
 
 
+# candidate index -> (field fraction, method fraction, matched field and
+# method accesses) for the type-compatible candidate objects of one context
+# object, in declaration order
+_Partners = dict[int, tuple[float, float, int]]
+
+
 @dataclass(frozen=True)
 class _PairTable:
     """What every pairing of two graphs is scored from, computed once per
-    (context, candidate) pair of graphs: for each type-compatible object
-    pair its member-overlap counts and its field and method fractions, and
-    the candidate's dependency edges by their endpoints."""
+    (context, candidate) pair of graphs: the partner record of each context
+    object, and both graphs' dependency edges grouped by their endpoints."""
 
     context: ApiUsageGraph
     candidate: ApiUsageGraph
-    # candidate indices type-compatible with each context object, in order
-    compatible: tuple[tuple[int, ...], ...]
-    # (context index, candidate index) -> matched field + method accesses
-    overlap: dict[tuple[int, int], int]
-    field_fractions: dict[tuple[int, int], float]
-    method_fractions: dict[tuple[int, int], float]
-    # (consumer, producer) -> ((edge index, access point), ...) in edge order
-    candidate_edges: dict[tuple[int, int], tuple[tuple[int, str], ...]]
+    partners: tuple[_Partners, ...]
+    context_edges: dict[tuple[int, int], list[str]]
+    candidate_edges: dict[tuple[int, int], list[str]]
+
+
+def _edge_groups(graph: ApiUsageGraph) -> dict[tuple[int, int], list[str]]:
+    """The access points of a graph's dependency edges by (consumer,
+    producer), in edge order."""
+    groups: dict[tuple[int, int], list[str]] = {}
+    for edge in graph.dependencies:
+        groups.setdefault((edge.consumer, edge.producer), []).append(edge.access_point)
+    return groups
 
 
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     cand_fields = [dict(o.fields) for o in candidate.objects]
     cand_methods = [dict(o.methods) for o in candidate.objects]
-    compatible = []
-    overlap: dict[tuple[int, int], int] = {}
-    field_fractions: dict[tuple[int, int], float] = {}
-    method_fractions: dict[tuple[int, int], float] = {}
-    for ci, ctx_obj in enumerate(context.objects):
+    partners = []
+    for ctx_obj in context.objects:
         ctx_fields, ctx_methods = dict(ctx_obj.fields), dict(ctx_obj.methods)
-        partners = tuple(
-            ki for ki, cand_obj in enumerate(candidate.objects) if types_match(ctx_obj, cand_obj)
-        )
-        compatible.append(partners)
-        for ki in partners:
-            fm, ft = _overlap(ctx_fields, cand_fields[ki])
-            mm, mt = _overlap(ctx_methods, cand_methods[ki])
-            overlap[ci, ki] = fm + mm
-            # objects without accesses contribute zero instead of dividing by zero
-            field_fractions[ci, ki] = fm / ft if ft else 0.0
-            method_fractions[ci, ki] = mm / mt if mt else 0.0
-    edges: dict[tuple[int, int], list[tuple[int, str]]] = {}
-    for idx, edge in enumerate(candidate.dependencies):
-        edges.setdefault((edge.consumer, edge.producer), []).append((idx, edge.access_point))
+        record: _Partners = {}
+        for ki, cand_obj in enumerate(candidate.objects):
+            if types_match(ctx_obj, cand_obj):
+                fm, ft = _overlap(ctx_fields, cand_fields[ki])
+                mm, mt = _overlap(ctx_methods, cand_methods[ki])
+                # objects without accesses contribute zero instead of dividing by zero
+                record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
+        partners.append(record)
     return _PairTable(
-        context=context,
-        candidate=candidate,
-        compatible=tuple(compatible),
-        overlap=overlap,
-        field_fractions=field_fractions,
-        method_fractions=method_fractions,
-        candidate_edges={ends: tuple(found) for ends, found in edges.items()},
+        context, candidate, tuple(partners), _edge_groups(context), _edge_groups(candidate)
     )
 
 
-def _dependency_matches(
-    pairings: list[tuple[int, int]], table: _PairTable
-) -> list[tuple[DependencyEdge, float]]:
-    """Context dependency edges whose paired endpoints are also connected in
-    the candidate; 1.0 for an equal access point, 0.5 otherwise. Each
-    candidate edge backs at most one context edge, exact matches first."""
-    context_edges = table.context.dependencies
-    if not context_edges or not table.candidate_edges:
-        return []
-    paired = dict(pairings)
-    backing = []  # per context edge: candidate edges between its paired endpoints
-    for edge in context_edges:
-        cc = paired.get(edge.consumer)
-        cp = paired.get(edge.producer)
-        found = () if cc is None or cp is None else table.candidate_edges.get((cc, cp), ())
-        backing.append(found)
-    used: set[int] = set()
-    matches: dict[int, float] = {}  # context edge position -> weight
-    for pos, (edge, found) in enumerate(zip(context_edges, backing)):  # exact matches first
-        for idx, access_point in found:
-            if idx not in used and access_point == edge.access_point:
-                used.add(idx)
-                matches[pos] = 1.0
-                break
-    for pos, found in enumerate(backing):
-        if pos in matches:
-            continue
-        for idx, _access_point in found:
-            if idx not in used:
-                used.add(idx)
-                matches[pos] = 0.5
-                break
-
-    return [(edge, matches[pos]) for pos, edge in enumerate(context_edges) if pos in matches]
+def _dependency_weights(context_points: list[str], candidate_points: list[str]) -> list[float]:
+    """The dependency rule for one context endpoint group: the weight of each
+    of its edges, given the access points of the candidate edges between its
+    partners. Each candidate edge backs at most one context edge: an equal
+    access point first, for 1.0, then any edge left, for 0.5, in edge order."""
+    left = list(candidate_points)
+    weights = []
+    for point in context_points:
+        exact = point in left
+        if exact:
+            left.remove(point)
+        weights.append(1.0 if exact else 0.0)
+    spare = len(left)
+    for pos, weight in enumerate(weights):
+        if spare and not weight:
+            weights[pos], spare = 0.5, spare - 1
+    return weights
 
 
 def _score_pairing(
     pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
     """Raw score of one pairing and its parts; fractions are summed in
-    pairing order."""
-    fam = [table.field_fractions[pair] for pair in pairings]
-    mim = [table.method_fractions[pair] for pair in pairings]
-    deps = _dependency_matches(pairings, table)
+    pairing order, and the dependency matches are in context-edge order."""
+    fam = [table.partners[c][k][0] for c, k in pairings]
+    mim = [table.partners[c][k][1] for c, k in pairings]
+    paired = dict(pairings)
+    group_weights = {
+        (c, p): iter(_dependency_weights(
+            points, table.candidate_edges.get((paired.get(c), paired.get(p)), [])
+        ))
+        for (c, p), points in table.context_edges.items()
+    }
+    deps = []
+    for edge in table.context.dependencies:
+        weight = next(group_weights[edge.consumer, edge.producer])
+        if weight:
+            deps.append((edge, weight))
     raw = (
         weights.object_match * len(pairings)
         + weights.field_match * sum(fam)
@@ -243,8 +235,8 @@ def _score_pairing(
 
 def _assignment_space(table: _PairTable) -> int:
     space = 1
-    for partners in table.compatible:
-        space *= len(partners) + 1
+    for record in table.partners:
+        space *= len(record) + 1
         if space > _MAX_ASSIGNMENTS:
             break
     return space
@@ -255,47 +247,30 @@ def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
     of equal overlaps the earlier-declared candidate wins."""
     used: set[int] = set()
     pairing: list[tuple[int, int]] = []
-    for ci, partners in enumerate(table.compatible):
-        free = [ki for ki in partners if ki not in used]
+    for ci, record in enumerate(table.partners):
+        free = [ki for ki in record if ki not in used]
         if free:
-            best = max(free, key=lambda ki: table.overlap[ci, ki])
+            best = max(free, key=lambda ki: record[ki][2])
             pairing.append((ci, best))
             used.add(best)
     return pairing
 
 
 # (context consumer, context producer, {(candidate consumer, candidate
-# producer): the group's dependency weight under that pair of partners})
+# producer): the group's dependency total under that pair of partners})
 _Group = tuple[int, int, dict[tuple[int, int], float]]
 
 
 def _dependency_groups(table: _PairTable) -> list[_Group]:
-    """The dependency total of :func:`_dependency_matches` split by context
-    endpoint group: for each context ``(consumer, producer)`` with edges, the
-    weight its edges get from each compatible candidate endpoint pair that
-    has edges. A pairing is injective, so a candidate edge can back only the
-    one group whose endpoints are paired to its own, and the greedy rule
-    (exact access points first, then half weight) gives each group this
-    total on its own: the exact matches, plus half of the edges left on the
-    smaller side. The weights are all 1.0 or 0.5, so the group terms sum to
-    the same float in any order."""
-    if not table.context.dependencies or not table.candidate_edges:
-        return []
-    points: dict[tuple[int, int], list[str]] = {}
-    for edge in table.context.dependencies:
-        points.setdefault((edge.consumer, edge.producer), []).append(edge.access_point)
-    compatible = [set(partners) for partners in table.compatible]
+    """For each context endpoint group, its dependency total under each pair
+    of partners that has candidate edges between them."""
     groups = []
-    for (c, p), context_points in points.items():
-        terms: dict[tuple[int, int], float] = {}
-        for (kc, kp), found in table.candidate_edges.items():
-            if kc in compatible[c] and kp in compatible[p]:
-                candidate_points = [access_point for _idx, access_point in found]
-                exact = sum(
-                    min(context_points.count(ap), candidate_points.count(ap))
-                    for ap in set(context_points)
-                )
-                terms[kc, kp] = exact + 0.5 * (min(len(context_points), len(found)) - exact)
+    for (c, p), points in table.context_edges.items():
+        terms = {
+            (kc, kp): sum(_dependency_weights(points, found))
+            for (kc, kp), found in table.candidate_edges.items()
+            if kc in table.partners[c] and kp in table.partners[p]
+        }
         if terms:
             groups.append((c, p, terms))
     return groups
@@ -309,34 +284,32 @@ def _best_pairing(
     wo, wf, wm, wd = (
         weights.object_match, weights.field_match, weights.method_match, weights.dependency_match
     )
-    field_fractions, method_fractions = table.field_fractions, table.method_fractions
     # An object without a partner can only stay unpaired, so the search
     # skips it; each object it visits at least doubles the assignment
     # space, which bounds the recursion by log2(_MAX_ASSIGNMENTS).
-    visits = [(ci, partners) for ci, partners in enumerate(table.compatible) if partners]
+    visits = [(ci, record) for ci, record in enumerate(table.partners) if record]
     # Each dependency group is scored at the depth of its later endpoint;
     # bound[d] is the most the objects and groups still open at depth d can
     # add: each object's best object, field and method term, and each
-    # group's best term over compatible partner pairs. bound[0] stays 0.0,
+    # group's best total over its pairs of partners. bound[0] stays 0.0,
     # since the root is entered before any leaf sets a cutoff.
     closing: list[list[_Group]] = [[] for _ in visits]
     bound = [0.0] * (len(visits) + 1)
     groups = _dependency_groups(table)
     if groups:
-        depth = {ci: d for d, (ci, _partners) in enumerate(visits)}
+        depth = {ci: d for d, (ci, _record) in enumerate(visits)}
         for c, p, terms in groups:
             d = max(depth[c], depth[p])
             closing[d].append((c, p, terms))
             bound[d] += wd * max(terms.values())
     for d in range(len(visits) - 1, 0, -1):
-        ci, partners = visits[d]
         top = 0.0
-        for ki in partners:
-            unary = wo + wf * field_fractions[ci, ki] + wm * method_fractions[ci, ki]
+        for ff, mf, _matched in visits[d][1].values():
+            unary = wo + wf * ff + wm * mf
             if unary > top:
                 top = unary
         bound[d] += bound[d + 1] + top
-    partner: list[int | None] = [None] * len(table.compatible)
+    partner: list[int | None] = [None] * len(table.partners)
     acc: list[tuple[int, int]] = []
     used: set[int] = set()
     best: list[tuple[int, int]] = []
@@ -357,8 +330,8 @@ def _best_pairing(
             return
         if raw + bound[d] < cutoff:
             return
-        ci, partners = visits[d]
-        for ki in partners:
+        ci, record = visits[d]
+        for ki, (ff, mf, _matched) in record.items():
             if ki not in used:
                 acc.append((ci, ki))
                 used.add(ki)
@@ -366,10 +339,7 @@ def _best_pairing(
                 gain = 0.0
                 for c, p, terms in closing[d]:
                     gain += terms.get((partner[c], partner[p]), 0.0)
-                search(
-                    d + 1, n + 1, fsum + field_fractions[ci, ki],
-                    msum + method_fractions[ci, ki], dep + gain,
-                )
+                search(d + 1, n + 1, fsum + ff, msum + mf, dep + gain)
                 partner[ci] = None
                 used.remove(ki)
                 acc.pop()

@@ -15,7 +15,6 @@ from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
     _dependency_groups,
-    _dependency_matches,
     _greedy_pairing,
     _pair_table,
     _score_pairing,
@@ -39,8 +38,10 @@ def _ref_fraction(ctx_counts, cand_counts):
     return hit / total
 
 
-def _ref_dependency_total(pairing, ctx, cand):
-    """Two passes, exact access points first, each candidate edge used once."""
+def _ref_dependency_weights(pairing, ctx, cand):
+    """Two passes over the whole graph, exact access points first, each
+    candidate edge used once: context edge position -> weight, for the
+    edges that match."""
     paired = dict(pairing)
     used: set[int] = set()
     weights: dict[int, float] = {}  # context edge position -> weight
@@ -67,7 +68,11 @@ def _ref_dependency_total(pairing, ctx, cand):
             used.add(idx)
             weights[pos] = 0.5
             break
-    return sum(weights.values())
+    return weights
+
+
+def _ref_dependency_total(pairing, ctx, cand):
+    return sum(_ref_dependency_weights(pairing, ctx, cand).values())
 
 
 def _ref_score(pairing, ctx, cand, w):
@@ -109,13 +114,13 @@ def _enumerate_pairings(table):
     that prefers pairing over skipping and earlier-declared candidates over
     later ones (the order the search must break ties in)."""
     results = []
-    compat = table.compatible
+    partners = table.partners
 
     def recurse(ci, used, acc):
-        if ci == len(compat):
+        if ci == len(partners):
             results.append(list(acc))
             return
-        for ki in compat[ci]:
+        for ki in partners[ci]:
             if ki in used:
                 continue
             acc.append((ci, ki))
@@ -319,7 +324,8 @@ _WEIGHTINGS = (
 def test_table_pairing_matches_per_pairing_scan():
     """The table-driven search picks the pairing a scan of every enumerated
     pairing, scored from scratch per pairing, picks: same pairing (first
-    best key in enumeration order) and bit-identical raw."""
+    best key in enumeration order), bit-identical raw, and the same weight
+    on each context edge as the whole-graph dependency rule."""
     rng = random.Random(20240119)
     for trial in range(300):
         ctx = _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5)
@@ -334,8 +340,10 @@ def test_table_pairing_matches_per_pairing_scan():
         pairing, exhaustive = _best_pairing(table, w)
         assert exhaustive
         assert pairing == scan_best, (ctx, cand)
-        raw, fam, mim, _deps = _score_pairing(pairing, table, w)
+        raw, fam, mim, deps = _score_pairing(pairing, table, w)
         assert raw == scan_key[0], (ctx, cand)
+        expected = _ref_dependency_weights(pairing, ctx, cand)
+        assert deps == [(ctx.dependencies[pos], weight) for pos, weight in sorted(expected.items())]
         assert fam == [
             _ref_fraction(dict(ctx.objects[c].fields), dict(cand.objects[k].fields))
             for c, k in pairing
@@ -428,7 +436,7 @@ def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
 @given(ctx=_graphs(("A", "B", "p.A")), cand=_graphs(("A", "B", "q.A")))
 def test_dependency_groups_sum_to_the_dependency_total(ctx, cand):
     """For every pairing, the per-group terms the search adds up equal the
-    greedy total over the whole graph, as the same float."""
+    reference two-pass total over the whole graph, as the same float."""
     table = _pair_table(ctx, cand)
     groups = _dependency_groups(table)
     for pairing in _enumerate_pairings(table):
@@ -436,7 +444,7 @@ def test_dependency_groups_sum_to_the_dependency_total(ctx, cand):
         by_groups = 0.0
         for c, p, terms in groups:
             by_groups += terms.get((paired.get(c), paired.get(p)), 0.0)
-        assert by_groups == sum(w for _e, w in _dependency_matches(pairing, table)), pairing
+        assert by_groups == _ref_dependency_total(pairing, ctx, cand), pairing
 
 
 def test_equal_raw_goes_to_the_larger_pairing_past_a_pruned_subtree():
