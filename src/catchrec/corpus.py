@@ -37,6 +37,8 @@ TOKEN_ENV_VAR = "GITHUB_TOKEN"
 _MAX_ATTEMPTS = 4
 _BACKOFF_BASE = 1.0
 _MAX_IN_FLIGHT = 4  # concurrent file downloads
+_MAX_PER_PAGE = 100  # the search API's cap on ``per_page``
+_MAX_RESULTS = 1000  # the search API returns at most this many results per search
 
 # transport(url, headers) -> (status code, body bytes)
 Transport = Callable[[str, dict[str, str]], tuple[int, bytes]]
@@ -314,13 +316,25 @@ def fetch_remote(
 
     items: list[dict] = []
     complete = True
+    per_page = min(limit, _MAX_PER_PAGE)
     try:
         for org in sorted(orgs):
             if len(items) >= limit:
                 break
             q = f"{query.rendered} language:java org:{org}"
-            url = f"{SEARCH_ENDPOINT}?{urllib.parse.urlencode({'q': q, 'per_page': limit})}"
-            items.extend(_search_items(url, headers, transport, sleeper)[: limit - len(items)])
+            page = 1
+            while True:
+                params = {"q": q, "per_page": per_page}
+                if page > 1:
+                    params["page"] = page
+                url = f"{SEARCH_ENDPOINT}?{urllib.parse.urlencode(params)}"
+                found = _search_items(url, headers, transport, sleeper)
+                items.extend(found[: limit - len(items)])
+                # the next page only after a full one, while items are
+                # missing and it starts within the results a search returns
+                if len(found) < per_page or len(items) >= limit or page * per_page >= _MAX_RESULTS:
+                    break
+                page += 1
     except RateLimited:
         if not items:
             raise

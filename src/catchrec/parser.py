@@ -445,34 +445,40 @@ class _ObjectExtractor:
         return tuple(objects), dependencies
 
     def _walk(self) -> None:
-        texts, kinds = self.texts, self.kinds
+        """Branch on each token's kind, identifiers first. Only the tokens
+        the walk acts on (an identifier, ``(``, ``)``, ``new`` and
+        ``import``) are looked up in ``excluded``; any other token just
+        advances the walk, excluded or not."""
+        texts, kinds, excluded = self.texts, self.kinds, self.excluded
+        paren_stack = self.paren_stack
+        identifier = TokenKind.IDENTIFIER
+        punctuation = TokenKind.PUNCTUATION
+        keyword = TokenKind.KEYWORD
         n = len(texts)
         i = 0
         while i < n:
-            if i in self.excluded:
-                i += 1
-                continue
             kind = kinds[i]
-            if kind is TokenKind.PUNCTUATION:
-                if texts[i] == "(":
-                    self.paren_stack.append(self._enclosing())
-                elif texts[i] == ")":
-                    if self.paren_stack:
-                        self.paren_stack.pop()
+            if kind is identifier:
+                i = i + 1 if i in excluded else self._handle_identifier(i)
+            elif kind is punctuation:
+                text = texts[i]
+                if text == "(":
+                    if i not in excluded:
+                        paren_stack.append(paren_stack[-1] if paren_stack else None)
+                elif text == ")":
+                    if paren_stack and i not in excluded:
+                        paren_stack.pop()
                 i += 1
-                continue
-            if kind is TokenKind.KEYWORD:
-                if texts[i] == "new":
+            elif kind is keyword:
+                text = texts[i]
+                if text == "new" and i not in excluded:
                     i = self._handle_new(i)
-                elif texts[i] == "import":
+                elif text == "import" and i not in excluded:
                     i = self._handle_import(i)
                 else:
                     i += 1
-                continue
-            if kind is TokenKind.IDENTIFIER:
-                i = self._handle_identifier(i)
-                continue
-            i += 1
+            else:
+                i += 1
 
     def _handle_import(self, i: int) -> int:
         texts, kinds = self.texts, self.kinds
@@ -539,20 +545,28 @@ class _ObjectExtractor:
         return None
 
     def _handle_identifier(self, i: int) -> int:
-        texts = self.texts
+        texts, kinds = self.texts, self.kinds
         n = len(texts)
-        parts, j = self._chain(i)
+        parts = [texts[i]]  # the dotted chain, read as in ``_chain``
+        j = i + 1
+        while j + 1 < n and texts[j] == "." and kinds[j + 1] is TokenKind.IDENTIFIER:
+            parts.append(texts[j + 1])
+            j += 2
 
-        decl_end = self._declaration(parts, j)
-        if decl_end is not None:
-            return decl_end
-
-        cast_end = self._cast_binding(parts, j)
-        if cast_end is not None:
-            return cast_end
+        # A declaration needs an identifier after optional generics and
+        # ``[]`` pairs; a cast binding needs ``= (`` after a single name.
+        follow = texts[j] if j < n else ""
+        if follow == "<" or follow == "[" or (j < n and kinds[j] is TokenKind.IDENTIFIER):
+            decl_end = self._declaration(parts, j)
+            if decl_end is not None:
+                return decl_end
+        elif follow == "=" and len(parts) == 1:
+            cast_end = self._cast_binding(parts, j)
+            if cast_end is not None:
+                return cast_end
 
         head = parts[0]
-        is_call = j < n and texts[j] == "("
+        is_call = follow == "("
 
         if is_call:
             consumer: int | None = None

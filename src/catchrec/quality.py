@@ -11,6 +11,8 @@ contract (longer lines and denser parentheses always lower it).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import compress, repeat
+from operator import is_
 
 from .errors import EmptyUnit
 from .lexer import TokenKind
@@ -63,12 +65,8 @@ def readability(unit: SourceUnit) -> float:
 
     avg_line = sum(map(len, nonblank)) / len(nonblank)
     max_line = max(map(len, lines))
-    identifiers = identifier_chars = 0
-    for text, kind in zip(unit.texts, unit.kinds):
-        if kind is TokenKind.IDENTIFIER:
-            identifiers += 1
-            identifier_chars += len(text)
-    avg_ident = identifier_chars / identifiers if identifiers else 0.0
+    names = list(compress(unit.texts, map(is_, unit.kinds, repeat(TokenKind.IDENTIFIER))))
+    avg_ident = sum(map(len, names)) / len(names) if names else 0.0
     comment_density = len(unit.comment_lines) / len(lines)
     paren_density = (unit.raw_text.count("(") + unit.raw_text.count(")")) / len(nonblank)
     blank_density = (len(lines) - len(nonblank)) / len(lines)

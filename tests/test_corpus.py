@@ -363,6 +363,92 @@ def test_fetch_remote_result_does_not_depend_on_org_order(tmp_path):
     assert repos(["a", "b"], tmp_path / "ba", exploding_transport) == ["a/r"]
 
 
+def _paged_search(totals, searches):
+    """A transport whose search holds ``totals[org]`` results per org and
+    serves them as the search API does: ``per_page`` capped at 100, pages
+    counted from 1, at most 1,000 results a search. Each search URL is
+    appended to ``searches``."""
+
+    def transport(url, headers):
+        if not url.startswith(corpus_mod.SEARCH_ENDPOINT):
+            return 200, b"try { a(); } catch (IOException e) { b(e); }"
+        searches.append(url)
+        params = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+        org = params["q"][0].rsplit(":", 1)[1]
+        per_page = min(int(params["per_page"][0]), 100)
+        page = int(params.get("page", ["1"])[0])
+        stop = min(page * per_page, totals[org], 1000)
+        items = [
+            {
+                "url": f"https://api.example/fetch/{org}/{k}",
+                "path": f"F{k}.java",
+                "repository": {"full_name": f"{org}/r"},
+            }
+            for k in range((page - 1) * per_page, stop)
+        ]
+        return 200, json.dumps({"items": items}).encode()
+
+    return transport
+
+
+def _search_pages(searches):
+    """The org, page and ``per_page`` of each search URL."""
+    pages = []
+    for url in searches:
+        params = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+        org = params["q"][0].rsplit(":", 1)[1]
+        pages.append((org, params.get("page", ["1"])[0], params["per_page"][0]))
+    return pages
+
+
+def test_fetch_remote_pages_past_one_hundred(tmp_path):
+    searches = []
+    out = fetch_remote(
+        QUERY, ["apache"], limit=150, cache_dir=tmp_path, token="t",
+        transport=_paged_search({"apache": 250}, searches),
+    )
+    assert len(out) == 150
+    assert _search_pages(searches) == [("apache", "1", "100"), ("apache", "2", "100")]
+    manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
+    assert manifest["complete"] is True
+    assert len(manifest["candidates"]) == 150
+
+
+def test_fetch_remote_moves_to_the_next_org_when_one_runs_out_mid_page(tmp_path):
+    searches = []
+    out = fetch_remote(
+        QUERY, ["b", "a"], limit=300, cache_dir=tmp_path, token="t",
+        transport=_paged_search({"a": 130, "b": 250}, searches),
+    )
+    assert _search_pages(searches) == [
+        ("a", "1", "100"), ("a", "2", "100"), ("b", "1", "100"), ("b", "2", "100"),
+    ]
+    repos = [c.origin.repo for c in out]
+    assert (repos.count("a/r"), repos.count("b/r")) == (130, 170)
+
+
+def test_fetch_remote_stops_paging_at_the_search_result_cap(tmp_path):
+    searches = []
+    out = fetch_remote(
+        QUERY, ["apache"], limit=1500, cache_dir=tmp_path, token="t",
+        transport=_paged_search({"apache": 5000}, searches),
+    )
+    assert len(out) == 1000
+    assert [page for _, page, _ in _search_pages(searches)] == [str(k) for k in range(1, 11)]
+
+
+def test_fetch_remote_asks_one_page_per_org_up_to_one_hundred(tmp_path):
+    searches = []
+    fetch_remote(
+        QUERY, ["apache"], limit=70, cache_dir=tmp_path, token="t",
+        transport=_paged_search({"apache": 250}, searches),
+    )
+    q = f"{QUERY.rendered} language:java org:apache"
+    assert searches == [
+        f"{corpus_mod.SEARCH_ENDPOINT}?{urllib.parse.urlencode({'q': q, 'per_page': 70})}"
+    ]
+
+
 def test_fetch_remote_requires_token(tmp_path, monkeypatch):
     monkeypatch.delenv("GITHUB_TOKEN", raising=False)
     with pytest.raises(AuthMissing):

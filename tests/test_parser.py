@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catchrec import parse
 from catchrec.lexer import TokenKind, scan
 from catchrec.model import HandlerInfo, ParseStatus
+from catchrec.parser import _brackets, _handler_structure, _ObjectExtractor
 from test_lexer import _FUZZ_PIECES
 
 
@@ -133,6 +134,120 @@ def test_parse_of_its_scan_equals_parse_on_every_fixture(fixtures_dir):
     for path in sorted(fixtures_dir.rglob("*.java")):
         text = path.read_text()
         assert parse(text, scan(text)) == parse(text), path
+
+
+class _ReferenceExtractor(_ObjectExtractor):
+    """The object walk spelled out: every token looked up in ``excluded``,
+    the chain read by ``_chain``, and ``_declaration`` and ``_cast_binding``
+    tried after every chain; the oracle of the
+    ``test_object_walk_equals_reference`` tests."""
+
+    def _walk(self) -> None:
+        texts, kinds = self.texts, self.kinds
+        n = len(texts)
+        i = 0
+        while i < n:
+            if i in self.excluded:
+                i += 1
+                continue
+            kind = kinds[i]
+            if kind is TokenKind.PUNCTUATION:
+                if texts[i] == "(":
+                    self.paren_stack.append(self._enclosing())
+                elif texts[i] == ")":
+                    if self.paren_stack:
+                        self.paren_stack.pop()
+                i += 1
+                continue
+            if kind is TokenKind.KEYWORD:
+                if texts[i] == "new":
+                    i = self._handle_new(i)
+                elif texts[i] == "import":
+                    i = self._handle_import(i)
+                else:
+                    i += 1
+                continue
+            if kind is TokenKind.IDENTIFIER:
+                i = self._handle_identifier(i)
+                continue
+            i += 1
+
+    def _handle_identifier(self, i: int) -> int:
+        texts = self.texts
+        n = len(texts)
+        parts, j = self._chain(i)
+
+        decl_end = self._declaration(parts, j)
+        if decl_end is not None:
+            return decl_end
+
+        cast_end = self._cast_binding(parts, j)
+        if cast_end is not None:
+            return cast_end
+
+        head = parts[0]
+        is_call = j < n and texts[j] == "("
+
+        if is_call:
+            consumer: int | None = None
+            if len(parts) == 2:
+                member = parts[1]
+                target = self._receiver_use(head)
+                if target is not None:
+                    self.uses[target].methods[member] += 1
+                    self._add_dep(self._enclosing(), target, member)
+                    consumer = target
+            elif len(parts) > 2:
+                target = self._receiver_use(head)
+                if target is not None:
+                    self.uses[target].fields[parts[1]] += 1
+            self.paren_stack.append(consumer)
+            return j + 1
+
+        if len(parts) == 1:
+            if head in self.bindings:
+                self._add_dep(self._enclosing(), self.bindings[head], "")
+            return j
+
+        target = self._receiver_use(head)
+        if target is not None:
+            member = parts[1]
+            self.uses[target].fields[member] += 1
+            if len(parts) == 2:
+                self._add_dep(self._enclosing(), target, member)
+        return j
+
+
+def _walks(text):
+    """The objects and dependencies of ``text`` from the shipped walk and
+    from the reference walk, over the same excluded catch headers (none
+    when the brackets do not match and ``parse`` would skip the walk)."""
+    scanned = scan(text)
+    brackets = _brackets(scanned.texts)
+    excluded = set() if brackets is None else _handler_structure(scanned, brackets[0])[1]
+    return tuple(
+        extractor(scanned.texts, scanned.kinds, excluded).run()
+        for extractor in (_ObjectExtractor, _ReferenceExtractor)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_FUZZ_PIECES, _JAVA_PIECES), max_size=40).map("".join))
+@example("List<T> a = new ArrayList<>();")
+@example("T[] a;")
+@example("x = (T) y;")
+@example("x = (T) new Y();")
+@example("a.b.c(d);")
+@example("try { } catch (E e) { e.f(); }")
+def test_object_walk_equals_reference(text):
+    shipped, reference = _walks(text)
+    assert shipped == reference
+
+
+def test_object_walk_equals_reference_on_every_fixture(fixtures_dir):
+    for path in sorted(fixtures_dir.rglob("*.java")):
+        shipped, reference = _walks(path.read_text())
+        assert shipped == reference, path
 
 
 def test_empty_input_unit():
