@@ -19,7 +19,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,7 +35,6 @@ SEARCH_ENDPOINT = "https://api.github.com/search/code"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
 _MAX_ATTEMPTS = 4
 _BACKOFF_BASE = 1.0
-_MAX_IN_FLIGHT = 4  # concurrent file downloads
 _MAX_PER_PAGE = 100  # the search API's cap on ``per_page``
 _MAX_RESULTS = 1000  # the search API returns at most this many results per search
 
@@ -344,7 +342,11 @@ def fetch_remote(
     raw_headers = dict(headers)
     raw_headers["Accept"] = "application/vnd.github.raw+json"
 
-    def download(item: dict) -> Candidate | None:
+    # one download at a time, in search-result order, as GitHub asks of
+    # REST clients to stay under its secondary rate limits
+    candidates: list[Candidate] = []
+    seen_ids: set[str] = set()
+    for item in items:
         origin = RemoteOrigin(
             repo=item.get("repository", {}).get("full_name", ""),
             path=item.get("path", ""),
@@ -354,22 +356,16 @@ def fetch_remote(
             status, body = transport(item["url"], raw_headers)
         except NetworkFailure as exc:
             logger.warning("skipping %s: %s", origin.path, exc)
-            return None
+            complete = False
+            continue
         if status >= 400:
             logger.warning("skipping %s: HTTP %d", origin.path, status)
-            return None
-        return Candidate.from_origin(origin, body.decode("utf-8", errors="replace"))
-
-    candidates: list[Candidate] = []
-    seen_ids: set[str] = set()
-    if items:
-        with ThreadPoolExecutor(max_workers=min(_MAX_IN_FLIGHT, len(items))) as pool:
-            for result in pool.map(download, items):
-                if result is None:
-                    complete = False
-                elif result.id not in seen_ids:
-                    seen_ids.add(result.id)
-                    candidates.append(result)
+            complete = False
+            continue
+        candidate = Candidate.from_origin(origin, body.decode("utf-8", errors="replace"))
+        if candidate.id not in seen_ids:
+            seen_ids.add(candidate.id)
+            candidates.append(candidate)
 
     _write_cache(cache_dir, key, query, orgs, limit, candidates, complete)
     return sorted(candidates, key=lambda c: c.id)

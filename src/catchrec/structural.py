@@ -310,7 +310,6 @@ def _best_pairing(
                 top = unary
         bound[d] += bound[d + 1] + top
     partner: list[int | None] = [None] * len(table.partners)
-    acc: list[tuple[int, int]] = []
     used: set[int] = set()
     best: list[tuple[int, int]] = []
     best_raw, best_n, cutoff = -math.inf, -1, -math.inf
@@ -325,7 +324,9 @@ def _best_pairing(
         raw = wo * n + wf * fsum + wm * msum + wd * dep
         if d == len(visits):
             if raw > best_raw or (raw == best_raw and n > best_n):
-                best, best_raw, best_n = list(acc), raw, n
+                # visits run in context order, so this is the pairing order
+                best = [(ci, ki) for ci, ki in enumerate(partner) if ki is not None]
+                best_raw, best_n = raw, n
                 cutoff = raw - _PRUNE_SLACK * max(1.0, raw)
             return
         if raw + bound[d] < cutoff:
@@ -333,7 +334,6 @@ def _best_pairing(
         ci, record = visits[d]
         for ki, (ff, mf, _matched) in record.items():
             if ki not in used:
-                acc.append((ci, ki))
                 used.add(ki)
                 partner[ci] = ki
                 gain = 0.0
@@ -342,7 +342,6 @@ def _best_pairing(
                 search(d + 1, n + 1, fsum + ff, msum + mf, dep + gain)
                 partner[ci] = None
                 used.remove(ki)
-                acc.pop()
         search(d + 1, n, fsum, msum, dep)  # leave this context object unpaired
 
     search(0, 0, 0, 0, 0)

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 import urllib.parse
 from pathlib import Path
 
@@ -551,6 +553,77 @@ def test_refetch_removes_cached_files_the_manifest_drops(tmp_path):
     assert len(listed) == 1
     assert sorted(p.name for p in files_dir.iterdir()) == listed
     assert len(ingest_local(files_dir, None)) == 1
+
+
+def test_fetch_remote_skips_a_download_that_fails(tmp_path, caplog):
+    def failing(url, headers):
+        if url.endswith("/two"):
+            raise NetworkFailure("connection reset")
+        return fake_transport(url, headers)
+
+    with caplog.at_level("WARNING"):
+        out = fetch_remote(
+            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=failing
+        )
+    assert [c.origin.path for c in out] == ["src/One.java"]
+    assert [m for m in caplog.messages if m.startswith("skipping")] == [
+        "skipping src/Two.java: connection reset"
+    ]
+    assert json.loads(next(tmp_path.rglob("manifest.json")).read_text())["complete"] is False
+
+
+def test_fetch_remote_downloads_one_file_at_a_time_in_search_order(tmp_path, caplog):
+    names = ["e", "b", "f", "a", "d", "c"]  # the search's order, not a sorted one
+    payload = {
+        "items": [
+            {"url": f"https://api.example/fetch/{name}", "path": f"src/{name}.java"}
+            for name in names
+        ]
+    }
+    downloads: list[str] = []
+    overlapping: list[str] = []
+    running = 0
+
+    def recording(url, headers):
+        nonlocal running
+        if url.startswith(corpus_mod.SEARCH_ENDPOINT):
+            return 200, json.dumps(payload).encode()
+        if running:
+            overlapping.append(url)
+        running += 1
+        downloads.append(url)
+        try:
+            time.sleep(0.005)  # time enough for a concurrent download to start
+            if url.endswith("/f"):
+                raise NetworkFailure("connection reset")
+            if url.endswith("/d"):
+                return 404, b"not found"
+            return 200, FILE_BODIES["https://api.example/fetch/one"]
+        finally:
+            running -= 1
+
+    with caplog.at_level("WARNING"):
+        out = fetch_remote(
+            QUERY, ["apache"], limit=10, cache_dir=tmp_path, token="t", transport=recording
+        )
+    assert downloads == [item["url"] for item in payload["items"]]
+    assert overlapping == []
+    assert [m for m in caplog.messages if m.startswith("skipping")] == [
+        "skipping src/f.java: connection reset",
+        "skipping src/d.java: HTTP 404",
+    ]
+    assert sorted(c.origin.path for c in out) == [f"src/{name}.java" for name in "abce"]
+
+
+def test_fetch_remote_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"fetch_remote started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = fetch_remote(
+        QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=fake_transport
+    )
+    assert len(out) == 2
 
 
 def test_fetch_remote_server_error_is_network_failure(tmp_path):

@@ -41,6 +41,8 @@ def test_precision_examples():
 def test_precision_rejects_bad_k():
     with pytest.raises(ValueError):
         precision_at_list(["a"], {"a"}, 0)
+    with pytest.raises(ValueError):
+        average_precision_at_k(["a"], {"a"}, 0)
 
 
 def test_average_precision_worked_example():

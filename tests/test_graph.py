@@ -4,6 +4,7 @@ import pytest
 
 from catchrec import extract_usage_graph, parse
 from catchrec.errors import GraphUnavailable
+from catchrec.graph import ApiUsageGraph, DependencyEdge
 
 
 def test_listing2_object_nodes(listing2):
@@ -46,6 +47,8 @@ def test_no_self_dependency(listing2):
     graph = extract_usage_graph(listing2)
     for edge in graph.dependencies:
         assert edge.consumer != edge.producer
+    with pytest.raises(ValueError, match="distinct objects"):
+        ApiUsageGraph(graph.objects, (DependencyEdge(0, 0, ""),))
 
 
 def test_same_type_objects_stay_distinct():

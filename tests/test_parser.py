@@ -239,6 +239,10 @@ def _walks(text):
 @example("x = (T) new Y();")
 @example("a.b.c(d);")
 @example("try { } catch (E e) { e.f(); }")
+@example("Map<String, List<String>> m = new HashMap<>(); m.put(a, b);")
+@example("x = (a + b) * c; x.run();")
+@example("x = (foo) y; x.run();")
+@example("x = (Foo) y; x.run();")
 def test_object_walk_equals_reference(text):
     shipped, reference = _walks(text)
     assert shipped == reference
@@ -348,6 +352,18 @@ def test_each_partial_trigger_alone(text, try_blocks, catch_clauses):
         pytest.param(
             "Map<String, List<Map<String, Integer>>> m = new HashMap<>(); m.put(k, v);",
             [("Map", "m", (), (("<init>", 1), ("put", 1)))], [], id="shift-closed-generics",
+        ),
+        pytest.param(
+            "Map<String, List<String>> m = new HashMap<>(); m.put(a, b);",
+            [("Map", "m", (), (("<init>", 1), ("put", 1)))], [], id="double-closed-generics",
+        ),
+        pytest.param(
+            "x = (a + b) * c; x.run();", [], [], id="parenthesized-expression-is-no-cast",
+        ),
+        pytest.param("x = (foo) y; x.run();", [], [], id="lowercase-cast-is-no-type"),
+        pytest.param(
+            "x = (Foo) y; x.run();",
+            [("Foo", "x", (), (("run", 1),))], [], id="cast-of-a-variable",
         ),
         pytest.param(
             "List<? extends Number> xs = make(); xs.size();",

@@ -43,6 +43,8 @@ def test_normalize_endpoints():
 def test_normalize_empty_pool():
     with pytest.raises(EmptyPool):
         normalize_pool([])
+    with pytest.raises(EmptyPool):
+        fuse([], TopLevelWeights())
 
 
 def _raws(values, ids=None):

@@ -390,6 +390,23 @@ def test_greedy_divergence_is_visible_not_silent():
     assert greedy_raw < best_raw  # a1 grabs c1 greedily, starving a2
 
 
+def _same_type_objects(n):
+    return prepare(parse(" ".join(f"A a{i} = new A(); a{i}.f{i % 2}();" for i in range(n))))
+
+
+@pytest.mark.parametrize("n, exhaustive", [(5, False), (4, True)])
+def test_exhaustive_flag_tells_the_greedy_fallback(n, exhaustive):
+    """n context objects of one type against 8 candidates span 9**n
+    assignments: 9**5 = 59,049 is past the switch, 9**4 = 6,561 is not."""
+    ctx, cand = _same_type_objects(n), _same_type_objects(8)
+    report = structural_score(ctx, cand)
+    assert report.exhaustive is exhaustive
+    assert report.to_dict()["exhaustive"] is exhaustive
+    if not exhaustive:
+        greedy = _greedy_pairing(_pair_table(ctx.graph, cand.graph))
+        assert report.pairings == tuple(greedy)
+
+
 def _members(names):
     return st.dictionaries(st.sampled_from(names), st.integers(1, 2)).map(
         lambda counts: tuple(sorted(counts.items()))
