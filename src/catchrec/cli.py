@@ -56,6 +56,9 @@ def _org_list(text: str) -> list[str]:
     return orgs
 
 
+DEFAULT_CONFIG_NAME = "catchrec-weights.json"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catchrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--kb", help="knowledge base TSV path")
     recommend.add_argument("--format", choices=["text", "json"], default="text")
     recommend.add_argument("--orgs", type=_org_list, default="apache,eclipse,facebook,twitter")
-    recommend.add_argument("--limit", type=_positive_int, default=70)
-    recommend.add_argument("--cache-dir", default=".catchrec-cache")
+    recommend.add_argument("--limit", type=_positive_int, default=corpus_mod.DEFAULT_LIMIT)
+    recommend.add_argument("--cache-dir", default=corpus_mod.DEFAULT_CACHE_DIR)
     recommend.add_argument("--no-filter", action="store_true", help="rank the raw corpus")
 
     ev = sub.add_parser("evaluate", help="run the evaluation harness")
@@ -105,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="build a cached corpus from remote search")
     fetch.add_argument("--query", required=True, help='two terms: "<exception> <class>"')
     fetch.add_argument("--orgs", type=_org_list, required=True)
-    fetch.add_argument("--limit", type=_positive_int, default=70)
+    fetch.add_argument("--limit", type=_positive_int, default=corpus_mod.DEFAULT_LIMIT)
     fetch.add_argument("--out", required=True, help="cache directory")
 
     return parser
@@ -123,9 +126,6 @@ def _load_kb(path: str | None) -> ExceptionKnowledgeBase:
     return ExceptionKnowledgeBase.from_file(path) if path else ExceptionKnowledgeBase.bundled()
 
 
-DEFAULT_CONFIG_NAME = "catchrec-weights.json"
-
-
 def _load_config(path: str | None) -> WeightConfig:
     if path:
         return load_weights(path)
@@ -138,9 +138,8 @@ def _load_config(path: str | None) -> WeightConfig:
 def _cmd_analyze(args) -> int:
     unit = _load_unit(args.file)
     if args.emit == "tokens":
-        tokens = [
-            {"text": t.text, "kind": t.kind.value, "line": t.line} for t in unit.tokens
-        ]
+        rows = zip(unit.texts, unit.kinds, unit.lines)
+        tokens = [{"text": t, "kind": k.value, "line": n} for t, k, n in rows]
         if args.format == "json":
             _emit_json(tokens)
         else:

@@ -37,6 +37,8 @@ _MAX_ATTEMPTS = 4
 _BACKOFF_BASE = 1.0
 _MAX_PER_PAGE = 100  # the search API's cap on ``per_page``
 _MAX_RESULTS = 1000  # the search API returns at most this many results per search
+DEFAULT_LIMIT = 70
+DEFAULT_CACHE_DIR = ".catchrec-cache"
 
 # transport(url, headers) -> (status code, body bytes)
 Transport = Callable[[str, dict[str, str]], tuple[int, bytes]]
@@ -244,6 +246,23 @@ def _write_cache(
         (files_dir / stale).unlink()
 
 
+def _request(
+    url: str, headers: dict[str, str], transport: Transport, sleeper: Callable[[float], None]
+) -> tuple[int, bytes]:
+    """The status and body of one search or download. An answer of 403 or
+    429 is asked again after 1 s, 2 s, then 4 s; a fourth one raises
+    :class:`RateLimited`."""
+    for attempt in range(_MAX_ATTEMPTS):
+        status, body = transport(url, headers)
+        if status not in (403, 429):
+            return status, body
+        if attempt < _MAX_ATTEMPTS - 1:
+            delay = _BACKOFF_BASE * (2**attempt)
+            logger.warning("rate limited (%d); retrying in %.0fs", status, delay)
+            sleeper(delay)
+    raise RateLimited(f"still rate-limited after {_MAX_ATTEMPTS} attempts")
+
+
 def _search_items(
     url: str, headers: dict[str, str], transport: Transport, sleeper: Callable[[float], None]
 ) -> list[dict]:
@@ -251,41 +270,32 @@ def _search_items(
     object with a list of items, each an object with a string ``url`` (and
     an object ``repository`` if any), raises :class:`NetworkFailure` naming
     the URL."""
-    for attempt in range(_MAX_ATTEMPTS):
-        status, body = transport(url, headers)
-        if status in (403, 429):
-            if attempt == _MAX_ATTEMPTS - 1:
-                raise RateLimited(f"still rate-limited after {_MAX_ATTEMPTS} attempts")
-            delay = _BACKOFF_BASE * (2**attempt)
-            logger.warning("rate limited (%d); retrying in %.0fs", status, delay)
-            sleeper(delay)
-            continue
-        if status == 401:
-            raise AuthMissing("the search API rejected the auth token")
-        if status >= 400:
-            raise NetworkFailure(f"search API returned HTTP {status} for {url}")
-        try:
-            items = json.loads(body.decode("utf-8"))["items"]
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            raise NetworkFailure(
-                f"malformed search response from {url}: {type(exc).__name__}: {exc}"
-            ) from exc
-        if not isinstance(items, list) or not all(
-            isinstance(item, dict)
-            and isinstance(item.get("url"), str)
-            and isinstance(item.get("repository", {}), dict)
-            for item in items
-        ):
-            raise NetworkFailure(f"malformed search response from {url}: bad items")
-        return items
-    raise RateLimited("unreachable")  # pragma: no cover
+    status, body = _request(url, headers, transport, sleeper)
+    if status == 401:
+        raise AuthMissing("the search API rejected the auth token")
+    if status >= 400:
+        raise NetworkFailure(f"search API returned HTTP {status} for {url}")
+    try:
+        items = json.loads(body.decode("utf-8"))["items"]
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise NetworkFailure(
+            f"malformed search response from {url}: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict)
+        and isinstance(item.get("url"), str)
+        and isinstance(item.get("repository", {}), dict)
+        for item in items
+    ):
+        raise NetworkFailure(f"malformed search response from {url}: bad items")
+    return items
 
 
 def fetch_remote(
     query: SearchQuery,
     orgs: list[str],
-    limit: int = 70,
-    cache_dir: str | Path = ".catchrec-cache",
+    limit: int = DEFAULT_LIMIT,
+    cache_dir: str | Path = DEFAULT_CACHE_DIR,
     token: str | None = None,
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
@@ -353,13 +363,15 @@ def fetch_remote(
             url=item.get("html_url", ""),
         )
         try:
-            status, body = transport(item["url"], raw_headers)
+            status, body = _request(item["url"], raw_headers, transport, sleeper)
+            if status >= 400:
+                raise NetworkFailure(f"HTTP {status}")
+        except RateLimited as exc:
+            logger.warning("stopping downloads at %s: %s", origin.path, exc)
+            complete = False
+            break
         except NetworkFailure as exc:
             logger.warning("skipping %s: %s", origin.path, exc)
-            complete = False
-            continue
-        if status >= 400:
-            logger.warning("skipping %s: HTTP %d", origin.path, status)
             complete = False
             continue
         candidate = Candidate.from_origin(origin, body.decode("utf-8", errors="replace"))

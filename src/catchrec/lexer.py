@@ -18,10 +18,7 @@ the fragment.
 A scan holds its token stream as three parallel tuples, ``texts``, ``kinds``
 and ``lines``: token ``i`` is ``(texts[i], kinds[i], lines[i])``. Every
 stage reads them by index, so ``scan`` builds no object per token and leaves
-the garbage collector nothing per token to track. A :class:`Token` is only a
-view of one position, built on demand by the ``tokens`` property of a scan
-or a unit (for display and tests) and never stored. It is a slotted,
-unfrozen dataclass that compares by value and is unhashable.
+the garbage collector nothing per token to track.
 
 Some choices are kept for stable output rather than Java fidelity:
 
@@ -47,17 +44,6 @@ class TokenKind(Enum):
     LITERAL = "Literal"
     OPERATOR = "Operator"
     PUNCTUATION = "Punctuation"
-
-
-@dataclass(slots=True)
-class Token:
-    text: str
-    kind: TokenKind
-    line: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("token text must be non-empty")
 
 
 # Java reserved words. true/false/null are literals, not keywords.
@@ -125,11 +111,6 @@ class ScanResult:
     lines: tuple[int, ...]         # 1-based line of each token, non-decreasing
     code_lines: frozenset[int]     # 1-based lines carrying at least one token
     comment_lines: frozenset[int]  # 1-based lines touched by a comment
-
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        """The token stream as :class:`Token` views, built on each call."""
-        return tuple(map(Token, self.texts, self.kinds, self.lines))
 
 
 def scan(raw_text: str) -> ScanResult:

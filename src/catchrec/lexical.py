@@ -24,6 +24,8 @@ significant-token texts, the subtoken vector and its norm, and the usage
 graph that :mod:`catchrec.structural` matches (``None`` for a failed parse).
 Ranking prepares the context once per query and each candidate once, with
 one subtoken memo (identifier text to its parts) shared by the whole call.
+:func:`prepare` reads the scan's ``texts`` and ``kinds`` tuples, as every
+stage does; only :func:`significant_tokens` builds :class:`Token` values.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .graph import ApiUsageGraph, extract_usage_graph
-from .lexer import Token, TokenKind
+from .lexer import TokenKind
 from .model import ParseStatus, SourceUnit, Weights
 
 SIGNIFICANT_KINDS = frozenset(
@@ -51,20 +54,23 @@ _IDENTIFIER, _OPERATOR, _PUNCTUATION = (
 _CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 
+class Token(NamedTuple):
+    """One position of a scan. Only :func:`significant_tokens` builds one; it
+    stays because the benchmark's tokenizer test reads each item's ``.text``."""
+
+    text: str
+    kind: TokenKind
+    line: int
+
+
 def significant_tokens(unit: SourceUnit) -> list[Token]:
     """Identifiers, keywords, and literals of the unit, in order."""
-    return [t for t in unit.tokens if t.kind in SIGNIFICANT_KINDS]
-
-
-def subtokens(token: Token) -> list[str]:
-    """Lowercase subtokens for the cosine vector; identifiers split at
-    underscores and camel-case boundaries, other tokens pass through."""
-    if token.kind is not TokenKind.IDENTIFIER:
-        return [token.text]
-    return _identifier_parts(token.text)
+    tokens = map(Token, unit.texts, unit.kinds, unit.lines)
+    return [t for t in tokens if t.kind in SIGNIFICANT_KINDS]
 
 
 def _identifier_parts(text: str) -> list[str]:
+    """Lowercase subtokens of an identifier, split at ``_``, ``$`` and camel case."""
     parts = [m.group(0).lower() for m in _CAMEL.finditer(text)]
     return parts or [text.lower()]
 
@@ -81,8 +87,8 @@ class PreparedUnit:
 
 def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
     """Compute one unit's side of every measure. ``memo`` maps identifier
-    texts to their :func:`subtokens`; units prepared with one memo split
-    each distinct identifier once."""
+    texts to their :func:`_identifier_parts`; units prepared with one memo
+    split each distinct identifier once. Keywords and literals count whole."""
     if memo is None:
         memo = {}
     texts: list[str] = []

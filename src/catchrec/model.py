@@ -7,8 +7,7 @@ dependencies are the nodes and edges of the unit's usage graph
 (:mod:`catchrec.graph`). Units are built by :func:`catchrec.parser.parse`
 and are frozen. A unit is a :class:`~catchrec.lexer.ScanResult`, so its
 token stream is the scan's three parallel tuples, ``texts``, ``kinds`` and
-``lines``, with :class:`~catchrec.lexer.Token` objects only as the
-on-demand ``tokens`` view. The scorers' weight classes share the check in
+``lines``, and nothing else. The scorers' weight classes share the check in
 :class:`Weights`.
 """
 

@@ -13,12 +13,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import cli
 from catchrec.corpus import LocalOrigin, candidate_id
+from catchrec.lexer import scan
 from catchrec.ranking import _CONFIG_KEYS
+from test_lexer import _FUZZ_PIECES
 
 DEEP = b"[" * 200_000 + b"]" * 200_000  # far deeper than any recursion limit
 
@@ -88,6 +90,24 @@ def test_analyze_tokens_empty_file(run, tmp_path):
     code, out, _err = run("analyze", str(empty), "--emit", "tokens", "--format", "json")
     assert code == 0
     assert json.loads(out) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUZZ_PIECES, max_size=40).map("".join))
+@example("int a;\n/* x\n */ b = \"c\";")
+def test_analyze_tokens_json_is_the_scan(text):
+    """``analyze - --emit tokens --format json`` prints one row per position
+    of the scan's tuples, in order, and nothing else."""
+    result = scan(text)
+    rows = [
+        {"text": t, "kind": kind.value, "line": line}
+        for t, kind, line in zip(result.texts, result.kinds, result.lines)
+    ]
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = cli.main(["analyze", "-", "--emit", "tokens", "--format", "json"])
+    assert code == 0
+    assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def test_analyze_quality_reports_handler_actions(run, listing2_path):

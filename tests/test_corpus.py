@@ -23,7 +23,7 @@ from catchrec.corpus import (
     fetch_remote,
 )
 from catchrec.errors import AuthMissing, NetworkFailure, RateLimited
-from catchrec.lexer import Token, TokenKind
+from catchrec import lexical as lexical_mod
 
 QUERY = SearchQuery("IOException", "URL")
 
@@ -50,7 +50,7 @@ def test_ingest_filters_by_rule(corpus_dir):
 
 def test_reading_the_unit_keeps_candidates_equal():
     a, b = (Candidate.from_origin(LocalOrigin("a.java"), "int x;") for _ in range(2))
-    assert a.unit.tokens
+    assert a.unit.texts
     assert a == b
     assert "unit" not in repr(a) and "scanned" not in repr(a)
 
@@ -159,22 +159,16 @@ def test_first_failing_rule_names_the_exclusion(text, reason):
 
 
 def test_ingest_and_rank_build_no_token(monkeypatch, fixtures_dir, listing1):
-    """The ranking path reads the scan's parallel tuples; a ``Token`` is
-    only built for display."""
-    built = []
-    post_init = Token.__post_init__
+    """The ranking path reads the scan's parallel tuples; it never calls
+    ``significant_tokens``, the only function that builds a ``Token``."""
 
-    def counting(self):
-        built.append(self.text)
-        post_init(self)
+    def refuse(unit):
+        raise AssertionError("ranking built a Token")
 
-    monkeypatch.setattr(Token, "__post_init__", counting)
+    monkeypatch.setattr(lexical_mod, "significant_tokens", refuse)
     kept = ingest_local(fixtures_dir / "rankpool", QUERY)
     assert kept
-    rank(listing1, kept, WeightConfig())
-    assert built == []
-    Token("x", TokenKind.IDENTIFIER)
-    assert built == ["x"]  # the wrapper does count a built token
+    assert rank(listing1, kept, WeightConfig())
 
 
 def test_empty_directory(tmp_path):
@@ -190,7 +184,7 @@ def test_filter_soundness(corpus_dir):
     for cand in ingest_local(corpus_dir, QUERY):
         unit = cand.unit
         assert unit.handlers.try_blocks >= 1 or unit.handlers.catch_clauses
-        assert any(t.text == QUERY.exception_name for t in unit.tokens)
+        assert QUERY.exception_name in unit.texts
         assert MIN_SLOC <= unit.sloc <= MAX_SLOC
 
 
@@ -219,7 +213,7 @@ def test_handler_filter_agrees_with_parsed_handlers(text):
     exactly the units without a parsed try block or catch clause."""
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
     unit = cand.unit
-    assume(unit.tokens and unit.parse_status is not ParseStatus.FAILED)
+    assume(unit.texts and unit.parse_status is not ParseStatus.FAILED)
     _kept, excluded = apply_filter_detailed([cand], QUERY)
     dropped = [e.reason for e in excluded] == ["no-handler"]
     assert dropped == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
@@ -570,6 +564,69 @@ def test_fetch_remote_skips_a_download_that_fails(tmp_path, caplog):
         "skipping src/Two.java: connection reset"
     ]
     assert json.loads(next(tmp_path.rglob("manifest.json")).read_text())["complete"] is False
+
+
+def _rate_limited_download(suffix, answers, requests):
+    """A transport that records each URL in ``requests``, answers the
+    download ending in ``suffix`` with the statuses of ``answers`` in turn
+    (the last one repeating), and every other request as ``fake_transport``
+    does."""
+    answers = iter(answers)
+    status = None
+
+    def transport(url, headers):
+        nonlocal status
+        requests.append(url)
+        if url.endswith(suffix):
+            status = next(answers, status)
+            return status, FILE_BODIES[url]
+        return fake_transport(url, headers)
+
+    return transport
+
+
+def test_fetch_remote_retries_a_rate_limited_download(tmp_path):
+    sleeps: list[float] = []
+    requests: list[str] = []
+    out = fetch_remote(
+        QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t",
+        transport=_rate_limited_download("/two", [429, 200], requests), sleeper=sleeps.append,
+    )
+    assert {c.origin.path for c in out} == {"src/One.java", "src/Two.java"}
+    assert requests.count("https://api.example/fetch/two") == 2
+    assert sleeps == [1.0]
+    assert json.loads(next(tmp_path.rglob("manifest.json")).read_text())["complete"] is True
+
+
+def test_fetch_remote_stops_downloading_when_still_rate_limited(tmp_path, caplog):
+    sleeps: list[float] = []
+    requests: list[str] = []
+    with caplog.at_level("WARNING"):
+        out = fetch_remote(
+            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t",
+            transport=_rate_limited_download("/one", [429], requests), sleeper=sleeps.append,
+        )
+    assert out == []
+    # four attempts at the first file, and the second is never asked for
+    assert requests[1:] == ["https://api.example/fetch/one"] * 4
+    assert sleeps == [1.0, 2.0, 4.0]
+    assert [m for m in caplog.messages if m.startswith("stopping")] == [
+        "stopping downloads at src/One.java: still rate-limited after 4 attempts"
+    ]
+    assert json.loads(next(tmp_path.rglob("manifest.json")).read_text())["complete"] is False
+
+
+def test_fetch_remote_keeps_the_files_downloaded_before_a_rate_limit(tmp_path):
+    out = fetch_remote(
+        QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t",
+        transport=_rate_limited_download("/two", [429], []), sleeper=lambda _d: None,
+    )
+    assert [c.origin.path for c in out] == ["src/One.java"]
+    manifest_path = next(tmp_path.rglob("manifest.json"))
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["complete"] is False
+    assert [e["path"] for e in manifest["candidates"]] == ["src/One.java"]
+    assert len(list((manifest_path.parent / "files").iterdir())) == 1
 
 
 def test_fetch_remote_downloads_one_file_at_a_time_in_search_order(tmp_path, caplog):

@@ -11,7 +11,6 @@ from catchrec.lexer import (
     MULTI_OPERATORS,
     WORD_LITERALS,
     ScanResult,
-    Token,
     TokenKind,
     scan,
 )
@@ -160,12 +159,12 @@ def _reference_scan(raw_text: str) -> ScanResult:
     )
 
 
-def kinds(tokens):
-    return [(t.text, t.kind) for t in tokens]
+def kinds(result):
+    return list(zip(result.texts, result.kinds))
 
 
 def test_simple_statement():
-    assert kinds(scan("int x = 0;").tokens) == [
+    assert kinds(scan("int x = 0;")) == [
         ("int", TokenKind.KEYWORD),
         ("x", TokenKind.IDENTIFIER),
         ("=", TokenKind.OPERATOR),
@@ -175,13 +174,14 @@ def test_simple_statement():
 
 
 def test_empty_input():
-    assert scan("").tokens == ()
-    assert scan("   \n\t\n").tokens == ()
+    for text in ("", "   \n\t\n"):
+        result = scan(text)
+        assert (result.texts, result.kinds, result.lines) == ((), (), ())
 
 
 def test_method_call_reference_lex():
     # Hand-written reference: url . openConnection ( )
-    assert kinds(scan("url.openConnection()").tokens) == [
+    assert kinds(scan("url.openConnection()")) == [
         ("url", TokenKind.IDENTIFIER),
         (".", TokenKind.PUNCTUATION),
         ("openConnection", TokenKind.IDENTIFIER),
@@ -191,32 +191,33 @@ def test_method_call_reference_lex():
 
 
 def test_comments_dropped():
-    assert scan("// gone\n/* also\ngone */").tokens == ()
-    tokens = scan("int a; // trailing\nint b; /* mid */ int c;").tokens
-    assert [t.text for t in tokens] == ["int", "a", ";", "int", "b", ";", "int", "c", ";"]
+    assert scan("// gone\n/* also\ngone */").texts == ()
+    texts = scan("int a; // trailing\nint b; /* mid */ int c;").texts
+    assert texts == ("int", "a", ";", "int", "b", ";", "int", "c", ";")
 
 
 def test_string_literal_single_token():
-    tokens = scan('log("a + b; // not a comment");').tokens
-    assert tokens[2].kind is TokenKind.LITERAL
-    assert tokens[2].text == '"a + b; // not a comment"'
+    result = scan('log("a + b; // not a comment");')
+    assert result.kinds[2] is TokenKind.LITERAL
+    assert result.texts[2] == '"a + b; // not a comment"'
+
+
+def of_kind(result, wanted):
+    return [text for text, kind in kinds(result) if kind is wanted]
 
 
 def test_char_and_escaped_literals():
-    tokens = scan("char c = '\\n'; String s = \"x\\\"y\";").tokens
-    literals = [t.text for t in tokens if t.kind is TokenKind.LITERAL]
-    assert literals == ["'\\n'", '"x\\"y"']
+    result = scan("char c = '\\n'; String s = \"x\\\"y\";")
+    assert of_kind(result, TokenKind.LITERAL) == ["'\\n'", '"x\\"y"']
 
 
 def test_number_literals():
-    tokens = scan("int a = 0xFF; long b = 1_000L; double d = 1.5e-3;").tokens
-    literals = [t.text for t in tokens if t.kind is TokenKind.LITERAL]
-    assert literals == ["0xFF", "1_000L", "1.5e-3"]
+    result = scan("int a = 0xFF; long b = 1_000L; double d = 1.5e-3;")
+    assert of_kind(result, TokenKind.LITERAL) == ["0xFF", "1_000L", "1.5e-3"]
 
 
 def test_word_literals_and_keywords():
-    tokens = scan("if (x == null) return true;").tokens
-    by_text = {t.text: t.kind for t in tokens}
+    by_text = dict(kinds(scan("if (x == null) return true;")))
     assert by_text["if"] is TokenKind.KEYWORD
     assert by_text["return"] is TokenKind.KEYWORD
     assert by_text["null"] is TokenKind.LITERAL
@@ -225,22 +226,22 @@ def test_word_literals_and_keywords():
 
 
 def test_multichar_operators_longest_match():
-    tokens = scan("a >>= b; c >= d; e -> f; g::h;").tokens
-    ops = [t.text for t in tokens if t.kind is TokenKind.OPERATOR]
-    assert ops == [">>=", ">=", "->", "::"]
+    result = scan("a >>= b; c >= d; e -> f; g::h;")
+    assert of_kind(result, TokenKind.OPERATOR) == [">>=", ">=", "->", "::"]
 
 
 def test_unlexable_bytes_skipped_not_fatal():
     result = scan("int a = 1; `` int b = 2;")
-    assert [t.text for t in result.tokens] == ["int", "a", "=", "1", ";", "int", "b", "=", "2", ";"]
+    assert result.texts == ("int", "a", "=", "1", ";", "int", "b", "=", "2", ";")
 
 
 def test_line_numbers():
-    tokens = scan("int a;\n\nint b;").tokens
-    assert [(t.text, t.line) for t in tokens if t.kind is TokenKind.IDENTIFIER] == [
-        ("a", 1),
-        ("b", 3),
-    ]
+    result = scan("int a;\n\nint b;")
+    assert [
+        (text, line)
+        for text, kind, line in zip(result.texts, result.kinds, result.lines)
+        if kind is TokenKind.IDENTIFIER
+    ] == [("a", 1), ("b", 3)]
 
 
 def test_line_classification():
@@ -257,14 +258,7 @@ def test_block_comment_spans_lines():
 
 def test_determinism():
     text = 'try { a.b("c"); } catch (E e) { }'
-    assert scan(text).tokens == scan(text).tokens
-
-
-def test_token_requires_text():
-    import pytest
-
-    with pytest.raises(ValueError):
-        Token("", TokenKind.IDENTIFIER)
+    assert scan(text) == scan(text)
 
 
 # Single characters and a few pairs that exercise every branch of the

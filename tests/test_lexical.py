@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import lexical_score, parse, prepare
-from catchrec.lexer import Token, TokenKind
+from catchrec.lexer import TokenKind
 from catchrec.lexical import (
     LexicalWeights,
+    _identifier_parts,
     clone_measure,
     cosine_similarity,
     lcs_length,
     significant_tokens,
-    subtokens,
 )
 
 
@@ -51,24 +51,18 @@ def test_listing1_significant_token_count_golden(listing1):
 
 
 def test_subtoken_splitting():
-    assert subtokens(Token("HttpURLConnection", TokenKind.IDENTIFIER)) == [
-        "http", "url", "connection",
-    ]
-    assert subtokens(Token("web_service_url", TokenKind.IDENTIFIER)) == [
-        "web", "service", "url",
-    ]
-    assert subtokens(Token("HTTP_OK", TokenKind.IDENTIFIER)) == ["http", "ok"]
-    assert subtokens(Token("getInputStream", TokenKind.IDENTIFIER)) == [
-        "get", "input", "stream",
-    ]
-    assert subtokens(Token("utf8Name", TokenKind.IDENTIFIER)) == ["utf8", "name"]
-    assert subtokens(Token("__init__", TokenKind.IDENTIFIER)) == ["init"]
-    assert subtokens(Token("$x_Y", TokenKind.IDENTIFIER)) == ["x", "y"]
-    assert subtokens(Token("A_B$cD", TokenKind.IDENTIFIER)) == ["a", "b", "c", "d"]
-    assert subtokens(Token("_", TokenKind.IDENTIFIER)) == ["_"]
-    # non-identifiers pass through untouched
-    assert subtokens(Token("try", TokenKind.KEYWORD)) == ["try"]
-    assert subtokens(Token('"GET"', TokenKind.LITERAL)) == ['"GET"']
+    assert _identifier_parts("HttpURLConnection") == ["http", "url", "connection"]
+    assert _identifier_parts("web_service_url") == ["web", "service", "url"]
+    assert _identifier_parts("HTTP_OK") == ["http", "ok"]
+    assert _identifier_parts("getInputStream") == ["get", "input", "stream"]
+    assert _identifier_parts("utf8Name") == ["utf8", "name"]
+    assert _identifier_parts("__init__") == ["init"]
+    assert _identifier_parts("$x_Y") == ["x", "y"]
+    assert _identifier_parts("A_B$cD") == ["a", "b", "c", "d"]
+    assert _identifier_parts("_") == ["_"]
+    # keywords and literals count whole, unsplit and in their own case
+    vector = prepare(parse('try { get("GET"); } finally { }')).subtokens
+    assert vector == Counter(["try", "get", '"GET"', "finally"])
 
 
 def test_cosine_identity():
@@ -213,7 +207,11 @@ def test_prepare_with_a_shared_memo_equals_prepare_alone(fragments):
         shared, alone = prepare(unit, memo), prepare(unit)
         significant = significant_tokens(unit)
         assert shared.texts == alone.texts == tuple(t.text for t in significant)
-        expected = list(Counter(s for t in significant for s in subtokens(t)).items())
+        expected = list(Counter(
+            part
+            for t in significant
+            for part in (_identifier_parts(t.text) if t.kind is TokenKind.IDENTIFIER else [t.text])
+        ).items())
         assert list(shared.subtokens.items()) == list(alone.subtokens.items()) == expected
         assert shared.norm == alone.norm
 

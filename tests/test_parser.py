@@ -79,7 +79,7 @@ def test_listing2_dependencies(listing2):
 def test_degenerate_fragment():
     unit = parse("x +")
     assert unit.parse_status is ParseStatus.PARTIAL
-    assert [t.text for t in unit.tokens] == ["x", "+"]
+    assert unit.texts == ("x", "+")
 
 
 def test_failed_parse_keeps_tokens():
@@ -87,7 +87,7 @@ def test_failed_parse_keeps_tokens():
     assert unit.parse_status is ParseStatus.FAILED
     assert unit.objects == ()
     assert unit.handlers.catch_clauses == ()
-    assert len(unit.tokens) > 0
+    assert len(unit.texts) > 0
     assert unit.sloc == 3
 
 
@@ -98,13 +98,13 @@ _JAVA_PIECES = st.sampled_from(
 )
 
 
-def _closer_before_opener(tokens):
+def _closer_before_opener(unit):
     """Whether some prefix of the punctuation has more ``}`` than ``{`` or
     more ``)`` than ``(``."""
     seen = {"{": 0, "}": 0, "(": 0, ")": 0}
-    for tok in tokens:
-        if tok.kind is TokenKind.PUNCTUATION and tok.text in seen:
-            seen[tok.text] += 1
+    for text, kind in zip(unit.texts, unit.kinds):
+        if kind is TokenKind.PUNCTUATION and text in seen:
+            seen[text] += 1
             if seen["}"] > seen["{"] or seen[")"] > seen["("]:
                 return True
     return False
@@ -117,9 +117,11 @@ def _closer_before_opener(tokens):
 @example('"}" { /* ) */ }')
 def test_parse_never_raises_and_fails_only_on_an_unopened_closer(text):
     unit = parse(text)
-    assert (unit.parse_status is ParseStatus.FAILED) == _closer_before_opener(unit.tokens)
+    assert (unit.parse_status is ParseStatus.FAILED) == _closer_before_opener(unit)
     if unit.parse_status is not ParseStatus.FAILED:
-        keywords = Counter(t.text for t in unit.tokens if t.kind is TokenKind.KEYWORD)
+        keywords = Counter(
+            text for text, kind in zip(unit.texts, unit.kinds) if kind is TokenKind.KEYWORD
+        )
         assert len(unit.handlers.catch_clauses) == keywords["catch"]
         assert unit.handlers.try_blocks == keywords["try"]
 
@@ -257,7 +259,7 @@ def test_object_walk_equals_reference_on_every_fixture(fixtures_dir):
 def test_empty_input_unit():
     unit = parse("")
     assert unit.parse_status is ParseStatus.FULL
-    assert unit.tokens == ()
+    assert unit.texts == ()
     assert unit.sloc == 0
 
 
