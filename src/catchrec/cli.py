@@ -205,6 +205,7 @@ def _cmd_recommend(args) -> int:
             orgs=args.orgs,
             limit=args.limit,
             cache_dir=args.cache_dir,
+            analysed=True,
         )
         candidates, _excluded = corpus_mod.apply_filter_detailed(fetched, filter_query)
     if not candidates:

@@ -6,27 +6,42 @@ client talks to the GitHub code-search API, bounded-retries on rate limits,
 and caches every result set keyed by (query, orgs, limit) so a warm cache
 replays byte-identically with zero network traffic. The transport is
 injectable for tests.
+
+Ranking reads each candidate as one :class:`Analysis`: its prepared form
+and its weight-free quality metrics. A replay for ``recommend`` also keeps
+every candidate's analysis and exclusion reason in the cache entry's
+``analysis.json``, so a later replay scans and parses none of the cached
+files. That file's format lives in this module alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import logging
+import math
 import os
+import sys
+import tempfile
 import time
+import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
+from .errors import AuthMissing, ConfigError, EmptyUnit, NetworkFailure, RateLimited, read_input
+from .graph import ApiUsageGraph
 from .lexer import ScanResult, scan
-from .model import SourceUnit
+from .lexical import PreparedUnit, prepare
+from .model import DependencyEdge, GraphObject, SourceUnit
 from .parser import parse
+from .quality import QualityParts, quality_parts
 from .query import SearchQuery
 
 logger = logging.getLogger(__name__)
@@ -66,11 +81,43 @@ def candidate_id(origin: LocalOrigin | RemoteOrigin) -> str:
     return hashlib.sha256(origin.key().encode("utf-8")).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What ranking reads from one candidate, whatever the context and the
+    weights: its prepared form and its three quality metrics (``None`` for
+    a unit with no code line)."""
+
+    prepared: PreparedUnit
+    quality: QualityParts | None
+
+
+def analyse(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> Analysis:
+    """The unit's :class:`Analysis`, prepared with the subtoken ``memo``."""
+    try:
+        quality = quality_parts(unit)
+    except EmptyUnit:
+        quality = None
+    return Analysis(prepare(unit, memo), quality)
+
+
+@dataclass(frozen=True)
+class Record:
+    """A cached candidate's entry in its cache entry's ``analysis.json``:
+    the exclusion reason under ``query`` (the entry's) and, unless that
+    reason is ``unlexable``, the analysis."""
+
+    query: SearchQuery
+    reason: str | None
+    analysis: Analysis | None
+
+
 @dataclass
 class Candidate:
     id: str
     origin: LocalOrigin | RemoteOrigin
     source_text: str
+    # set by a replay for ``recommend`` (see ``fetch_remote``)
+    record: Record | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_origin(cls, origin: LocalOrigin | RemoteOrigin, source_text: str) -> "Candidate":
@@ -83,6 +130,12 @@ class Candidate:
     @functools.cached_property
     def unit(self) -> SourceUnit:
         return parse(self.source_text, self.scanned)
+
+    def analysis(self, memo: dict[str, list[str]] | None = None) -> Analysis:
+        """The record's analysis, else one computed from :attr:`unit`."""
+        if self.record is not None and self.record.analysis is not None:
+            return self.record.analysis
+        return analyse(self.unit, memo)
 
 
 MIN_SLOC = 3
@@ -113,8 +166,19 @@ def apply_filter_detailed(
 
 
 def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
-    """Judged on the scan alone, so a dropped candidate is never parsed."""
-    texts = cand.scanned.texts
+    """Judged on the scan alone, so a dropped candidate is never parsed, or
+    read from the candidate's record."""
+    record = cand.record
+    if record is not None:
+        if query is None:
+            return "unlexable" if record.reason == "unlexable" else None
+        if query == record.query:
+            return record.reason
+    return _scan_reason(cand.scanned, query)
+
+
+def _scan_reason(scanned: ScanResult, query: SearchQuery | None) -> str | None:
+    texts = scanned.texts
     if not texts:
         return "unlexable"
     if query is None:
@@ -126,7 +190,7 @@ def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
         return "no-handler"
     if query.exception_name not in texts:
         return "no-exception-mention"
-    sloc = len(cand.scanned.code_lines)
+    sloc = len(scanned.code_lines)
     if sloc < MIN_SLOC:
         return "too-short"
     if sloc > MAX_SLOC:
@@ -206,6 +270,26 @@ def _load_cached(cache_dir: Path, key: str) -> tuple[list[Candidate] | None, boo
     return read_input(manifest_path, "cache manifest", cached)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file of a unique name
+    in the same directory, so readers see the old file or the new one and
+    two writers never share a temporary file; it is removed on failure."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates the file for its owner alone; give it the mode
+        # that any other file written here gets
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8") as out:
+            out.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_cache(
     cache_dir: Path,
     key: str,
@@ -239,11 +323,167 @@ def _write_cache(
         "complete": complete,
         "candidates": entries,
     }
-    tmp = manifest_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(manifest_path)
+    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for stale in {p.name for p in files_dir.glob("*.java")} - {e["file"] for e in entries}:
         (files_dir / stale).unlink()
+
+
+# ---------------------------------------------------------------------------
+# Stored analyses of a cache entry (``<cache_dir>/<key>/analysis.json``)
+# ---------------------------------------------------------------------------
+
+ANALYSIS_FILE = "analysis.json"
+_REASONS = (None, "unlexable", "no-handler", "no-exception-mention", "too-short", "too-long")
+# The modules whose code decides a record's content.
+_ANALYSING_MODULES = ("corpus", "graph", "lexer", "lexical", "model", "parser", "quality")
+
+
+@functools.cache
+def analysis_fingerprint() -> str:
+    """SHA-256 of the source of every module whose output a record holds,
+    the Python minor version and the Unicode database version: changing
+    any of them retires every stored record."""
+    digest = hashlib.sha256()
+    for name in _ANALYSING_MODULES:
+        digest.update(Path(__file__).with_name(f"{name}.py").read_bytes())
+    digest.update(f"{sys.version_info[:2]} {unicodedata.unidata_version}".encode())
+    return digest.hexdigest()
+
+
+def _record_json(record: Record, digest: str) -> dict:
+    entry: dict = {"sha256": digest, "excluded": record.reason}
+    if record.analysis is not None:
+        prepared = record.analysis.prepared
+        graph = prepared.graph
+        entry["analysis"] = {
+            "texts": prepared.texts,
+            "subtokens": prepared.subtokens,  # in prepare's order
+            "graph": None if graph is None else {
+                "objects": [
+                    [o.type_name, o.ordinal, o.variable_name, dict(o.fields), dict(o.methods)]
+                    for o in graph.objects
+                ],
+                "dependencies": [[e.consumer, e.producer, e.access_point] for e in graph.dependencies],
+            },
+            "quality": record.analysis.quality,
+        }
+    return entry
+
+
+def _of(kind: type, value):
+    """``value`` if its type is exactly ``kind`` (so no bool passes as an int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{kind.__name__} expected, not {type(value).__name__}")
+    return value
+
+
+def _all_of(kind: type, values):
+    """``values`` if each of them is exactly a ``kind``."""
+    if not set(map(type, values)) <= {kind}:
+        raise TypeError(f"{kind.__name__} items expected")
+    return values
+
+
+def _counts(counts) -> tuple[tuple[str, int], ...]:
+    """The (name, count) pairs of a JSON object of counts, in its order."""
+    _all_of(int, _of(dict, counts).values())
+    return tuple(counts.items())
+
+
+def _graph_from_json(raw) -> ApiUsageGraph:
+    objects = []
+    for type_name, ordinal, variable, fields, methods in _of(list, raw["objects"]):
+        _all_of(str, (type_name, variable))
+        _of(int, ordinal)
+        objects.append(GraphObject(type_name, ordinal, variable, _counts(fields), _counts(methods)))
+    indices = range(len(objects))
+    edges = []
+    for consumer, producer, access_point in _of(list, raw["dependencies"]):
+        if _of(int, consumer) not in indices or _of(int, producer) not in indices:
+            raise ValueError("dependency endpoint out of range")
+        edges.append(DependencyEdge(consumer, producer, _of(str, access_point)))
+    return ApiUsageGraph(tuple(objects), tuple(edges))
+
+
+def _record_from_json(entry, query: SearchQuery) -> Record:
+    """The record an ``analysis.json`` entry holds; raises ``ValueError``,
+    ``TypeError`` or ``KeyError`` for one of any other shape."""
+    reason = _of(dict, entry)["excluded"]
+    if reason not in _REASONS:
+        raise ValueError(f"unknown exclusion reason {reason!r}")
+    if reason == "unlexable":
+        return Record(query, reason, None)
+    raw = _of(dict, entry["analysis"])
+    texts = _all_of(str, _of(list, raw["texts"]))
+    subtokens = _of(dict, raw["subtokens"])
+    _all_of(str, subtokens)
+    counts = _all_of(int, subtokens.values())
+    # every subtoken is a whole keyword or literal or a part of at least one
+    # character of an identifier, so the counts cannot sum past the texts' length
+    if counts and (min(counts) < 1 or sum(counts) > sum(map(len, texts))):
+        raise ValueError("subtoken counts do not fit the texts")
+    quality = raw["quality"]
+    if quality is not None:
+        quality = QualityParts(*_all_of(float, _of(list, quality)))
+        if not all(map(math.isfinite, quality)):
+            raise ValueError("quality metric not finite")
+    graph = None if raw["graph"] is None else _graph_from_json(_of(dict, raw["graph"]))
+    prepared = PreparedUnit(texts=tuple(texts), subtokens=Counter(subtokens), graph=graph)
+    return Record(query, reason, Analysis(prepared, quality))
+
+
+def _stored_entries(path: Path) -> dict:
+    """The entries of ``analysis.json`` by candidate id; none when it is
+    missing, unreadable, malformed or written by other analysing code."""
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        if stored["fingerprint"] == analysis_fingerprint():
+            return _of(dict, stored["candidates"])
+        logger.debug("%s was written by other analysing code", path)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        logger.debug("ignoring %s: %s: %s", path, type(exc).__name__, exc)
+    return {}
+
+
+def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candidate]) -> None:
+    """Give each replayed candidate its :class:`Record`: the stored one when
+    the file's fingerprint matches this code and the record's SHA-256 the
+    cached text, else one computed now. The file is rewritten when any
+    record was computed or it holds any other entry."""
+    path = entry_dir / ANALYSIS_FILE
+    stored = _stored_entries(path)
+    digests: dict[str, str] = {}
+    memo: dict[str, list[str]] = {}
+    computed = False
+    for cand in candidates:
+        digest = digests[cand.id] = hashlib.sha256(cand.source_text.encode("utf-8")).hexdigest()
+        entry = stored.get(cand.id)
+        try:
+            if entry is not None and _of(dict, entry)["sha256"] == digest:
+                cand.record = _record_from_json(entry, query)
+        except (ValueError, TypeError, KeyError) as exc:
+            logger.debug("re-analysing %s: %s: %s", cand.id, type(exc).__name__, exc)
+        if cand.record is None:
+            # scanned and parsed apart from the candidate, which keeps only the record
+            scanned = scan(cand.source_text)
+            reason = _scan_reason(scanned, query)
+            analysis = None if reason == "unlexable" else analyse(parse(cand.source_text, scanned), memo)
+            cand.record = Record(query, reason, analysis)
+            computed = True
+    if not computed and stored.keys() == digests.keys():
+        return
+    # one record at a time, so the encoder never holds the pieces of them all
+    records = ",".join(
+        f'"{c.id}":{json.dumps(_record_json(c.record, digests[c.id]), separators=(",", ":"))}'
+        for c in candidates
+    )
+    text = f'{{"fingerprint":"{analysis_fingerprint()}","candidates":{{{records}}}}}\n'
+    try:
+        _write_atomic(path, text)
+    except OSError as exc:
+        logger.warning("cannot store the analyses in %s: %s", path, exc)
 
 
 def _request(
@@ -299,12 +539,16 @@ def fetch_remote(
     token: str | None = None,
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
+    *,
+    analysed: bool = False,
 ) -> list[Candidate]:
     """Code-search results for the query, scoped to ``orgs`` (searched in
     sorted order, as the cache key lists them), at most ``limit`` files. A
     warm cache is served without any network traffic; a rate-limited run
     returns the partial set it managed to download, and that partial cache
-    is fetched again on a later run that has a token."""
+    is fetched again on a later run that has a token. With ``analysed``, as
+    ``recommend`` asks, each candidate a warm cache serves carries its
+    :class:`Record`, from the entry's ``analysis.json`` where usable."""
     if limit <= 0:
         return []
     cache_dir = Path(cache_dir)
@@ -312,7 +556,10 @@ def fetch_remote(
     token = token or os.environ.get(TOKEN_ENV_VAR)
     cached, complete = _load_cached(cache_dir, key)
     if cached is not None and (complete or not token):
-        return sorted(cached, key=lambda c: c.id)
+        cached.sort(key=lambda c: c.id)
+        if analysed:
+            _attach_records(cache_dir / key, query, cached)
+        return cached
     if not token:
         raise AuthMissing(f"set {TOKEN_ENV_VAR} to use remote search")
     transport = transport or _default_transport

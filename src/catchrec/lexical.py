@@ -30,7 +30,9 @@ stage does; only :func:`significant_tokens` builds :class:`Token` values.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from collections import Counter
 from collections.abc import Sequence
@@ -81,8 +83,13 @@ class PreparedUnit:
 
     texts: tuple[str, ...]       # significant-token texts, in order
     subtokens: Counter           # subtoken frequency vector
-    norm: float                  # Euclidean norm of ``subtokens``
     graph: ApiUsageGraph | None  # None when the parse failed
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Euclidean norm of ``subtokens``: the square root of an integer sum."""
+        counts = self.subtokens.values()
+        return math.sqrt(sum(map(operator.mul, counts, counts)))
 
 
 def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
@@ -104,14 +111,8 @@ def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> Prepa
             parts += split
         else:
             parts.append(text)
-    vector = Counter(parts)
     graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)
-    return PreparedUnit(
-        texts=tuple(texts),
-        subtokens=vector,
-        norm=math.sqrt(sum(c * c for c in vector.values())),
-        graph=graph,
-    )
+    return PreparedUnit(texts=tuple(texts), subtokens=Counter(parts), graph=graph)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import compress, repeat
 from operator import is_
+from typing import NamedTuple
 
 from .errors import EmptyUnit
 from .lexer import TokenKind
@@ -98,12 +99,24 @@ def handler_to_code_ratio(unit: SourceUnit) -> float:
     return unit.handlers.handler_sloc / unit.sloc
 
 
-def quality_score(unit: SourceUnit, weights: QualityWeights | None = None) -> QualityReport:
-    """Weighted fusion of the three quality metrics."""
-    weights = weights or QualityWeights()
-    ra = readability(unit)
-    aha = average_handler_actions(unit.handlers)
-    hcr = handler_to_code_ratio(unit)
+class QualityParts(NamedTuple):
+    """The three weight-free metrics of one unit."""
+
+    readability: float
+    handler_actions: float
+    handler_ratio: float
+
+
+def quality_parts(unit: SourceUnit) -> QualityParts:
+    """The unit's three metrics; raises :class:`EmptyUnit` without a code line."""
+    return QualityParts(
+        readability(unit), average_handler_actions(unit.handlers), handler_to_code_ratio(unit)
+    )
+
+
+def weigh(parts: QualityParts, weights: QualityWeights) -> QualityReport:
+    """Weighted fusion of the three metrics."""
+    ra, aha, hcr = parts
     return QualityReport(
         readability=ra,
         handler_actions=aha,
@@ -112,3 +125,8 @@ def quality_score(unit: SourceUnit, weights: QualityWeights | None = None) -> Qu
         + weights.handler_actions * aha
         + weights.handler_ratio * hcr,
     )
+
+
+def quality_score(unit: SourceUnit, weights: QualityWeights | None = None) -> QualityReport:
+    """Weighted fusion of the unit's three quality metrics."""
+    return weigh(quality_parts(unit), weights or QualityWeights())

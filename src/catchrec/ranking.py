@@ -12,7 +12,9 @@ to keep non-parseable code rankable.
 
 The structural and lexical scorers read both sides through
 :func:`catchrec.lexical.prepare`: :func:`rank` prepares the context once per
-call, and :func:`score_candidate` prepares each candidate once for both.
+call, and scores each candidate from its :class:`~catchrec.corpus.Analysis`,
+the one that a cache replay stored or one computed with the call's one
+subtoken memo.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, EmptyPool, EmptyUnit, StructureUnavailable, read_input
+from .corpus import Analysis
+from .errors import ConfigError, EmptyPool, StructureUnavailable, read_input
 from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
 from .model import SourceUnit, Weights, check_weight
-from .quality import QualityReport, QualityWeights, quality_score
+from .quality import QualityReport, QualityWeights, weigh
 from .structural import MatchReport, StructuralWeights, structural_score
 
 DEFAULT_TOP_K = 15
@@ -171,28 +174,18 @@ def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreak
 
 
 def score_candidate(
-    context: PreparedUnit,
-    candidate_id: str,
-    candidate: SourceUnit,
-    config: WeightConfig,
-    memo: dict[str, list[str]] | None = None,
+    context: PreparedUnit, candidate_id: str, candidate: Analysis, config: WeightConfig
 ) -> RawComponents:
-    """Raw component scores for one candidate; structural and quality
-    failures degrade to zero components instead of dropping the candidate.
-    The candidate is prepared once, with the subtoken ``memo`` if given,
-    for both the structural and the lexical scorer."""
-    prepared = prepare(candidate, memo)
+    """Raw component scores for one candidate; a failed parse or a unit
+    without code lines degrades its component to zero instead of dropping
+    the candidate."""
     try:
-        match = structural_score(context, prepared, config.structural)
+        match = structural_score(context, candidate.prepared, config.structural)
     except StructureUnavailable:
         match = None
 
-    lex = lexical_score(context, prepared, config.lexical)
-
-    try:
-        qual = quality_score(candidate, config.quality)
-    except EmptyUnit:
-        qual = None
+    lex = lexical_score(context, candidate.prepared, config.lexical)
+    qual = None if candidate.quality is None else weigh(candidate.quality, config.quality)
 
     return RawComponents(
         candidate_id=candidate_id,
@@ -213,8 +206,8 @@ def rank(
 ) -> list[ScoreBreakdown]:
     """Top-``k`` candidates for the context, with full breakdowns.
 
-    ``candidates`` is a list of objects with ``id`` and ``unit`` attributes
-    (see :class:`catchrec.corpus.Candidate`).
+    ``candidates`` is a list of objects with an ``id`` attribute and an
+    ``analysis(memo)`` method (see :class:`catchrec.corpus.Candidate`).
     """
     if not candidates:
         raise EmptyPool("cannot rank an empty pool")
@@ -223,9 +216,7 @@ def rank(
     config = config or WeightConfig()
     memo: dict[str, list[str]] = {}  # one subtoken memo for the whole call
     prepared = prepare(context, memo)  # once per call, not per candidate
-    raws = [
-        score_candidate(prepared, cand.id, cand.unit, config, memo) for cand in candidates
-    ]
+    raws = [score_candidate(prepared, cand.id, cand.analysis(memo), config) for cand in candidates]
     return fuse(raws, config.top_level)[:k]
 
 

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import cli
+from catchrec import lexer as lexer_mod
+from catchrec import parser as parser_mod
 from catchrec.corpus import LocalOrigin, candidate_id
 from catchrec.lexer import scan
 from catchrec.ranking import _CONFIG_KEYS
@@ -778,7 +780,9 @@ def inputs(tmp_path_factory, fixtures_dir):
     with mock.patch("catchrec.corpus._default_transport", fake_transport), mock.patch.dict(
         os.environ, {"GITHUB_TOKEN": "token"}
     ), contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0  # fetches
+        assert cli.main(argv) == 0  # replays and stores the analyses
+    assert len(list(root.glob("cache/*/analysis.json"))) == 1
     return root
 
 
@@ -844,3 +848,232 @@ def test_cli_survives_mutated_input_files(inputs, target, data):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_recommend_survives_a_mutated_analysis_file(inputs, data):
+    """Whatever the stored analyses hold, a replay exits 0: a file or record
+    it cannot use is computed again, never an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(inputs, Path(tmp) / "inputs")
+        path = sorted(root.glob("cache/*/analysis.json"))[0]
+        path.write_bytes(data.draw(_mutated(path.read_bytes())))
+        code, out, err = _main([arg.format(root=root) for arg in _READERS["cache/*/manifest.json"]])
+    assert code == 0, err
+    assert out and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Stored analyses: a replay for recommend prints what a cold run prints
+# ---------------------------------------------------------------------------
+
+LISTING1 = str(Path(__file__).parent / "fixtures" / "listing1.java")
+
+
+def _main(argv, transport=None, token=""):
+    """(exit code, stdout, stderr) of one CLI run with ``GITHUB_TOKEN`` set
+    to ``token`` and, if given, ``transport`` serving the search API."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, {"GITHUB_TOKEN": token}))
+        if transport is not None:
+            stack.enter_context(mock.patch("catchrec.corpus._default_transport", transport))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _pool_transport(files: dict[str, str]):
+    """A search API that answers every search with all of ``files``."""
+    items = [
+        {"url": f"https://api.example/fetch/{i}", "path": path,
+         "html_url": f"https://example/{i}", "repository": {"full_name": "apache/pool"}}
+        for i, path in enumerate(files)
+    ]
+    bodies = {item["url"]: files[item["path"]].encode() for item in items}
+
+    def transport(url, headers):
+        if url in bodies:
+            return 200, bodies[url]
+        return 200, json.dumps({"items": items}).encode()
+
+    return transport
+
+
+_KINDS = ("handled", "failed-parse", "partial", "no-handler", "too-short", "too-long", "unlexable")
+
+
+@st.composite
+def _pool_file(draw) -> str:
+    """One file of a kind the filter keeps or drops; its exception is either
+    of the two queries', so each kind is also dropped for the mention."""
+    kind = draw(st.sampled_from(_KINDS))
+    var = draw(st.sampled_from(["url", "conn", "in", "rs"]))
+    call = draw(st.sampled_from(["openStream", "close", "read", "executeQuery"]))
+    exc = draw(st.sampled_from(["IOException", "SQLException"]))
+    handled = f"try {{\n  {var}.{call}();\n}} catch ({exc} e) {{\n  log(e);\n}}\n"
+    if kind == "handled":
+        return f"URL {var} = new URL(s);\n{handled}"
+    if kind == "failed-parse":
+        return "}\n" + handled
+    if kind == "partial":
+        return f"URL {var} = new URL(s);\n{handled}{var}.{call}("
+    if kind == "no-handler":
+        return f"URL {var} = new URL(s);\n{var}.{call}();\nthrow new {exc}();\n"
+    if kind == "too-short":
+        return f"try {{ {var}.{call}(); }} catch ({exc} e) {{ }}\n"
+    if kind == "too-long":
+        return handled + "".join(f"{var}.a{i}();\n" for i in range(300))
+    return draw(st.sampled_from(["", "// only a comment\n", "  \n/* a block */\n"]))
+
+
+_FLAG_SETS = ([], ["--no-filter"], ["--exception", "SQLException"],
+              ["--no-filter", "--exception", "SQLException"])
+
+
+@settings(max_examples=10, deadline=None)
+@given(files=st.lists(_pool_file(), min_size=1, max_size=6))
+def test_cold_and_warm_remote_recommend_print_the_same_bytes(files):
+    transport = _pool_transport({f"src/F{i}.java": text for i, text in enumerate(files)})
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, flags in enumerate(_FLAG_SETS):
+            for fmt in ("json", "text"):
+                cache = Path(tmp) / f"{n}-{fmt}"
+                argv = ["recommend", LISTING1, "--remote", "--orgs", "apache",
+                        "--cache-dir", str(cache), "--format", fmt, *flags]
+                cold = _main(argv, transport, token="t")  # fetches; stores no analysis
+                assert not list(cache.rglob("analysis.json"))
+                first = _main(argv)  # replays; analyses every file and stores it
+                stored = sorted(cache.rglob("analysis.json"))
+                assert len(stored) == 1
+                written = stored[0].read_bytes()
+                warm = _main(argv)  # replays from the stored analyses
+                assert cold == first == warm
+                assert cold[0] in (0, 2) and "Traceback" not in cold[2]
+                assert stored[0].read_bytes() == written
+
+
+_FIXED_POOL = {
+    f"{folder}/{path.name}": path.read_text()
+    for folder in ("rankpool", "corpus-listing2")
+    for path in sorted((Path(__file__).parent / "fixtures" / folder).glob("*.java"))
+} | {"broken.java": "}\ntry {\n  u.openStream();\n} catch (IOException e) {\n  log(e);\n}\n",
+     "blank.java": "// only a comment\n"}
+
+
+@pytest.fixture()
+def warm_entry(tmp_path):
+    """The argv of a remote recommend, its cache entry, holding stored
+    analyses, and the output it prints."""
+    cache = tmp_path / "cache"
+    argv = ["recommend", LISTING1, "--remote", "--orgs", "apache", "--cache-dir", str(cache),
+            "--format", "json"]
+    cold = _main(argv, _pool_transport(_FIXED_POOL), token="t")
+    assert cold[0] == 0
+    assert _main(argv) == cold
+    (entry,) = cache.iterdir()
+    assert (entry / "analysis.json").is_file()
+    return argv, entry, cold
+
+
+def _entry_state(entry: Path) -> dict:
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(entry.rglob("*")) if p.is_file()}
+
+
+def test_warm_recommend_scans_and_parses_only_the_context(warm_entry, monkeypatch):
+    argv, entry, cold = warm_entry
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "catchrec"]
+    calls: dict[str, list] = {"scan": [], "parse": []}
+    for name, original in (("scan", lexer_mod.scan), ("parse", parser_mod.parse)):
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args[0])
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    before = _entry_state(entry)
+    assert _main(argv) == cold
+    context = Path(LISTING1).read_text()
+    assert calls == {"scan": [context], "parse": [context]}
+    assert _entry_state(entry) == before
+
+
+def _corrupt_json(change):
+    def corrupt(entry: Path) -> None:
+        path = entry / "analysis.json"
+        stored = json.loads(path.read_text())
+        change(stored)
+        path.write_text(json.dumps(stored))
+
+    return corrupt
+
+
+def _first_analysed(stored) -> dict:
+    return next(r for r in stored["candidates"].values() if "analysis" in r)
+
+
+def _count_as_string(stored) -> None:
+    subtokens = _first_analysed(stored)["analysis"]["subtokens"]
+    name = next(iter(subtokens))
+    subtokens[name] = str(subtokens[name])
+
+
+def _truncate(entry: Path) -> None:
+    path = entry / "analysis.json"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _edit_cached_file(entry: Path) -> None:
+    path = sorted((entry / "files").glob("*.java"))[0]
+    path.write_text(path.read_text() + "\nint added = 1;\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncate,
+        _corrupt_json(_count_as_string),
+        _corrupt_json(lambda s: s.update(fingerprint="0" * 64)),
+        _edit_cached_file,
+        _corrupt_json(lambda s: s["candidates"].pop(next(iter(s["candidates"])))),
+        _corrupt_json(lambda s: s["candidates"].update({"0123456789abcdef": _first_analysed(s)})),
+    ],
+    ids=["truncated", "count-is-a-string", "other-fingerprint", "cached-file-edited",
+         "record-missing", "record-not-in-manifest"],
+)
+def test_an_unusable_analysis_file_gives_the_cold_output_and_is_rewritten(
+    warm_entry, tmp_path, corrupt
+):
+    argv, entry, _cold = warm_entry
+    corrupt(entry)
+    # the cold output for the entry as it now stands, from a copy without the file
+    reference = tmp_path / "reference"
+    shutil.copytree(entry.parent, reference)
+    (reference / entry.name / "analysis.json").unlink()
+    ref_argv = [str(reference) if arg == str(entry.parent) else arg for arg in argv]
+    want = _main(ref_argv)
+    assert want[0] == 0 and want[2] == ""
+    assert _main(argv) == want
+    assert (entry / "analysis.json").read_bytes() == (reference / entry.name / "analysis.json").read_bytes()
+
+
+def test_a_read_only_entry_gives_the_cold_output(warm_entry, monkeypatch):
+    argv, entry, cold = warm_entry
+    (entry / "analysis.json").unlink()
+    entry.chmod(0o555)
+    try:
+        if os.access(entry, os.W_OK):  # file modes do not bind this user
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr("catchrec.corpus.tempfile.mkstemp", refuse)
+        code, out, err = _main(argv)
+    finally:
+        entry.chmod(0o755)
+    assert (code, out) == (0, cold[1])
+    assert "Traceback" not in err
+    assert sorted(p.name for p in entry.iterdir()) == ["files", "manifest.json"]

@@ -701,3 +701,100 @@ def test_fetch_remote_auth_rejection(tmp_path):
         fetch_remote(
             QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=rejected
         )
+
+
+# ---------------------------------------------------------------------------
+# Cache writes and stored analyses
+# ---------------------------------------------------------------------------
+
+
+def test_fetch_remote_writes_past_a_stale_manifest_tmp_directory(tmp_path):
+    entry = tmp_path / corpus_mod._cache_key(QUERY, ["apache"], 5)
+    (entry / "manifest.tmp").mkdir(parents=True)
+    out = fetch_remote(QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=fake_transport)
+    assert len(out) == 2
+    assert json.loads((entry / "manifest.json").read_text())["complete"] is True
+    # no temporary file is left beside the manifest
+    assert sorted(p.name for p in entry.iterdir()) == ["files", "manifest.json", "manifest.tmp"]
+
+
+def test_write_atomic_removes_its_temporary_file_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "manifest.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(corpus_mod.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        corpus_mod._write_atomic(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert target.read_text() == "old\n"
+
+
+def test_write_atomic_gives_the_file_the_usual_mode(tmp_path):
+    corpus_mod._write_atomic(tmp_path / "a.json", "{}\n")
+    (tmp_path / "b.json").write_text("{}\n")
+    assert (tmp_path / "a.json").stat().st_mode == (tmp_path / "b.json").stat().st_mode
+
+
+def _analysis_files(cache_dir: Path) -> list[Path]:
+    return sorted(cache_dir.rglob(corpus_mod.ANALYSIS_FILE))
+
+
+def test_only_an_analysed_replay_reads_or_writes_the_analysis_file(tmp_path):
+    def fetch(**kw):
+        return fetch_remote(
+            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=fake_transport, **kw
+        )
+
+    cold = fetch(analysed=True)  # a cold fetch analyses nothing
+    assert _analysis_files(tmp_path) == [] and all(c.record is None for c in cold)
+    assert all(c.record is None for c in fetch())  # a plain replay neither
+    assert _analysis_files(tmp_path) == []
+    warm = fetch(analysed=True)
+    assert len(_analysis_files(tmp_path)) == 1
+    assert all(c.record is not None and c.record.query == QUERY for c in warm)
+    files_dir = next(tmp_path.rglob("files"))
+    ingest_local(files_dir, QUERY)
+    assert sorted(p.name for p in files_dir.iterdir()) == sorted(f"{c.id}.java" for c in warm)
+
+
+def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
+    memo: dict[str, list[str]] = {}
+    candidates = _one_file_per_rule(corpus_dir) + [
+        Candidate.from_origin(LocalOrigin("broken.java"), "}\ntry { a(); }\ncatch (IOException e) { b(); }\n")
+    ]
+    for cand in candidates:
+        reason = corpus_mod._exclusion_reason(cand, QUERY)
+        analysis = None if reason == "unlexable" else corpus_mod.analyse(cand.unit, memo)
+        record = corpus_mod.Record(QUERY, reason, analysis)
+        stored = json.loads(json.dumps(corpus_mod._record_json(record, "d")))
+        loaded = corpus_mod._record_from_json(stored, QUERY)
+        assert loaded.reason == reason
+        if analysis is None:
+            assert loaded.analysis is None
+            continue
+        want, got = analysis.prepared, loaded.analysis.prepared
+        assert got.texts == want.texts
+        assert list(got.subtokens.items()) == list(want.subtokens.items())
+        assert got.norm == want.norm
+        assert got.graph == want.graph
+        assert loaded.analysis.quality == analysis.quality
+    assert any(c.unit.parse_status is ParseStatus.FAILED for c in candidates)
+
+
+def test_the_fingerprint_is_computed_once_per_process():
+    first = corpus_mod.analysis_fingerprint()
+    assert corpus_mod.analysis_fingerprint() is first
+    assert len(first) == 64
+
+
+def test_the_filter_reads_a_record_only_under_its_own_query():
+    text = "try {\n  u.openStream();\n} catch (IOException e) {\n  log(e);\n}\n"
+    cand = Candidate.from_origin(LocalOrigin("a.java"), text)
+    # a record that says otherwise than the scan, to tell which one is read
+    cand.record = corpus_mod.Record(QUERY, "no-handler", corpus_mod.analyse(cand.unit))
+    assert apply_filter_detailed([cand], QUERY) == ([], [Exclusion(cand.id, "no-handler")])
+    assert apply_filter_detailed([cand], SearchQuery("IOException", "Socket")) == ([cand], [])
+    assert apply_filter_detailed([cand], None) == ([cand], [])
