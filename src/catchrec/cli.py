@@ -114,6 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: parse_args leaves it as it was
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -200,13 +203,7 @@ def _cmd_recommend(args) -> int:
     if args.corpus:
         candidates = corpus_mod.ingest_local(args.corpus, filter_query)
     else:
-        fetched = corpus_mod.fetch_remote(
-            query,
-            orgs=args.orgs,
-            limit=args.limit,
-            cache_dir=args.cache_dir,
-            analysed=True,
-        )
+        fetched = corpus_mod.fetch_remote(query, args.orgs, args.limit, args.cache_dir)
         candidates, _excluded = corpus_mod.apply_filter_detailed(fetched, filter_query)
     if not candidates:
         raise CatchrecError("no candidates survived corpus construction")
@@ -250,9 +247,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:

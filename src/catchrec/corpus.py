@@ -7,9 +7,11 @@ and caches every result set keyed by (query, orgs, limit) so a warm cache
 replays byte-identically with zero network traffic. The transport is
 injectable for tests.
 
-Ranking reads each candidate as one :class:`Analysis`: its prepared form
-and its weight-free quality metrics. A replay for ``recommend`` also keeps
-every candidate's analysis and exclusion reason in the cache entry's
+A candidate is analysed in one place, :func:`judge`: its scan gives its
+exclusion reason under a query, and only a kept candidate is parsed and
+prepared (a :class:`~catchrec.lexical.PreparedUnit`, the form ranking
+reads). The result is the candidate's :class:`Record`. Every warm replay of
+a cache entry keeps each candidate's record in the entry's
 ``analysis.json``, so a later replay scans and parses none of the cached
 files. That file's format lives in this module alone.
 """
@@ -35,13 +37,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import AuthMissing, ConfigError, EmptyUnit, NetworkFailure, RateLimited, read_input
+from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
 from .graph import ApiUsageGraph
 from .lexer import ScanResult, scan
 from .lexical import PreparedUnit, prepare
-from .model import DependencyEdge, GraphObject, SourceUnit
+from .model import DependencyEdge, GraphObject
 from .parser import parse
-from .quality import QualityParts, quality_parts
+from .quality import QualityParts
 from .query import SearchQuery
 
 logger = logging.getLogger(__name__)
@@ -82,33 +84,14 @@ def candidate_id(origin: LocalOrigin | RemoteOrigin) -> str:
 
 
 @dataclass(frozen=True)
-class Analysis:
-    """What ranking reads from one candidate, whatever the context and the
-    weights: its prepared form and its three quality metrics (``None`` for
-    a unit with no code line)."""
-
-    prepared: PreparedUnit
-    quality: QualityParts | None
-
-
-def analyse(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> Analysis:
-    """The unit's :class:`Analysis`, prepared with the subtoken ``memo``."""
-    try:
-        quality = quality_parts(unit)
-    except EmptyUnit:
-        quality = None
-    return Analysis(prepare(unit, memo), quality)
-
-
-@dataclass(frozen=True)
 class Record:
-    """A cached candidate's entry in its cache entry's ``analysis.json``:
-    the exclusion reason under ``query`` (the entry's) and, unless that
-    reason is ``unlexable``, the analysis."""
+    """What :func:`judge` found of one candidate: its exclusion reason under
+    ``query`` and, exactly when that reason is ``None``, its prepared form.
+    A cache entry's ``analysis.json`` stores one per cached candidate."""
 
-    query: SearchQuery
+    query: SearchQuery | None
     reason: str | None
-    analysis: Analysis | None
+    prepared: PreparedUnit | None
 
 
 @dataclass
@@ -116,26 +99,18 @@ class Candidate:
     id: str
     origin: LocalOrigin | RemoteOrigin
     source_text: str
-    # set by a replay for ``recommend`` (see ``fetch_remote``)
+    # set by the filter or by a warm replay (see ``judge``)
     record: Record | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_origin(cls, origin: LocalOrigin | RemoteOrigin, source_text: str) -> "Candidate":
         return cls(id=candidate_id(origin), origin=origin, source_text=source_text)
 
-    @functools.cached_property
-    def scanned(self) -> ScanResult:
-        return scan(self.source_text)
-
-    @functools.cached_property
-    def unit(self) -> SourceUnit:
-        return parse(self.source_text, self.scanned)
-
-    def analysis(self, memo: dict[str, list[str]] | None = None) -> Analysis:
-        """The record's analysis, else one computed from :attr:`unit`."""
-        if self.record is not None and self.record.analysis is not None:
-            return self.record.analysis
-        return analyse(self.unit, memo)
+    def prepared(self, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
+        """The record's prepared form, else one prepared now from the text."""
+        if self.record is not None and self.record.prepared is not None:
+            return self.record.prepared
+        return prepare(parse(self.source_text), memo)
 
 
 MIN_SLOC = 3
@@ -148,33 +123,38 @@ class Exclusion:
     reason: str  # unlexable | no-handler | no-exception-mention | too-short | too-long
 
 
+def judge(text: str, query: SearchQuery | None, memo: dict[str, list[str]] | None = None) -> Record:
+    """The :class:`Record` of a candidate's text under ``query``: the text is
+    scanned once and judged on that scan, and only a kept one is parsed
+    from it and prepared with the subtoken ``memo``."""
+    scanned = scan(text)
+    reason = _scan_reason(scanned, query)
+    prepared = None if reason is not None else prepare(parse(text, scanned), memo)
+    return Record(query, reason, prepared)
+
+
 def apply_filter_detailed(
     candidates: list[Candidate], query: SearchQuery | None
 ) -> tuple[list[Candidate], list[Exclusion]]:
     """Order-preserving filter; every drop is recorded with a reason code.
     With a query every rule applies; with ``None`` only candidates without a
-    token are dropped."""
+    token are dropped. A candidate without a record under ``query`` gets one
+    from :func:`judge`; a record under another query still answers ``None``."""
     kept: list[Candidate] = []
     excluded: list[Exclusion] = []
+    memo: dict[str, list[str]] = {}
     for cand in candidates:
-        reason = _exclusion_reason(cand, query)
+        record = cand.record
+        if record is None or (query is not None and record.query != query):
+            record = cand.record = judge(cand.source_text, query, memo)
+        reason = record.reason
+        if query is None and reason != "unlexable":
+            reason = None
         if reason is None:
             kept.append(cand)
         else:
             excluded.append(Exclusion(cand.id, reason))
     return kept, excluded
-
-
-def _exclusion_reason(cand: Candidate, query: SearchQuery | None) -> str | None:
-    """Judged on the scan alone, so a dropped candidate is never parsed, or
-    read from the candidate's record."""
-    record = cand.record
-    if record is not None:
-        if query is None:
-            return "unlexable" if record.reason == "unlexable" else None
-        if query == record.query:
-            return record.reason
-    return _scan_reason(cand.scanned, query)
 
 
 def _scan_reason(scanned: ScanResult, query: SearchQuery | None) -> str | None:
@@ -352,8 +332,8 @@ def analysis_fingerprint() -> str:
 
 def _record_json(record: Record, digest: str) -> dict:
     entry: dict = {"sha256": digest, "excluded": record.reason}
-    if record.analysis is not None:
-        prepared = record.analysis.prepared
+    prepared = record.prepared
+    if prepared is not None:
         graph = prepared.graph
         entry["analysis"] = {
             "texts": prepared.texts,
@@ -365,7 +345,7 @@ def _record_json(record: Record, digest: str) -> dict:
                 ],
                 "dependencies": [[e.consumer, e.producer, e.access_point] for e in graph.dependencies],
             },
-            "quality": record.analysis.quality,
+            "quality": prepared.quality,
         }
     return entry
 
@@ -411,7 +391,7 @@ def _record_from_json(entry, query: SearchQuery) -> Record:
     reason = _of(dict, entry)["excluded"]
     if reason not in _REASONS:
         raise ValueError(f"unknown exclusion reason {reason!r}")
-    if reason == "unlexable":
+    if reason is not None:
         return Record(query, reason, None)
     raw = _of(dict, entry["analysis"])
     texts = _all_of(str, _of(list, raw["texts"]))
@@ -422,14 +402,13 @@ def _record_from_json(entry, query: SearchQuery) -> Record:
     # character of an identifier, so the counts cannot sum past the texts' length
     if counts and (min(counts) < 1 or sum(counts) > sum(map(len, texts))):
         raise ValueError("subtoken counts do not fit the texts")
-    quality = raw["quality"]
-    if quality is not None:
-        quality = QualityParts(*_all_of(float, _of(list, quality)))
-        if not all(map(math.isfinite, quality)):
-            raise ValueError("quality metric not finite")
+    # a kept file has a token, so a code line, so its quality metrics
+    quality = QualityParts(*_all_of(float, _of(list, raw["quality"])))
+    if not all(map(math.isfinite, quality)):
+        raise ValueError("quality metric not finite")
     graph = None if raw["graph"] is None else _graph_from_json(_of(dict, raw["graph"]))
-    prepared = PreparedUnit(texts=tuple(texts), subtokens=Counter(subtokens), graph=graph)
-    return Record(query, reason, Analysis(prepared, quality))
+    prepared = PreparedUnit(tuple(texts), Counter(subtokens), graph, quality)
+    return Record(query, reason, prepared)
 
 
 def _stored_entries(path: Path) -> dict:
@@ -450,8 +429,8 @@ def _stored_entries(path: Path) -> dict:
 def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candidate]) -> None:
     """Give each replayed candidate its :class:`Record`: the stored one when
     the file's fingerprint matches this code and the record's SHA-256 the
-    cached text, else one computed now. The file is rewritten when any
-    record was computed or it holds any other entry."""
+    cached text, else one from :func:`judge`. The file is rewritten when any
+    record was judged now or it holds any other entry."""
     path = entry_dir / ANALYSIS_FILE
     stored = _stored_entries(path)
     digests: dict[str, str] = {}
@@ -466,11 +445,7 @@ def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candid
         except (ValueError, TypeError, KeyError) as exc:
             logger.debug("re-analysing %s: %s: %s", cand.id, type(exc).__name__, exc)
         if cand.record is None:
-            # scanned and parsed apart from the candidate, which keeps only the record
-            scanned = scan(cand.source_text)
-            reason = _scan_reason(scanned, query)
-            analysis = None if reason == "unlexable" else analyse(parse(cand.source_text, scanned), memo)
-            cand.record = Record(query, reason, analysis)
+            cand.record = judge(cand.source_text, query, memo)
             computed = True
     if not computed and stored.keys() == digests.keys():
         return
@@ -539,16 +514,14 @@ def fetch_remote(
     token: str | None = None,
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
-    *,
-    analysed: bool = False,
 ) -> list[Candidate]:
     """Code-search results for the query, scoped to ``orgs`` (searched in
     sorted order, as the cache key lists them), at most ``limit`` files. A
     warm cache is served without any network traffic; a rate-limited run
     returns the partial set it managed to download, and that partial cache
-    is fetched again on a later run that has a token. With ``analysed``, as
-    ``recommend`` asks, each candidate a warm cache serves carries its
-    :class:`Record`, from the entry's ``analysis.json`` where usable."""
+    is fetched again on a later run that has a token. Each candidate a warm
+    cache serves carries its :class:`Record`, from the entry's
+    ``analysis.json`` where usable (see :func:`_attach_records`)."""
     if limit <= 0:
         return []
     cache_dir = Path(cache_dir)
@@ -557,8 +530,7 @@ def fetch_remote(
     cached, complete = _load_cached(cache_dir, key)
     if cached is not None and (complete or not token):
         cached.sort(key=lambda c: c.id)
-        if analysed:
-            _attach_records(cache_dir / key, query, cached)
+        _attach_records(cache_dir / key, query, cached)
         return cached
     if not token:
         raise AuthMissing(f"set {TOKEN_ENV_VAR} to use remote search")

@@ -19,11 +19,13 @@ They look at different granularities on purpose:
   2004), exactly and with no cap on the length of either sequence.
 
 Context and candidate are the same kind of thing, a parsed fragment, so both
-reach the scorers as a :class:`PreparedUnit` from :func:`prepare`: the
-significant-token texts, the subtoken vector and its norm, and the usage
-graph that :mod:`catchrec.structural` matches (``None`` for a failed parse).
-Ranking prepares the context once per query and each candidate once, with
-one subtoken memo (identifier text to its parts) shared by the whole call.
+reach the scorers as a :class:`PreparedUnit` from :func:`prepare`, the one
+analysed form of a unit: the significant-token texts, the subtoken vector
+and its norm, the usage graph that :mod:`catchrec.structural` matches
+(``None`` for a failed parse) and the weight-free quality metrics (``None``
+for a unit without a code line). A candidate is prepared once, by the
+corpus filter or from a cache entry's stored analyses; units prepared with
+one subtoken memo (identifier text to its parts) split each identifier once.
 :func:`prepare` reads the scan's ``texts`` and ``kinds`` tuples, as every
 stage does; only :func:`significant_tokens` builds :class:`Token` values.
 """
@@ -39,9 +41,11 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
+from .errors import EmptyUnit
 from .graph import ApiUsageGraph, extract_usage_graph
 from .lexer import TokenKind
 from .model import ParseStatus, SourceUnit, Weights
+from .quality import QualityParts, quality_parts
 
 SIGNIFICANT_KINDS = frozenset(
     {TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL}
@@ -81,9 +85,10 @@ def _identifier_parts(text: str) -> list[str]:
 class PreparedUnit:
     """Everything the scorers read from one unit, context or candidate."""
 
-    texts: tuple[str, ...]       # significant-token texts, in order
-    subtokens: Counter           # subtoken frequency vector
-    graph: ApiUsageGraph | None  # None when the parse failed
+    texts: tuple[str, ...]        # significant-token texts, in order
+    subtokens: Counter            # subtoken frequency vector
+    graph: ApiUsageGraph | None   # None when the parse failed
+    quality: QualityParts | None  # None for a unit without a code line
 
     @functools.cached_property
     def norm(self) -> float:
@@ -112,7 +117,11 @@ def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> Prepa
         else:
             parts.append(text)
     graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)
-    return PreparedUnit(texts=tuple(texts), subtokens=Counter(parts), graph=graph)
+    try:
+        quality = quality_parts(unit)
+    except EmptyUnit:
+        quality = None
+    return PreparedUnit(texts=tuple(texts), subtokens=Counter(parts), graph=graph, quality=quality)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ Candidates whose structure cannot be analyzed stay in the pool with a zero
 structural component and a flag: the token-based components exist exactly
 to keep non-parseable code rankable.
 
-The structural and lexical scorers read both sides through
-:func:`catchrec.lexical.prepare`: :func:`rank` prepares the context once per
-call, and scores each candidate from its :class:`~catchrec.corpus.Analysis`,
-the one that a cache replay stored or one computed with the call's one
-subtoken memo.
+Every scorer reads both sides as a :class:`~catchrec.lexical.PreparedUnit`:
+:func:`rank` prepares the context once per call and asks each candidate for
+its own, the one the corpus filter or a cache replay already made, or one
+prepared now with the call's one subtoken memo.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .corpus import Analysis
 from .errors import ConfigError, EmptyPool, StructureUnavailable, read_input
 from .lexical import LexicalReport, LexicalWeights, PreparedUnit, lexical_score, prepare
 from .model import SourceUnit, Weights, check_weight
@@ -174,17 +172,17 @@ def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreak
 
 
 def score_candidate(
-    context: PreparedUnit, candidate_id: str, candidate: Analysis, config: WeightConfig
+    context: PreparedUnit, candidate_id: str, candidate: PreparedUnit, config: WeightConfig
 ) -> RawComponents:
     """Raw component scores for one candidate; a failed parse or a unit
     without code lines degrades its component to zero instead of dropping
     the candidate."""
     try:
-        match = structural_score(context, candidate.prepared, config.structural)
+        match = structural_score(context, candidate, config.structural)
     except StructureUnavailable:
         match = None
 
-    lex = lexical_score(context, candidate.prepared, config.lexical)
+    lex = lexical_score(context, candidate, config.lexical)
     qual = None if candidate.quality is None else weigh(candidate.quality, config.quality)
 
     return RawComponents(
@@ -206,8 +204,8 @@ def rank(
 ) -> list[ScoreBreakdown]:
     """Top-``k`` candidates for the context, with full breakdowns.
 
-    ``candidates`` is a list of objects with an ``id`` attribute and an
-    ``analysis(memo)`` method (see :class:`catchrec.corpus.Candidate`).
+    ``candidates`` is a list of objects with an ``id`` attribute and a
+    ``prepared(memo)`` method (see :class:`catchrec.corpus.Candidate`).
     """
     if not candidates:
         raise EmptyPool("cannot rank an empty pool")
@@ -216,7 +214,7 @@ def rank(
     config = config or WeightConfig()
     memo: dict[str, list[str]] = {}  # one subtoken memo for the whole call
     prepared = prepare(context, memo)  # once per call, not per candidate
-    raws = [score_candidate(prepared, cand.id, cand.analysis(memo), config) for cand in candidates]
+    raws = [score_candidate(prepared, cand.id, cand.prepared(memo), config) for cand in candidates]
     return fuse(raws, config.top_level)[:k]
 
 

@@ -713,6 +713,36 @@ def test_unknown_command_exits_1(run):
     assert run("frobnicate")[0] == 1
 
 
+def test_one_process_prints_what_a_fresh_process_prints_for_each_call(listing1_path):
+    """The parser is built once per process; a usage error, a query and
+    ``--help`` in a row print exactly what three fresh processes print."""
+    calls = [["recommend", listing1_path], ["query", listing1_path], ["--help"]]
+    env = {**os.environ, "COLUMNS": "80"}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "catchrec.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append([done.returncode, done.stdout, done.stderr])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from catchrec.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    one = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True, env=env
+    )
+    assert one.returncode == 0, one.stderr
+    assert [code for code, _out, _err in fresh] == [1, 0, 0]
+    assert json.loads(one.stdout) == fresh
+
+
 def test_console_script_entry_point(listing1_path):
     result = subprocess.run(
         [sys.executable, "-m", "catchrec.cli", "query", listing1_path],
@@ -982,8 +1012,9 @@ def _entry_state(entry: Path) -> dict:
     return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(entry.rglob("*")) if p.is_file()}
 
 
-def test_warm_recommend_scans_and_parses_only_the_context(warm_entry, monkeypatch):
-    argv, entry, cold = warm_entry
+def _count_front_end(monkeypatch) -> dict[str, list]:
+    """The texts every ``catchrec`` module passes to ``scan`` and ``parse``
+    from now on, in call order."""
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "catchrec"]
     calls: dict[str, list] = {"scan": [], "parse": []}
     for name, original in (("scan", lexer_mod.scan), ("parse", parser_mod.parse)):
@@ -995,8 +1026,31 @@ def test_warm_recommend_scans_and_parses_only_the_context(warm_entry, monkeypatc
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_warm_recommend_scans_and_parses_only_the_context(warm_entry, monkeypatch):
+    argv, entry, cold = warm_entry
+    calls = _count_front_end(monkeypatch)
     before = _entry_state(entry)
     assert _main(argv) == cold
+    context = Path(LISTING1).read_text()
+    assert calls == {"scan": [context], "parse": [context]}
+    assert _entry_state(entry) == before
+
+
+def test_a_warm_fetch_stores_the_analyses_a_remote_recommend_reads(warm_entry, tmp_path, monkeypatch):
+    argv, _entry, cold = warm_entry
+    cache = tmp_path / "fetched"
+    fetch = ["fetch", "--query", "IOException URL", "--orgs", "apache", "--out", str(cache)]
+    assert _main(fetch, _pool_transport(_FIXED_POOL), token="t")[0] == 0
+    assert not list(cache.rglob("analysis.json"))  # a cold fetch analyses nothing
+    assert _main(fetch)[0] == 0  # a warm one replays, analyses and stores
+    (entry,) = cache.iterdir()
+    assert (entry / "analysis.json").is_file()
+    calls = _count_front_end(monkeypatch)
+    before = _entry_state(entry)
+    assert _main([str(cache) if arg == str(tmp_path / "cache") else arg for arg in argv]) == cold
     context = Path(LISTING1).read_text()
     assert calls == {"scan": [context], "parse": [context]}
     assert _entry_state(entry) == before

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catchrec import ParseStatus, SearchQuery, WeightConfig, ingest_local, rank
+from catchrec import ParseStatus, SearchQuery, WeightConfig, ingest_local, parse, rank
 from catchrec import corpus as corpus_mod
 from catchrec import parser as parser_mod
 from catchrec.corpus import (
@@ -48,11 +48,12 @@ def test_ingest_filters_by_rule(corpus_dir):
     assert "long.java" not in names        # above the sloc ceiling
 
 
-def test_reading_the_unit_keeps_candidates_equal():
+def test_a_record_keeps_candidates_equal():
     a, b = (Candidate.from_origin(LocalOrigin("a.java"), "int x;") for _ in range(2))
-    assert a.unit.texts
+    assert apply_filter_detailed([a], None) == ([a], [])
+    assert a.record.prepared.texts and b.record is None
     assert a == b
-    assert "unit" not in repr(a) and "scanned" not in repr(a)
+    assert "record" not in repr(a)
 
 
 def test_exclusion_reasons(corpus_dir):
@@ -111,10 +112,10 @@ def test_filter_scans_each_candidate_once_and_parses_only_the_kept(
     assert sorted(e.reason for e in excluded) == [
         "no-exception-mention", "no-handler", "too-long", "too-short", "unlexable",
     ]
-    assert parsed == []
-    rank(listing1, kept, WeightConfig())
-    assert scanned == [c.source_text for c in candidates]
     assert parsed == [c.source_text for c in kept] == [(corpus_dir / "listing2.java").read_text()]
+    rank(listing1, kept, WeightConfig())  # reads the filter's prepared forms
+    assert scanned == [c.source_text for c in candidates]
+    assert parsed == [c.source_text for c in kept]
 
 
 def test_no_filter_still_parses_every_lexable_candidate(corpus_dir, listing1, monkeypatch):
@@ -182,7 +183,7 @@ def test_missing_directory(tmp_path):
 
 def test_filter_soundness(corpus_dir):
     for cand in ingest_local(corpus_dir, QUERY):
-        unit = cand.unit
+        unit = parse(cand.source_text)
         assert unit.handlers.try_blocks >= 1 or unit.handlers.catch_clauses
         assert QUERY.exception_name in unit.texts
         assert MIN_SLOC <= unit.sloc <= MAX_SLOC
@@ -194,10 +195,11 @@ def test_failed_parse_with_handler_stays_in_pool():
         "} catch (IOException e) {\n  log.warn(e);\n}\n"
     )
     cand = Candidate.from_origin(LocalOrigin("broken.java"), text)
-    assert cand.unit.parse_status is ParseStatus.FAILED
+    assert parse(text).parse_status is ParseStatus.FAILED
     kept, excluded = apply_filter_detailed([cand], QUERY)
     assert excluded == []
     assert kept == [cand]
+    assert cand.record.prepared.graph is None
 
 
 _JAVA_PIECES = st.sampled_from(
@@ -212,7 +214,7 @@ def test_handler_filter_agrees_with_parsed_handlers(text):
     """Wherever the parse succeeds, the keyword test of the filter drops
     exactly the units without a parsed try block or catch clause."""
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
-    unit = cand.unit
+    unit = parse(text)
     assume(unit.texts and unit.parse_status is not ParseStatus.FAILED)
     _kept, excluded = apply_filter_detailed([cand], QUERY)
     dropped = [e.reason for e in excluded] == ["no-handler"]
@@ -742,17 +744,15 @@ def _analysis_files(cache_dir: Path) -> list[Path]:
     return sorted(cache_dir.rglob(corpus_mod.ANALYSIS_FILE))
 
 
-def test_only_an_analysed_replay_reads_or_writes_the_analysis_file(tmp_path):
-    def fetch(**kw):
+def test_only_a_warm_replay_reads_or_writes_the_analysis_file(tmp_path):
+    def fetch():
         return fetch_remote(
-            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=fake_transport, **kw
+            QUERY, ["apache"], limit=5, cache_dir=tmp_path, token="t", transport=fake_transport
         )
 
-    cold = fetch(analysed=True)  # a cold fetch analyses nothing
+    cold = fetch()  # a cold fetch analyses nothing
     assert _analysis_files(tmp_path) == [] and all(c.record is None for c in cold)
-    assert all(c.record is None for c in fetch())  # a plain replay neither
-    assert _analysis_files(tmp_path) == []
-    warm = fetch(analysed=True)
+    warm = fetch()
     assert len(_analysis_files(tmp_path)) == 1
     assert all(c.record is not None and c.record.query == QUERY for c in warm)
     files_dir = next(tmp_path.rglob("files"))
@@ -765,23 +765,24 @@ def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
     candidates = _one_file_per_rule(corpus_dir) + [
         Candidate.from_origin(LocalOrigin("broken.java"), "}\ntry { a(); }\ncatch (IOException e) { b(); }\n")
     ]
-    for cand in candidates:
-        reason = corpus_mod._exclusion_reason(cand, QUERY)
-        analysis = None if reason == "unlexable" else corpus_mod.analyse(cand.unit, memo)
-        record = corpus_mod.Record(QUERY, reason, analysis)
+    records = [corpus_mod.judge(c.source_text, QUERY, memo) for c in candidates]
+    for record in records:
         stored = json.loads(json.dumps(corpus_mod._record_json(record, "d")))
+        assert ("analysis" in stored) == (stored["excluded"] is None)
         loaded = corpus_mod._record_from_json(stored, QUERY)
-        assert loaded.reason == reason
-        if analysis is None:
-            assert loaded.analysis is None
+        assert loaded.reason == record.reason
+        want, got = record.prepared, loaded.prepared
+        assert (want is None) == (record.reason is not None)
+        if want is None:
+            assert got is None
             continue
-        want, got = analysis.prepared, loaded.analysis.prepared
         assert got.texts == want.texts
         assert list(got.subtokens.items()) == list(want.subtokens.items())
         assert got.norm == want.norm
         assert got.graph == want.graph
-        assert loaded.analysis.quality == analysis.quality
-    assert any(c.unit.parse_status is ParseStatus.FAILED for c in candidates)
+        assert got.quality == want.quality
+    # a parsed unit's graph and a failed parse's null graph both go round
+    assert sorted(r.prepared.graph is None for r in records if r.prepared) == [False, True]
 
 
 def test_the_fingerprint_is_computed_once_per_process():
@@ -794,7 +795,13 @@ def test_the_filter_reads_a_record_only_under_its_own_query():
     text = "try {\n  u.openStream();\n} catch (IOException e) {\n  log(e);\n}\n"
     cand = Candidate.from_origin(LocalOrigin("a.java"), text)
     # a record that says otherwise than the scan, to tell which one is read
-    cand.record = corpus_mod.Record(QUERY, "no-handler", corpus_mod.analyse(cand.unit))
+    record = cand.record = corpus_mod.Record(QUERY, "no-handler", None)
     assert apply_filter_detailed([cand], QUERY) == ([], [Exclusion(cand.id, "no-handler")])
-    assert apply_filter_detailed([cand], SearchQuery("IOException", "Socket")) == ([cand], [])
+    # without a query, a record under another query answers: only unlexable drops
     assert apply_filter_detailed([cand], None) == ([cand], [])
+    assert cand.record is record
+    # under another query, the filter judges the candidate again from its scan
+    other = SearchQuery("IOException", "Socket")
+    assert apply_filter_detailed([cand], other) == ([cand], [])
+    assert cand.record == corpus_mod.Record(other, None, cand.record.prepared)
+    assert cand.record.prepared.texts
