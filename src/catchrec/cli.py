@@ -204,7 +204,7 @@ def _cmd_recommend(args) -> int:
         candidates = corpus_mod.ingest_local(args.corpus, filter_query)
     else:
         fetched = corpus_mod.fetch_remote(query, args.orgs, args.limit, args.cache_dir)
-        candidates, _excluded = corpus_mod.apply_filter_detailed(fetched, filter_query)
+        candidates, _dropped = corpus_mod.apply_filter_detailed(fetched, filter_query)
     if not candidates:
         raise CatchrecError("no candidates survived corpus construction")
     breakdowns = rank(unit, candidates, config, k=args.top)

@@ -90,6 +90,7 @@ class Record:
     A cache entry's ``analysis.json`` stores one per cached candidate."""
 
     query: SearchQuery | None
+    # None | unlexable | no-handler | no-exception-mention | too-short | too-long
     reason: str | None
     prepared: PreparedUnit | None
 
@@ -106,55 +107,46 @@ class Candidate:
     def from_origin(cls, origin: LocalOrigin | RemoteOrigin, source_text: str) -> "Candidate":
         return cls(id=candidate_id(origin), origin=origin, source_text=source_text)
 
-    def prepared(self, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
+    def prepared(self) -> PreparedUnit:
         """The record's prepared form, else one prepared now from the text."""
         if self.record is not None and self.record.prepared is not None:
             return self.record.prepared
-        return prepare(parse(self.source_text), memo)
+        return prepare(parse(self.source_text))
 
 
 MIN_SLOC = 3
 MAX_SLOC = 300
 
 
-@dataclass(frozen=True)
-class Exclusion:
-    candidate_id: str
-    reason: str  # unlexable | no-handler | no-exception-mention | too-short | too-long
-
-
-def judge(text: str, query: SearchQuery | None, memo: dict[str, list[str]] | None = None) -> Record:
+def judge(text: str, query: SearchQuery | None) -> Record:
     """The :class:`Record` of a candidate's text under ``query``: the text is
     scanned once and judged on that scan, and only a kept one is parsed
-    from it and prepared with the subtoken ``memo``."""
+    from it and prepared."""
     scanned = scan(text)
     reason = _scan_reason(scanned, query)
-    prepared = None if reason is not None else prepare(parse(text, scanned), memo)
+    prepared = None if reason is not None else prepare(parse(text, scanned))
     return Record(query, reason, prepared)
 
 
 def apply_filter_detailed(
     candidates: list[Candidate], query: SearchQuery | None
-) -> tuple[list[Candidate], list[Exclusion]]:
-    """Order-preserving filter; every drop is recorded with a reason code.
-    With a query every rule applies; with ``None`` only candidates without a
-    token are dropped. A candidate without a record under ``query`` gets one
-    from :func:`judge`; a record under another query still answers ``None``."""
+) -> tuple[list[Candidate], list[Candidate]]:
+    """The kept and the dropped candidates, each in input order; a dropped
+    one's ``record.reason`` says why. With a query every rule applies; with
+    ``None`` only candidates without a token are dropped. A candidate without
+    a record under ``query`` gets one from :func:`judge`; a record under
+    another query still answers ``None``, and drops only an unlexable text."""
     kept: list[Candidate] = []
-    excluded: list[Exclusion] = []
-    memo: dict[str, list[str]] = {}
+    dropped: list[Candidate] = []
     for cand in candidates:
         record = cand.record
         if record is None or (query is not None and record.query != query):
-            record = cand.record = judge(cand.source_text, query, memo)
-        reason = record.reason
-        if query is None and reason != "unlexable":
-            reason = None
-        if reason is None:
+            record = cand.record = judge(cand.source_text, query)
+        if record.reason is None or (query is None and record.reason != "unlexable"):
             kept.append(cand)
         else:
-            excluded.append(Exclusion(cand.id, reason))
-    return kept, excluded
+            dropped.append(cand)
+    return kept, dropped
 
 
 def _scan_reason(scanned: ScanResult, query: SearchQuery | None) -> str | None:
@@ -196,9 +188,9 @@ def ingest_local(directory: str | Path, query: SearchQuery | None) -> list[Candi
             continue
         candidates.append(Candidate.from_origin(LocalOrigin(rel), text))
 
-    kept, excluded = apply_filter_detailed(candidates, query)
-    for exc in excluded:
-        logger.debug("filtered out %s: %s", exc.candidate_id, exc.reason)
+    kept, dropped = apply_filter_detailed(candidates, query)
+    for cand in dropped:
+        logger.debug("filtered out %s: %s", cand.id, cand.record.reason)
     return sorted(kept, key=lambda c: c.id)
 
 
@@ -219,7 +211,8 @@ def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, bytes]:
 
 
 def _cache_key(query: SearchQuery, orgs: list[str], limit: int) -> str:
-    raw = f"{query.rendered}|{','.join(sorted(orgs))}|{limit}"
+    """The entry name for ``orgs``, distinct and sorted."""
+    raw = f"{query.rendered}|{','.join(orgs)}|{limit}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
 
@@ -298,7 +291,7 @@ def _write_cache(
         )
     manifest = {
         "query": query.rendered,
-        "orgs": sorted(orgs),
+        "orgs": orgs,
         "limit": limit,
         "complete": complete,
         "candidates": entries,
@@ -314,18 +307,16 @@ def _write_cache(
 
 ANALYSIS_FILE = "analysis.json"
 _REASONS = (None, "unlexable", "no-handler", "no-exception-mention", "too-short", "too-long")
-# The modules whose code decides a record's content.
-_ANALYSING_MODULES = ("corpus", "graph", "lexer", "lexical", "model", "parser", "quality")
 
 
 @functools.cache
 def analysis_fingerprint() -> str:
-    """SHA-256 of the source of every module whose output a record holds,
-    the Python minor version and the Unicode database version: changing
-    any of them retires every stored record."""
+    """SHA-256 of the source of every module of the package, the Python
+    minor version and the Unicode database version: changing any of them
+    retires every stored record."""
     digest = hashlib.sha256()
-    for name in _ANALYSING_MODULES:
-        digest.update(Path(__file__).with_name(f"{name}.py").read_bytes())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
     digest.update(f"{sys.version_info[:2]} {unicodedata.unidata_version}".encode())
     return digest.hexdigest()
 
@@ -434,7 +425,6 @@ def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candid
     path = entry_dir / ANALYSIS_FILE
     stored = _stored_entries(path)
     digests: dict[str, str] = {}
-    memo: dict[str, list[str]] = {}
     computed = False
     for cand in candidates:
         digest = digests[cand.id] = hashlib.sha256(cand.source_text.encode("utf-8")).hexdigest()
@@ -445,7 +435,7 @@ def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candid
         except (ValueError, TypeError, KeyError) as exc:
             logger.debug("re-analysing %s: %s: %s", cand.id, type(exc).__name__, exc)
         if cand.record is None:
-            cand.record = judge(cand.source_text, query, memo)
+            cand.record = judge(cand.source_text, query)
             computed = True
     if not computed and stored.keys() == digests.keys():
         return
@@ -515,16 +505,17 @@ def fetch_remote(
     transport: Transport | None = None,
     sleeper: Callable[[float], None] = time.sleep,
 ) -> list[Candidate]:
-    """Code-search results for the query, scoped to ``orgs`` (searched in
-    sorted order, as the cache key lists them), at most ``limit`` files. A
-    warm cache is served without any network traffic; a rate-limited run
-    returns the partial set it managed to download, and that partial cache
-    is fetched again on a later run that has a token. Each candidate a warm
-    cache serves carries its :class:`Record`, from the entry's
-    ``analysis.json`` where usable (see :func:`_attach_records`)."""
+    """Code-search results for the query, scoped to ``orgs`` (each searched
+    once, in sorted order, as the cache key lists them), at most ``limit``
+    files. A warm cache is served without any network traffic; a
+    rate-limited run returns the partial set it managed to download, and
+    that partial cache is fetched again on a later run that has a token.
+    Each candidate a warm cache serves carries its :class:`Record`, from the
+    entry's ``analysis.json`` where usable (see :func:`_attach_records`)."""
     if limit <= 0:
         return []
     cache_dir = Path(cache_dir)
+    orgs = sorted(set(orgs))
     key = _cache_key(query, orgs, limit)
     token = token or os.environ.get(TOKEN_ENV_VAR)
     cached, complete = _load_cached(cache_dir, key)
@@ -545,7 +536,7 @@ def fetch_remote(
     complete = True
     per_page = min(limit, _MAX_PER_PAGE)
     try:
-        for org in sorted(orgs):
+        for org in orgs:
             if len(items) >= limit:
                 break
             q = f"{query.rendered} language:java org:{org}"

@@ -24,8 +24,8 @@ analysed form of a unit: the significant-token texts, the subtoken vector
 and its norm, the usage graph that :mod:`catchrec.structural` matches
 (``None`` for a failed parse) and the weight-free quality metrics (``None``
 for a unit without a code line). A candidate is prepared once, by the
-corpus filter or from a cache entry's stored analyses; units prepared with
-one subtoken memo (identifier text to its parts) split each identifier once.
+corpus filter or from a cache entry's stored analyses; a process splits
+each distinct identifier once, since :func:`_identifier_parts` is cached.
 :func:`prepare` reads the scan's ``texts`` and ``kinds`` tuples, as every
 stage does; only :func:`significant_tokens` builds :class:`Token` values.
 """
@@ -75,10 +75,11 @@ def significant_tokens(unit: SourceUnit) -> list[Token]:
     return [t for t in tokens if t.kind in SIGNIFICANT_KINDS]
 
 
-def _identifier_parts(text: str) -> list[str]:
+@functools.cache
+def _identifier_parts(text: str) -> tuple[str, ...]:
     """Lowercase subtokens of an identifier, split at ``_``, ``$`` and camel case."""
-    parts = [m.group(0).lower() for m in _CAMEL.finditer(text)]
-    return parts or [text.lower()]
+    parts = tuple(m.group(0).lower() for m in _CAMEL.finditer(text))
+    return parts or (text.lower(),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +98,9 @@ class PreparedUnit:
         return math.sqrt(sum(map(operator.mul, counts, counts)))
 
 
-def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> PreparedUnit:
-    """Compute one unit's side of every measure. ``memo`` maps identifier
-    texts to their :func:`_identifier_parts`; units prepared with one memo
-    split each distinct identifier once. Keywords and literals count whole."""
-    if memo is None:
-        memo = {}
+def prepare(unit: SourceUnit) -> PreparedUnit:
+    """Compute one unit's side of every measure. Identifiers count by their
+    :func:`_identifier_parts`; keywords and literals count whole."""
     texts: list[str] = []
     parts: list[str] = []
     for text, kind in zip(unit.texts, unit.kinds):
@@ -110,10 +108,7 @@ def prepare(unit: SourceUnit, memo: dict[str, list[str]] | None = None) -> Prepa
             continue
         texts.append(text)
         if kind is _IDENTIFIER:
-            split = memo.get(text)
-            if split is None:
-                split = memo[text] = _identifier_parts(text)
-            parts += split
+            parts += _identifier_parts(text)
         else:
             parts.append(text)
     graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)

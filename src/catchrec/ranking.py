@@ -13,7 +13,7 @@ to keep non-parseable code rankable.
 Every scorer reads both sides as a :class:`~catchrec.lexical.PreparedUnit`:
 :func:`rank` prepares the context once per call and asks each candidate for
 its own, the one the corpus filter or a cache replay already made, or one
-prepared now with the call's one subtoken memo.
+prepared now.
 """
 
 from __future__ import annotations
@@ -205,16 +205,15 @@ def rank(
     """Top-``k`` candidates for the context, with full breakdowns.
 
     ``candidates`` is a list of objects with an ``id`` attribute and a
-    ``prepared(memo)`` method (see :class:`catchrec.corpus.Candidate`).
+    ``prepared()`` method (see :class:`catchrec.corpus.Candidate`).
     """
     if not candidates:
         raise EmptyPool("cannot rank an empty pool")
     if k < 1:
         raise ValueError("k must be at least 1")
     config = config or WeightConfig()
-    memo: dict[str, list[str]] = {}  # one subtoken memo for the whole call
-    prepared = prepare(context, memo)  # once per call, not per candidate
-    raws = [score_candidate(prepared, cand.id, cand.prepared(memo), config) for cand in candidates]
+    prepared = prepare(context)  # once per call, not per candidate
+    raws = [score_candidate(prepared, cand.id, cand.prepared(), config) for cand in candidates]
     return fuse(raws, config.top_level)[:k]
 
 

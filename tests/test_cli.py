@@ -1076,6 +1076,23 @@ def _count_as_string(stored) -> None:
     subtokens[name] = str(subtokens[name])
 
 
+def _edge_out_of_range(stored) -> None:
+    graph = next(
+        r["analysis"]["graph"] for r in stored["candidates"].values()
+        if "analysis" in r and r["analysis"]["graph"] is not None
+    )
+    graph["dependencies"].append([0, 99, "openStream"])
+
+
+def _count_past_the_texts(stored) -> None:
+    subtokens = _first_analysed(stored)["analysis"]["subtokens"]
+    subtokens[next(iter(subtokens))] = 10**6
+
+
+def _nan_readability(stored) -> None:
+    _first_analysed(stored)["analysis"]["quality"][0] = float("nan")
+
+
 def _truncate(entry: Path) -> None:
     path = entry / "analysis.json"
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -1095,9 +1112,13 @@ def _edit_cached_file(entry: Path) -> None:
         _edit_cached_file,
         _corrupt_json(lambda s: s["candidates"].pop(next(iter(s["candidates"])))),
         _corrupt_json(lambda s: s["candidates"].update({"0123456789abcdef": _first_analysed(s)})),
+        _corrupt_json(_edge_out_of_range),
+        _corrupt_json(_count_past_the_texts),
+        _corrupt_json(_nan_readability),
     ],
     ids=["truncated", "count-is-a-string", "other-fingerprint", "cached-file-edited",
-         "record-missing", "record-not-in-manifest"],
+         "record-missing", "record-not-in-manifest", "edge-out-of-range",
+         "count-past-the-texts", "quality-not-finite"],
 )
 def test_an_unusable_analysis_file_gives_the_cold_output_and_is_rewritten(
     warm_entry, tmp_path, corrupt

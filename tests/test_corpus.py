@@ -1,7 +1,10 @@
+import io
 import json
 import threading
 import time
+import urllib.error
 import urllib.parse
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,6 @@ from catchrec.corpus import (
     MAX_SLOC,
     MIN_SLOC,
     Candidate,
-    Exclusion,
     LocalOrigin,
     RemoteOrigin,
     apply_filter_detailed,
@@ -61,9 +63,8 @@ def test_exclusion_reasons(corpus_dir):
         Candidate.from_origin(LocalOrigin(p.name), p.read_text())
         for p in sorted(corpus_dir.glob("*.java"))
     ]
-    kept, excluded = apply_filter_detailed(candidates, QUERY)
-    reasons = { {c.id: c.origin.path for c in candidates}[e.candidate_id]: e.reason
-                for e in excluded }
+    kept, dropped = apply_filter_detailed(candidates, QUERY)
+    reasons = {c.origin.path: c.record.reason for c in dropped}
     assert reasons == {
         "plain.java": "no-handler",
         "unrelated.java": "no-exception-mention",
@@ -108,9 +109,9 @@ def test_filter_scans_each_candidate_once_and_parses_only_the_kept(
 ):
     candidates = _one_file_per_rule(corpus_dir)
     scanned, parsed = _spy_front_end(monkeypatch)
-    kept, excluded = apply_filter_detailed(candidates, QUERY)
-    assert sorted(e.reason for e in excluded) == [
-        "no-exception-mention", "no-handler", "too-long", "too-short", "unlexable",
+    kept, dropped = apply_filter_detailed(candidates, QUERY)
+    assert [c.record.reason for c in dropped] == [
+        "too-long", "no-handler", "too-short", "no-exception-mention", "unlexable",
     ]
     assert parsed == [c.source_text for c in kept] == [(corpus_dir / "listing2.java").read_text()]
     rank(listing1, kept, WeightConfig())  # reads the filter's prepared forms
@@ -121,8 +122,8 @@ def test_filter_scans_each_candidate_once_and_parses_only_the_kept(
 def test_no_filter_still_parses_every_lexable_candidate(corpus_dir, listing1, monkeypatch):
     candidates = _one_file_per_rule(corpus_dir)
     scanned, parsed = _spy_front_end(monkeypatch)
-    kept, excluded = apply_filter_detailed(candidates, None)
-    assert [e.reason for e in excluded] == ["unlexable"]
+    kept, dropped = apply_filter_detailed(candidates, None)
+    assert dropped == candidates[-1:] and dropped[0].record.reason == "unlexable"
     rank(listing1, kept, WeightConfig())
     assert scanned == [c.source_text for c in candidates]
     assert parsed == [c.source_text for c in candidates[:-1]]
@@ -155,8 +156,9 @@ _LONG_BODY = "".join(f"  a{i}();\n" for i in range(MAX_SLOC))
 )
 def test_first_failing_rule_names_the_exclusion(text, reason):
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
-    _kept, excluded = apply_filter_detailed([cand], QUERY)
-    assert [e.reason for e in excluded] == ([reason] if reason else [])
+    kept, dropped = apply_filter_detailed([cand], QUERY)
+    assert (kept, dropped) == (([cand], []) if reason is None else ([], [cand]))
+    assert cand.record.reason == reason
 
 
 def test_ingest_and_rank_build_no_token(monkeypatch, fixtures_dir, listing1):
@@ -196,9 +198,7 @@ def test_failed_parse_with_handler_stays_in_pool():
     )
     cand = Candidate.from_origin(LocalOrigin("broken.java"), text)
     assert parse(text).parse_status is ParseStatus.FAILED
-    kept, excluded = apply_filter_detailed([cand], QUERY)
-    assert excluded == []
-    assert kept == [cand]
+    assert apply_filter_detailed([cand], QUERY) == ([cand], [])
     assert cand.record.prepared.graph is None
 
 
@@ -216,9 +216,9 @@ def test_handler_filter_agrees_with_parsed_handlers(text):
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
     unit = parse(text)
     assume(unit.texts and unit.parse_status is not ParseStatus.FAILED)
-    _kept, excluded = apply_filter_detailed([cand], QUERY)
-    dropped = [e.reason for e in excluded] == ["no-handler"]
-    assert dropped == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
+    _kept, dropped = apply_filter_detailed([cand], QUERY)
+    no_handler = dropped == [cand] and cand.record.reason == "no-handler"
+    assert no_handler == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
 
 
 def test_ingest_order_and_ids_deterministic(corpus_dir):
@@ -239,9 +239,8 @@ def test_candidate_id_is_stable_hash_of_origin():
 def test_filter_without_query_drops_only_unlexable():
     code = Candidate.from_origin(LocalOrigin("a.java"), "int x;")
     comment = Candidate.from_origin(LocalOrigin("b.java"), "// nothing but a comment\n")
-    kept, excluded = apply_filter_detailed([code, comment], None)
-    assert kept == [code]
-    assert excluded == [Exclusion(comment.id, "unlexable")]
+    assert apply_filter_detailed([code, comment], None) == ([code], [comment])
+    assert comment.record.reason == "unlexable"
 
 
 def test_unreadable_file_skipped(tmp_path, caplog):
@@ -359,6 +358,27 @@ def test_fetch_remote_result_does_not_depend_on_org_order(tmp_path):
 
     assert repos(["a", "b"], tmp_path / "ab") == repos(["b", "a"], tmp_path / "ba") == ["a/r"]
     assert repos(["a", "b"], tmp_path / "ba", exploding_transport) == ["a/r"]
+
+
+def test_fetch_remote_uses_each_org_once(tmp_path):
+    def fetch(orgs, cache_dir):
+        requests = []
+
+        def transport(url, headers):
+            requests.append(url)
+            return fake_transport(url, headers)
+
+        out = fetch_remote(QUERY, orgs, limit=5, cache_dir=cache_dir, token="t", transport=transport)
+        return [c.id for c in out], requests
+
+    twice = fetch(["apache", "apache"], tmp_path / "twice")
+    assert twice == fetch(["apache"], tmp_path / "once")
+    assert len(twice[1]) == 3  # one search, then each of its two files
+    (manifest,) = (tmp_path / "twice").rglob("manifest.json")
+    assert json.loads(manifest.read_text())["orgs"] == ["apache"]
+    # either list reads the other's cache entry
+    assert fetch(["apache"], tmp_path / "twice") == (twice[0], [])
+    assert fetch(["apache", "apache"], tmp_path / "once") == (twice[0], [])
 
 
 def _paged_search(totals, searches):
@@ -685,6 +705,50 @@ def test_fetch_remote_starts_no_thread(tmp_path, monkeypatch):
     assert len(out) == 2
 
 
+URL = "https://api.example/fetch/one"
+
+
+class _Response:
+    status = 200
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return b"class A {}"
+
+
+@pytest.mark.parametrize(
+    "outcome, want",
+    [
+        (_Response(), (200, b"class A {}")),
+        (urllib.error.HTTPError(URL, 404, "Not Found", None, io.BytesIO(b"gone")), (404, b"gone")),
+        (urllib.error.URLError("no route to host"), None),
+        (ConnectionResetError("reset by peer"), None),
+    ],
+    ids=["answer", "http-error", "url-error", "os-error"],
+)
+def test_default_transport(monkeypatch, outcome, want):
+    seen = []
+
+    def urlopen(request, timeout):
+        seen.append((request.full_url, request.get_header("Authorization"), timeout))
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    if want is None:
+        with pytest.raises(NetworkFailure, match=f"request to {URL} failed"):
+            corpus_mod._default_transport(URL, {"Authorization": "Bearer t"})
+    else:
+        assert corpus_mod._default_transport(URL, {"Authorization": "Bearer t"}) == want
+    assert seen == [(URL, "Bearer t", 30)]
+
+
 def test_fetch_remote_server_error_is_network_failure(tmp_path):
     def broken(url, headers):
         return 500, b"boom"
@@ -761,11 +825,10 @@ def test_only_a_warm_replay_reads_or_writes_the_analysis_file(tmp_path):
 
 
 def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
-    memo: dict[str, list[str]] = {}
     candidates = _one_file_per_rule(corpus_dir) + [
         Candidate.from_origin(LocalOrigin("broken.java"), "}\ntry { a(); }\ncatch (IOException e) { b(); }\n")
     ]
-    records = [corpus_mod.judge(c.source_text, QUERY, memo) for c in candidates]
+    records = [corpus_mod.judge(c.source_text, QUERY) for c in candidates]
     for record in records:
         stored = json.loads(json.dumps(corpus_mod._record_json(record, "d")))
         assert ("analysis" in stored) == (stored["excluded"] is None)
@@ -791,12 +854,28 @@ def test_the_fingerprint_is_computed_once_per_process():
     assert len(first) == 64
 
 
+def test_the_fingerprint_reads_every_module_of_the_package(monkeypatch):
+    read = []
+    read_bytes = Path.read_bytes
+
+    def spy(path):
+        read.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    assert corpus_mod.analysis_fingerprint.__wrapped__() == corpus_mod.analysis_fingerprint()
+    package = Path(corpus_mod.__file__).parent
+    assert read == sorted(p.name for p in package.glob("*.py"))
+    assert {"cli.py", "ranking.py", "structural.py"} <= set(read)
+
+
 def test_the_filter_reads_a_record_only_under_its_own_query():
     text = "try {\n  u.openStream();\n} catch (IOException e) {\n  log(e);\n}\n"
     cand = Candidate.from_origin(LocalOrigin("a.java"), text)
     # a record that says otherwise than the scan, to tell which one is read
     record = cand.record = corpus_mod.Record(QUERY, "no-handler", None)
-    assert apply_filter_detailed([cand], QUERY) == ([], [Exclusion(cand.id, "no-handler")])
+    assert apply_filter_detailed([cand], QUERY) == ([], [cand])
+    assert cand.record is record
     # without a query, a record under another query answers: only unlexable drops
     assert apply_filter_detailed([cand], None) == ([cand], [])
     assert cand.record is record

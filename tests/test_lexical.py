@@ -51,15 +51,17 @@ def test_listing1_significant_token_count_golden(listing1):
 
 
 def test_subtoken_splitting():
-    assert _identifier_parts("HttpURLConnection") == ["http", "url", "connection"]
-    assert _identifier_parts("web_service_url") == ["web", "service", "url"]
-    assert _identifier_parts("HTTP_OK") == ["http", "ok"]
-    assert _identifier_parts("getInputStream") == ["get", "input", "stream"]
-    assert _identifier_parts("utf8Name") == ["utf8", "name"]
-    assert _identifier_parts("__init__") == ["init"]
-    assert _identifier_parts("$x_Y") == ["x", "y"]
-    assert _identifier_parts("A_B$cD") == ["a", "b", "c", "d"]
-    assert _identifier_parts("_") == ["_"]
+    assert _identifier_parts("HttpURLConnection") == ("http", "url", "connection")
+    assert _identifier_parts("web_service_url") == ("web", "service", "url")
+    assert _identifier_parts("HTTP_OK") == ("http", "ok")
+    assert _identifier_parts("getInputStream") == ("get", "input", "stream")
+    assert _identifier_parts("utf8Name") == ("utf8", "name")
+    assert _identifier_parts("__init__") == ("init",)
+    assert _identifier_parts("$x_Y") == ("x", "y")
+    assert _identifier_parts("A_B$cD") == ("a", "b", "c", "d")
+    assert _identifier_parts("_") == ("_",)
+    # one split per distinct identifier, shared and immutable
+    assert _identifier_parts("getInputStream") is _identifier_parts("getInputStream")
     # keywords and literals count whole, unsplit and in their own case
     vector = prepare(parse('try { get("GET"); } finally { }')).subtokens
     assert vector == Counter(["try", "get", '"GET"', "finally"])
@@ -198,22 +200,26 @@ _FRAGMENT_PIECES = st.sampled_from(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(_FRAGMENT_PIECES, max_size=30).map(" ".join), min_size=1, max_size=5))
-def test_prepare_with_a_shared_memo_equals_prepare_alone(fragments):
-    """One memo shared by several units changes nothing; both equal the
-    significant tokens and their subtokens counted in order."""
-    memo: dict = {}
+def test_prepare_counts_the_significant_tokens_and_their_subtokens_in_order(fragments):
+    """The split cache that units prepared in one process share changes
+    nothing: a unit prepared again, after others, equals the significant
+    tokens and their subtokens, split uncached, counted in order."""
+    split = _identifier_parts.__wrapped__
     for text in fragments:
         unit = parse(text)
-        shared, alone = prepare(unit, memo), prepare(unit)
+        first = prepare(unit)
+        for other in fragments:
+            prepare(parse(other))
+        again = prepare(unit)
         significant = significant_tokens(unit)
-        assert shared.texts == alone.texts == tuple(t.text for t in significant)
+        assert first.texts == again.texts == tuple(t.text for t in significant)
         expected = list(Counter(
             part
             for t in significant
-            for part in (_identifier_parts(t.text) if t.kind is TokenKind.IDENTIFIER else [t.text])
+            for part in (split(t.text) if t.kind is TokenKind.IDENTIFIER else [t.text])
         ).items())
-        assert list(shared.subtokens.items()) == list(alone.subtokens.items()) == expected
-        assert shared.norm == alone.norm
+        assert list(first.subtokens.items()) == list(again.subtokens.items()) == expected
+        assert first.norm == again.norm
 
 
 def test_lexical_score_identity():

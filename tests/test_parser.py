@@ -383,6 +383,11 @@ def test_each_partial_trigger_alone(text, try_blocks, catch_clauses):
             "try { f(); } catch (final @Deprecated IOException | java.sql.SQLException e) { log(e); }",
             [], [("IOException", "java.sql.SQLException")], id="annotated-catch-header",
         ),
+        pytest.param(
+            "java.net.URL u = new java.net.URL(s); u.openStream();",
+            [("java.net.URL", "u", (), (("<init>", 1), ("openStream", 1)))], [],
+            id="qualified-type-name",
+        ),
     ],
 )
 def test_documented_object_and_catch_rules(text, objects, catch_types):
