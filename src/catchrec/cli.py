@@ -92,7 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--format", choices=["text", "json"], default="text")
     recommend.add_argument("--orgs", type=_org_list, default="apache,eclipse,facebook,twitter")
     recommend.add_argument("--limit", type=_positive_int, default=corpus_mod.DEFAULT_LIMIT)
-    recommend.add_argument("--cache-dir", default=corpus_mod.DEFAULT_CACHE_DIR)
+    recommend.add_argument(
+        "--cache-dir",
+        default=corpus_mod.DEFAULT_CACHE_DIR,
+        help="remote-search cache and stored analyses (default: %(default)s)",
+    )
     recommend.add_argument("--no-filter", action="store_true", help="rank the raw corpus")
 
     ev = sub.add_parser("evaluate", help="run the evaluation harness")
@@ -104,6 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"weight config JSON path (default: ./{DEFAULT_CONFIG_NAME} when present)",
     )
     ev.add_argument("--format", choices=["text", "json"], default="text")
+    ev.add_argument(
+        "--cache-dir",
+        default=corpus_mod.DEFAULT_CACHE_DIR,
+        help="stored analyses of the case corpora (default: %(default)s)",
+    )
 
     fetch = sub.add_parser("fetch", help="build a cached corpus from remote search")
     fetch.add_argument("--query", required=True, help='two terms: "<exception> <class>"')
@@ -201,7 +210,8 @@ def _cmd_recommend(args) -> int:
     query = formulate_query(unit, kb, args.exception)
     filter_query = None if args.no_filter else query
     if args.corpus:
-        candidates = corpus_mod.ingest_local(args.corpus, filter_query)
+        store = corpus_mod.local_store(args.cache_dir, [args.corpus])
+        candidates = corpus_mod.ingest_local(args.corpus, filter_query, store)
     else:
         fetched = corpus_mod.fetch_remote(query, args.orgs, args.limit, args.cache_dir)
         candidates, _dropped = corpus_mod.apply_filter_detailed(fetched, filter_query)
@@ -220,7 +230,9 @@ def _cmd_recommend(args) -> int:
 def _cmd_evaluate(args) -> int:
     cases = load_cases(args.cases)
     oracle = Oracle.from_file(args.oracle)
-    report = evaluate(cases, oracle, _load_config(args.config), ks=args.ks)
+    config = _load_config(args.config)
+    store = corpus_mod.local_store(args.cache_dir, [case.corpus_dir for case in cases])
+    report = evaluate(cases, oracle, config, ks=args.ks, store=store)
     if args.format == "json":
         print(report.to_json(), end="")
     else:

@@ -7,13 +7,15 @@ and caches every result set keyed by (query, orgs, limit) so a warm cache
 replays byte-identically with zero network traffic. The transport is
 injectable for tests.
 
-A candidate is analysed in one place, :func:`judge`: its scan gives its
-exclusion reason under a query, and only a kept candidate is parsed and
-prepared (a :class:`~catchrec.lexical.PreparedUnit`, the form ranking
-reads). The result is the candidate's :class:`Record`. Every warm replay of
-a cache entry keeps each candidate's record in the entry's
-``analysis.json``, so a later replay scans and parses none of the cached
-files. That file's format lives in this module alone.
+A candidate's text is analysed in one place, :func:`judge`, whatever the
+query: its scan gives its code-line count, and a lexable text is parsed from
+that scan and prepared (a :class:`~catchrec.lexical.PreparedUnit`, the form
+ranking reads). The result is the text's :class:`Record`, and the filter's
+reason under any query is :func:`exclusion` of it. Records are stored by
+the SHA-256 of their text, one pack per corpus location: a cache entry's
+``analysis.json``, or a local directory's pack under the cache directory's
+``local/``. So a rerun scans and parses none of the files it has seen. The
+packs' format lives in this module alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable
 
 from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
 from .graph import ApiUsageGraph
-from .lexer import ScanResult, scan
+from .lexer import scan
 from .lexical import PreparedUnit, prepare
 from .model import DependencyEdge, GraphObject
 from .parser import parse
@@ -85,14 +87,12 @@ def candidate_id(origin: LocalOrigin | RemoteOrigin) -> str:
 
 @dataclass(frozen=True)
 class Record:
-    """What :func:`judge` found of one candidate: its exclusion reason under
-    ``query`` and, exactly when that reason is ``None``, its prepared form.
-    A cache entry's ``analysis.json`` stores one per cached candidate."""
+    """What :func:`judge` found of one candidate text, whatever the query:
+    its code-line count and, for a lexable text (one with a token, so with a
+    code line), its prepared form. A store keeps one per distinct text."""
 
-    query: SearchQuery | None
-    # None | unlexable | no-handler | no-exception-mention | too-short | too-long
-    reason: str | None
-    prepared: PreparedUnit | None
+    sloc: int
+    prepared: PreparedUnit | None  # None exactly when ``sloc`` is 0
 
 
 @dataclass
@@ -100,7 +100,7 @@ class Candidate:
     id: str
     origin: LocalOrigin | RemoteOrigin
     source_text: str
-    # set by the filter or by a warm replay (see ``judge``)
+    # set by the filter or from a store (see ``judge``)
     record: Record | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -118,62 +118,83 @@ MIN_SLOC = 3
 MAX_SLOC = 300
 
 
-def judge(text: str, query: SearchQuery | None) -> Record:
-    """The :class:`Record` of a candidate's text under ``query``: the text is
-    scanned once and judged on that scan, and only a kept one is parsed
-    from it and prepared."""
+def judge(text: str) -> Record:
+    """The :class:`Record` of a candidate's text: the text is scanned once,
+    and a lexable one is parsed from that scan and prepared."""
     scanned = scan(text)
-    reason = _scan_reason(scanned, query)
-    prepared = None if reason is not None else prepare(parse(text, scanned))
-    return Record(query, reason, prepared)
+    if not scanned.texts:
+        return Record(0, None)
+    return Record(len(scanned.code_lines), prepare(parse(text, scanned)))
 
 
-def apply_filter_detailed(
-    candidates: list[Candidate], query: SearchQuery | None
-) -> tuple[list[Candidate], list[Candidate]]:
-    """The kept and the dropped candidates, each in input order; a dropped
-    one's ``record.reason`` says why. With a query every rule applies; with
-    ``None`` only candidates without a token are dropped. A candidate without
-    a record under ``query`` gets one from :func:`judge`; a record under
-    another query still answers ``None``, and drops only an unlexable text."""
-    kept: list[Candidate] = []
-    dropped: list[Candidate] = []
-    for cand in candidates:
-        record = cand.record
-        if record is None or (query is not None and record.query != query):
-            record = cand.record = judge(cand.source_text, query)
-        if record.reason is None or (query is None and record.reason != "unlexable"):
-            kept.append(cand)
-        else:
-            dropped.append(cand)
-    return kept, dropped
-
-
-def _scan_reason(scanned: ScanResult, query: SearchQuery | None) -> str | None:
-    texts = scanned.texts
-    if not texts:
+def exclusion(record: Record, query: SearchQuery | None) -> str | None:
+    """The filter's reason code for a candidate of ``record`` under
+    ``query``, or ``None`` when it is kept. The prepared texts hold every
+    identifier, keyword and literal token, so every ``try``, ``catch`` and
+    exception name (see :class:`~catchrec.query.SearchQuery`)."""
+    prepared = record.prepared
+    if prepared is None:
         return "unlexable"
     if query is None:
         return None
     # A token test rather than the parsed handlers, so that a candidate whose
     # parse failed (and so carries no handler structure) is still kept. Only
     # a keyword token has the text try or catch.
+    texts = prepared.texts
     if "try" not in texts and "catch" not in texts:
         return "no-handler"
     if query.exception_name not in texts:
         return "no-exception-mention"
-    sloc = len(scanned.code_lines)
-    if sloc < MIN_SLOC:
+    if record.sloc < MIN_SLOC:
         return "too-short"
-    if sloc > MAX_SLOC:
+    if record.sloc > MAX_SLOC:
         return "too-long"
     return None
 
 
-def ingest_local(directory: str | Path, query: SearchQuery | None) -> list[Candidate]:
+def apply_filter_detailed(
+    candidates: list[Candidate], query: SearchQuery | None
+) -> tuple[list[Candidate], list[Candidate]]:
+    """The kept and the dropped candidates, each in input order; a dropped
+    one's reason is :func:`exclusion` of its record under ``query``. With a
+    query every rule applies; with ``None`` only candidates without a token
+    are dropped. A candidate without a record gets one from :func:`judge`."""
+    kept: list[Candidate] = []
+    dropped: list[Candidate] = []
+    for cand in candidates:
+        if cand.record is None:
+            cand.record = judge(cand.source_text)
+        (kept if exclusion(cand.record, query) is None else dropped).append(cand)
+    return kept, dropped
+
+
+def local_store(cache_dir: str | Path, corpora: list[str]) -> Path | None:
+    """The directory of the local packs under ``cache_dir``, made if it is
+    missing, for runs over the ``corpora`` directories. ``None``, with one
+    warning, when it cannot be made or would lie inside one of them, since
+    catchrec never writes into a corpus."""
+    store = Path(cache_dir) / LOCAL_DIR
+    resolved = store.resolve()
+    inside = [c for c in corpora if resolved.is_relative_to(Path(c).resolve())]
+    if inside:
+        logger.warning("not storing the analyses of %s inside it, in %s", inside[0], store)
+        return None
+    try:
+        store.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        logger.warning("cannot store the analyses in %s: %s", store, exc)
+        return None
+    return store
+
+
+def ingest_local(
+    directory: str | Path, query: SearchQuery | None, store: Path | None = None
+) -> list[Candidate]:
     """Load every ``.java`` file under ``directory`` that passes the filter
     for ``query`` (see :func:`apply_filter_detailed`), in id order.
-    Unreadable files are skipped with a diagnostic, not fatal."""
+    Unreadable files are skipped with a diagnostic, not fatal. With a
+    ``store`` (see :func:`local_store`) the files' records come from and go
+    to the directory's pack there (see :func:`_attach_records`)."""
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
@@ -188,9 +209,12 @@ def ingest_local(directory: str | Path, query: SearchQuery | None) -> list[Candi
             continue
         candidates.append(Candidate.from_origin(LocalOrigin(rel), text))
 
+    if store is not None:
+        key = hashlib.sha256(str(root.resolve()).encode("utf-8")).hexdigest()[:16]
+        _attach_records(store / f"{key}.json", candidates)
     kept, dropped = apply_filter_detailed(candidates, query)
     for cand in dropped:
-        logger.debug("filtered out %s: %s", cand.id, cand.record.reason)
+        logger.debug("filtered out %s: %s", cand.id, exclusion(cand.record, query))
     return sorted(kept, key=lambda c: c.id)
 
 
@@ -302,11 +326,13 @@ def _write_cache(
 
 
 # ---------------------------------------------------------------------------
-# Stored analyses of a cache entry (``<cache_dir>/<key>/analysis.json``)
+# Stored analyses: one pack of records per corpus location, a cache entry's
+# ``<cache_dir>/<key>/analysis.json`` or a local directory's
+# ``<cache_dir>/local/<16 hex of its resolved path>.json``
 # ---------------------------------------------------------------------------
 
 ANALYSIS_FILE = "analysis.json"
-_REASONS = (None, "unlexable", "no-handler", "no-exception-mention", "too-short", "too-long")
+LOCAL_DIR = "local"
 
 
 @functools.cache
@@ -321,8 +347,8 @@ def analysis_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _record_json(record: Record, digest: str) -> dict:
-    entry: dict = {"sha256": digest, "excluded": record.reason}
+def _record_json(record: Record) -> dict:
+    entry: dict = {"sloc": record.sloc}
     prepared = record.prepared
     if prepared is not None:
         graph = prepared.graph
@@ -357,15 +383,17 @@ def _all_of(kind: type, values):
 
 def _counts(counts) -> tuple[tuple[str, int], ...]:
     """The (name, count) pairs of a JSON object of counts, in its order."""
-    _all_of(int, _of(dict, counts).values())
-    return tuple(counts.items())
+    pairs = tuple(_of(dict, counts).items())
+    if pairs:  # most objects have no field, so an empty one builds no set
+        _all_of(int, counts.values())
+    return pairs
 
 
 def _graph_from_json(raw) -> ApiUsageGraph:
     objects = []
     for type_name, ordinal, variable, fields, methods in _of(list, raw["objects"]):
-        _all_of(str, (type_name, variable))
-        _of(int, ordinal)
+        if type(type_name) is not str or type(ordinal) is not int or type(variable) is not str:
+            raise TypeError("object row of other types")
         objects.append(GraphObject(type_name, ordinal, variable, _counts(fields), _counts(methods)))
     indices = range(len(objects))
     edges = []
@@ -376,14 +404,14 @@ def _graph_from_json(raw) -> ApiUsageGraph:
     return ApiUsageGraph(tuple(objects), tuple(edges))
 
 
-def _record_from_json(entry, query: SearchQuery) -> Record:
-    """The record an ``analysis.json`` entry holds; raises ``ValueError``,
-    ``TypeError`` or ``KeyError`` for one of any other shape."""
-    reason = _of(dict, entry)["excluded"]
-    if reason not in _REASONS:
-        raise ValueError(f"unknown exclusion reason {reason!r}")
-    if reason is not None:
-        return Record(query, reason, None)
+def _record_from_json(entry) -> Record:
+    """The record a pack entry holds; raises ``ValueError``, ``TypeError``
+    or ``KeyError`` for one of any other shape."""
+    sloc = _of(int, _of(dict, entry)["sloc"])
+    if sloc < 0:
+        raise ValueError("negative line count")
+    if sloc == 0:
+        return Record(0, None)
     raw = _of(dict, entry["analysis"])
     texts = _all_of(str, _of(list, raw["texts"]))
     subtokens = _of(dict, raw["subtokens"])
@@ -393,22 +421,21 @@ def _record_from_json(entry, query: SearchQuery) -> Record:
     # character of an identifier, so the counts cannot sum past the texts' length
     if counts and (min(counts) < 1 or sum(counts) > sum(map(len, texts))):
         raise ValueError("subtoken counts do not fit the texts")
-    # a kept file has a token, so a code line, so its quality metrics
+    # a lexable text has a code line, so its quality metrics
     quality = QualityParts(*_all_of(float, _of(list, raw["quality"])))
     if not all(map(math.isfinite, quality)):
         raise ValueError("quality metric not finite")
     graph = None if raw["graph"] is None else _graph_from_json(_of(dict, raw["graph"]))
-    prepared = PreparedUnit(tuple(texts), Counter(subtokens), graph, quality)
-    return Record(query, reason, prepared)
+    return Record(sloc, PreparedUnit(tuple(texts), Counter(subtokens), graph, quality))
 
 
-def _stored_entries(path: Path) -> dict:
-    """The entries of ``analysis.json`` by candidate id; none when it is
-    missing, unreadable, malformed or written by other analysing code."""
+def _stored_records(path: Path) -> dict:
+    """The pack's entries by text digest; none when it is missing,
+    unreadable, malformed or written by other analysing code."""
     try:
         stored = json.loads(path.read_text(encoding="utf-8"))
         if stored["fingerprint"] == analysis_fingerprint():
-            return _of(dict, stored["candidates"])
+            return _of(dict, stored["records"])
         logger.debug("%s was written by other analysing code", path)
     except FileNotFoundError:
         pass
@@ -417,34 +444,34 @@ def _stored_entries(path: Path) -> dict:
     return {}
 
 
-def _attach_records(entry_dir: Path, query: SearchQuery, candidates: list[Candidate]) -> None:
-    """Give each replayed candidate its :class:`Record`: the stored one when
-    the file's fingerprint matches this code and the record's SHA-256 the
-    cached text, else one from :func:`judge`. The file is rewritten when any
-    record was judged now or it holds any other entry."""
-    path = entry_dir / ANALYSIS_FILE
-    stored = _stored_entries(path)
-    digests: dict[str, str] = {}
-    computed = False
+def _attach_records(path: Path, candidates: list[Candidate]) -> None:
+    """Give each candidate its :class:`Record`: the one the pack at ``path``
+    holds for the SHA-256 of its text when the pack's fingerprint matches
+    this code, else one from :func:`judge`. The pack is rewritten when any
+    record was judged now or it holds a record of no candidate's text."""
+    stored = _stored_records(path)
+    records: dict[str, Record] = {}
+    judged = False
     for cand in candidates:
-        digest = digests[cand.id] = hashlib.sha256(cand.source_text.encode("utf-8")).hexdigest()
-        entry = stored.get(cand.id)
-        try:
-            if entry is not None and _of(dict, entry)["sha256"] == digest:
-                cand.record = _record_from_json(entry, query)
-        except (ValueError, TypeError, KeyError) as exc:
-            logger.debug("re-analysing %s: %s: %s", cand.id, type(exc).__name__, exc)
-        if cand.record is None:
-            cand.record = judge(cand.source_text, query)
-            computed = True
-    if not computed and stored.keys() == digests.keys():
+        digest = hashlib.sha256(cand.source_text.encode("utf-8")).hexdigest()
+        record = records.get(digest)
+        if record is None and digest in stored:
+            try:
+                record = _record_from_json(stored[digest])
+            except (ValueError, TypeError, KeyError) as exc:
+                logger.debug("re-analysing %s: %s: %s", cand.id, type(exc).__name__, exc)
+        if record is None:
+            record = judge(cand.source_text)
+            judged = True
+        cand.record = records[digest] = record
+    if not judged and stored.keys() == records.keys():
         return
     # one record at a time, so the encoder never holds the pieces of them all
-    records = ",".join(
-        f'"{c.id}":{json.dumps(_record_json(c.record, digests[c.id]), separators=(",", ":"))}'
-        for c in candidates
+    entries = ",".join(
+        f'"{digest}":{json.dumps(_record_json(record), separators=(",", ":"))}'
+        for digest, record in records.items()
     )
-    text = f'{{"fingerprint":"{analysis_fingerprint()}","candidates":{{{records}}}}}\n'
+    text = f'{{"fingerprint":"{analysis_fingerprint()}","records":{{{entries}}}}}\n'
     try:
         _write_atomic(path, text)
     except OSError as exc:
@@ -521,7 +548,7 @@ def fetch_remote(
     cached, complete = _load_cached(cache_dir, key)
     if cached is not None and (complete or not token):
         cached.sort(key=lambda c: c.id)
-        _attach_records(cache_dir / key, query, cached)
+        _attach_records(cache_dir / key / ANALYSIS_FILE, cached)
         return cached
     if not token:
         raise AuthMissing(f"set {TOKEN_ENV_VAR} to use remote search")

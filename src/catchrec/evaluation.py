@@ -207,12 +207,13 @@ def run_case(
     config: WeightConfig,
     kb: ExceptionKnowledgeBase,
     max_k: int,
+    store: Path | None = None,
 ) -> CaseResult:
     relevant = oracle.for_case(case.case_id)
     try:
         context = parse_file(case.context_path)
         query = formulate_query(context, kb, case.exception_name)
-        candidates = ingest_local(case.corpus_dir, query)
+        candidates = ingest_local(case.corpus_dir, query, store)
         breakdowns = rank(context, candidates, config, k=max_k)
         return CaseResult(
             case_id=case.case_id,
@@ -235,9 +236,12 @@ def evaluate(
     oracle: Oracle,
     config: WeightConfig | None = None,
     ks: tuple[int, ...] = DEFAULT_KS,
+    store: Path | None = None,
 ) -> EvalReport:
     """Run the full pipeline for every case and aggregate all metrics at
-    each distinct cutoff in ``ks``."""
+    each distinct cutoff in ``ks``. With a ``store`` (see
+    :func:`~catchrec.corpus.local_store`) each case corpus's analyses are
+    read from and kept in its pack there."""
     if not cases:
         raise ValueError("no cases to evaluate")
     if not ks or any(k < 1 for k in ks):
@@ -248,7 +252,7 @@ def evaluate(
     max_k = max(ks)
 
     results = sorted(
-        (run_case(c, oracle, config, kb, max_k) for c in cases),
+        (run_case(c, oracle, config, kb, max_k, store) for c in cases),
         key=lambda r: r.case_id,
     )
 

@@ -67,6 +67,8 @@ MULTI_OPERATORS = (
 )
 _SINGLE_OPERATORS = "-+*/%=<>!&|^~?:"
 _PUNCTUATION = "(){}[];,.@"
+# The text of every punctuation and operator token.
+SYMBOLS = frozenset((*MULTI_OPERATORS, *_SINGLE_OPERATORS, *_PUNCTUATION))
 
 # One alternative per token class, tried in this order at each position:
 # whitespace, comment, word, literal, punctuation, operator, skipped. Every

@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import NoApiObjects, UnknownException, read_input
+from .lexer import SYMBOLS
 from .model import SourceUnit
 from .parser import GENERIC_EXCEPTIONS
 
@@ -25,6 +26,10 @@ class SearchQuery:
     def __post_init__(self) -> None:
         if not self.exception_name or not self.dominant_class:
             raise ValueError("both query terms must be non-empty")
+        # the corpus filter looks for the exception name among a file's
+        # identifier, keyword and literal tokens, so no symbol can be one
+        if self.exception_name in SYMBOLS:
+            raise ValueError(f"not an exception name: {self.exception_name!r}")
 
     @property
     def rendered(self) -> str:

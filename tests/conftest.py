@@ -1,11 +1,26 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import catchrec
 from catchrec import parse
 from catchrec.corpus import Candidate, LocalOrigin
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _outside_the_checkout(tmp_path_factory):
+    """Every test runs in a scratch directory, so that a CLI run's default
+    cache directory (``.catchrec-cache``) never lands in the checkout; a
+    subprocess started there still imports this catchrec."""
+    src = str(Path(catchrec.__file__).resolve().parent.parent)
+    patch = pytest.MonkeyPatch()
+    patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    patch.chdir(tmp_path_factory.mktemp("cwd"))
+    yield
+    patch.undo()
 
 
 @pytest.fixture(scope="session")

@@ -433,7 +433,7 @@ def test_criterion_10_determinism(listing1):
     )
 
 
-def test_criterion_10_determinism_across_processes():
+def test_criterion_10_determinism_across_processes(tmp_path):
     import subprocess
     import sys
 
@@ -443,16 +443,19 @@ def test_criterion_10_determinism_across_processes():
         "--oracle", str(EVALSUITE / "oracle.json"),
         "--format", "json",
     ]
+    # the first process stores the analyses in tmp_path's default cache
+    # directory, and the second reads them
     runs = [
-        subprocess.run(argv, capture_output=True, timeout=120) for _ in range(2)
+        subprocess.run(argv, capture_output=True, timeout=120, cwd=tmp_path) for _ in range(2)
     ]
     ok = (
         all(r.returncode == 0 for r in runs)
         and runs[0].stdout == runs[1].stdout
         and len(runs[0].stdout) > 0
+        and any((tmp_path / ".catchrec-cache" / "local").glob("*.json"))
     )
     _verdict(
-        "criterion 10b (byte-identical across processes)",
+        "criterion 10b (byte-identical across processes, cold and warm)",
         ok,
         f"two CLI evaluate runs, {len(runs[0].stdout)} bytes each",
     )

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import shutil
@@ -1057,17 +1058,16 @@ def test_a_warm_fetch_stores_the_analyses_a_remote_recommend_reads(warm_entry, t
 
 
 def _corrupt_json(change):
-    def corrupt(entry: Path) -> None:
-        path = entry / "analysis.json"
-        stored = json.loads(path.read_text())
+    def corrupt(pack: Path) -> None:
+        stored = json.loads(pack.read_text())
         change(stored)
-        path.write_text(json.dumps(stored))
+        pack.write_text(json.dumps(stored))
 
     return corrupt
 
 
 def _first_analysed(stored) -> dict:
-    return next(r for r in stored["candidates"].values() if "analysis" in r)
+    return next(r for r in stored["records"].values() if "analysis" in r)
 
 
 def _count_as_string(stored) -> None:
@@ -1078,7 +1078,7 @@ def _count_as_string(stored) -> None:
 
 def _edge_out_of_range(stored) -> None:
     graph = next(
-        r["analysis"]["graph"] for r in stored["candidates"].values()
+        r["analysis"]["graph"] for r in stored["records"].values()
         if "analysis" in r and r["analysis"]["graph"] is not None
     )
     graph["dependencies"].append([0, 99, "openStream"])
@@ -1093,13 +1093,12 @@ def _nan_readability(stored) -> None:
     _first_analysed(stored)["analysis"]["quality"][0] = float("nan")
 
 
-def _truncate(entry: Path) -> None:
-    path = entry / "analysis.json"
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+def _truncate(pack: Path) -> None:
+    pack.write_bytes(pack.read_bytes()[: pack.stat().st_size // 2])
 
 
-def _edit_cached_file(entry: Path) -> None:
-    path = sorted((entry / "files").glob("*.java"))[0]
+def _edit_cached_file(pack: Path) -> None:
+    path = sorted((pack.parent / "files").glob("*.java"))[0]
     path.write_text(path.read_text() + "\nint added = 1;\n")
 
 
@@ -1110,8 +1109,8 @@ def _edit_cached_file(entry: Path) -> None:
         _corrupt_json(_count_as_string),
         _corrupt_json(lambda s: s.update(fingerprint="0" * 64)),
         _edit_cached_file,
-        _corrupt_json(lambda s: s["candidates"].pop(next(iter(s["candidates"])))),
-        _corrupt_json(lambda s: s["candidates"].update({"0123456789abcdef": _first_analysed(s)})),
+        _corrupt_json(lambda s: s["records"].pop(next(iter(s["records"])))),
+        _corrupt_json(lambda s: s["records"].update({"0" * 64: _first_analysed(s)})),
         _corrupt_json(_edge_out_of_range),
         _corrupt_json(_count_past_the_texts),
         _corrupt_json(_nan_readability),
@@ -1124,7 +1123,7 @@ def test_an_unusable_analysis_file_gives_the_cold_output_and_is_rewritten(
     warm_entry, tmp_path, corrupt
 ):
     argv, entry, _cold = warm_entry
-    corrupt(entry)
+    corrupt(entry / "analysis.json")
     # the cold output for the entry as it now stands, from a copy without the file
     reference = tmp_path / "reference"
     shutil.copytree(entry.parent, reference)
@@ -1152,3 +1151,183 @@ def test_a_read_only_entry_gives_the_cold_output(warm_entry, monkeypatch):
     assert (code, out) == (0, cold[1])
     assert "Traceback" not in err
     assert sorted(p.name for p in entry.iterdir()) == ["files", "manifest.json"]
+
+
+# ---------------------------------------------------------------------------
+# Stored analyses of local corpora: evaluate and recommend --corpus print
+# what they print with no store
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+EVALSUITE = FIXTURES / "evalsuite"
+_EVALUATE = ["evaluate", "--cases", str(EVALSUITE / "cases.json"),
+             "--oracle", str(EVALSUITE / "oracle.json")]
+_LOCAL_RUNS = {
+    "evaluate-json": [*_EVALUATE, "--format", "json"],
+    "evaluate-text": [*_EVALUATE, "--format", "text"],
+    **{
+        f"{folder}{suffix}": ["recommend", LISTING1, "--corpus", str(FIXTURES / folder),
+                              "--format", "json", *flags]
+        for folder in ("rankpool", "corpus-listing2")
+        for suffix, flags in (("", []), ("-no-filter", ["--no-filter"]))
+    },
+}
+
+
+def _contexts(argv) -> list[str]:
+    """The context texts a run of ``argv`` parses, in order."""
+    if argv[0] == "recommend":
+        return [Path(argv[1]).read_text()]
+    cases = json.loads((EVALSUITE / "cases.json").read_text())["cases"]
+    return [(EVALSUITE / case["context_path"]).read_text() for case in cases]
+
+
+def _with_cache(argv, cache: Path) -> list[str]:
+    return [*argv, "--cache-dir", str(cache)]
+
+
+def _no_store(argv, tmp_path: Path):
+    """(exit code, stdout) of a run whose cache directory cannot be made,
+    so that it stores and reads nothing."""
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    code, out, err = _main(_with_cache(argv, blocked / "cache"))
+    assert "Traceback" not in err
+    return code, out
+
+
+def _warnings(caplog) -> list[str]:
+    """The warnings logged since the last call, which a CLI run prints to
+    stderr one per line."""
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    caplog.clear()
+    return messages
+
+
+def _packs(cache: Path) -> list[Path]:
+    return sorted((cache / "local").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", list(_LOCAL_RUNS))
+def test_cold_and_warm_local_runs_print_the_same_bytes(name, tmp_path, monkeypatch):
+    argv = _LOCAL_RUNS[name]
+    none = _no_store(argv, tmp_path)
+    assert none[0] == 0 and none[1]
+    cache = tmp_path / "cache"
+    first = _main(_with_cache(argv, cache))  # analyses every file and stores it
+    corpora = 10 if argv[0] == "evaluate" else 1
+    assert len(_packs(cache)) == corpora
+    stored = _entry_state(cache)
+    calls = _count_front_end(monkeypatch)
+    warm = _main(_with_cache(argv, cache))  # reads the packs
+    assert first == warm == (*none, "")
+    contexts = _contexts(argv)
+    assert calls == {"scan": contexts, "parse": contexts}
+    assert _main(_with_cache(argv, cache)) == warm
+    assert _entry_state(cache) == stored  # no pack is written again
+
+
+def test_an_edited_corpus_file_alone_is_analysed_again(tmp_path, monkeypatch):
+    corpus = shutil.copytree(FIXTURES / "rankpool", tmp_path / "pool")
+    argv = ["recommend", LISTING1, "--corpus", str(corpus), "--format", "json",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert _main(argv)[0] == 0
+    (pack,) = _packs(tmp_path / "cache")
+    before = json.loads(pack.read_text())["records"]
+    edited = corpus / "empty_catch.java"
+    old = edited.read_text()
+    new = old + "\nint added = 1;\n"
+    edited.write_text(new)
+    calls = _count_front_end(monkeypatch)
+    code, out, err = _main(argv)
+    context = Path(LISTING1).read_text()
+    assert calls == {"scan": [context, new], "parse": [context, new]}
+    assert (code, out, err) == (0, _no_store(argv[:-2], tmp_path)[1], "")
+    after = json.loads(pack.read_text())["records"]
+    digest = {text: hashlib.sha256(text.encode()).hexdigest() for text in (old, new)}
+    assert digest[old] in before and digest[old] not in after and digest[new] in after
+    assert {k: v for k, v in before.items() if k != digest[old]} == {
+        k: v for k, v in after.items() if k != digest[new]
+    }
+
+
+def _rekey_a_record(stored) -> None:
+    records = stored["records"]
+    records[hashlib.sha256(b"no corpus file").hexdigest()] = records.pop(next(iter(records)))
+
+
+def _true_for_a_count(stored) -> None:
+    _first_analysed(stored)["sloc"] = True
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncate,
+        _corrupt_json(lambda s: s.update(fingerprint="0" * 64)),
+        _corrupt_json(_rekey_a_record),
+        _corrupt_json(_true_for_a_count),
+    ],
+    ids=["truncated", "other-fingerprint", "digest-of-no-file", "true-for-a-count"],
+)
+@pytest.mark.parametrize("name", ["evaluate-json", "rankpool"])
+def test_an_unusable_local_pack_gives_the_same_output_and_is_rewritten(name, corrupt, tmp_path):
+    argv = _with_cache(_LOCAL_RUNS[name], tmp_path / "cache")
+    want = _main(argv)
+    assert want[0] == 0 and want[2] == ""
+    packs = _packs(tmp_path / "cache")
+    written = {p: p.read_bytes() for p in packs}
+    corrupt(packs[0])
+    assert _main(argv) == want
+    assert {p: p.read_bytes() for p in packs} == written
+
+
+@pytest.mark.parametrize("name", ["evaluate-json", "rankpool"])
+def test_a_pack_path_that_is_a_directory_gives_the_same_output(name, tmp_path, caplog):
+    argv = _with_cache(_LOCAL_RUNS[name], tmp_path / "cache")
+    want = _main(argv)
+    pack = _packs(tmp_path / "cache")[0]
+    pack.unlink()
+    pack.mkdir()
+    _warnings(caplog)
+    code, out, err = _main(argv)
+    assert (code, out) == want[:2] and "Traceback" not in err
+    (warning,) = _warnings(caplog)
+    assert warning.startswith(f"cannot store the analyses in {pack}") and pack.is_dir()
+
+
+@pytest.mark.parametrize("name", ["evaluate-json", "rankpool"])
+def test_a_read_only_cache_dir_gives_the_same_output_and_one_warning(
+    name, tmp_path, monkeypatch, caplog
+):
+    want = _no_store(_LOCAL_RUNS[name], tmp_path)
+    _warnings(caplog)
+    cache = tmp_path / "read-only"
+    cache.mkdir()
+    cache.chmod(0o555)
+    try:
+        if os.access(cache, os.W_OK):  # file modes do not bind this user
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr("catchrec.corpus.Path.mkdir", refuse)
+        code, out, err = _main(_with_cache(_LOCAL_RUNS[name], cache))
+    finally:
+        cache.chmod(0o755)
+    assert (code, out) == want and "Traceback" not in err
+    (warning,) = _warnings(caplog)
+    assert warning.startswith(f"cannot store the analyses in {cache / 'local'}")
+    assert list(cache.iterdir()) == []
+
+
+def test_recommend_never_stores_inside_its_corpus(tmp_path, caplog):
+    corpus = shutil.copytree(FIXTURES / "rankpool", tmp_path / "pool")
+    before = sorted(corpus.rglob("*"))
+    argv = ["recommend", LISTING1, "--corpus", str(corpus), "--format", "json"]
+    want = _no_store(argv, tmp_path)
+    _warnings(caplog)
+    code, out, err = _main(_with_cache(argv, corpus / "cache"))
+    assert (code, out) == want
+    (warning,) = _warnings(caplog)
+    assert warning.startswith(f"not storing the analyses of {corpus} inside it")
+    assert sorted(corpus.rglob("*")) == before

@@ -8,7 +8,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import ParseStatus, SearchQuery, WeightConfig, ingest_local, parse, rank
@@ -22,9 +22,11 @@ from catchrec.corpus import (
     RemoteOrigin,
     apply_filter_detailed,
     candidate_id,
+    exclusion,
     fetch_remote,
 )
 from catchrec.errors import AuthMissing, NetworkFailure, RateLimited
+from catchrec.lexer import SYMBOLS, scan
 from catchrec import lexical as lexical_mod
 
 QUERY = SearchQuery("IOException", "URL")
@@ -64,7 +66,7 @@ def test_exclusion_reasons(corpus_dir):
         for p in sorted(corpus_dir.glob("*.java"))
     ]
     kept, dropped = apply_filter_detailed(candidates, QUERY)
-    reasons = {c.origin.path: c.record.reason for c in dropped}
+    reasons = {c.origin.path: exclusion(c.record, QUERY) for c in dropped}
     assert reasons == {
         "plain.java": "no-handler",
         "unrelated.java": "no-exception-mention",
@@ -104,26 +106,28 @@ def _spy_front_end(monkeypatch) -> tuple[list[str], list[str]]:
     return scanned, parsed
 
 
-def test_filter_scans_each_candidate_once_and_parses_only_the_kept(
+def test_filter_scans_each_candidate_once_and_parses_each_lexable_one_once(
     corpus_dir, listing1, monkeypatch
 ):
     candidates = _one_file_per_rule(corpus_dir)
     scanned, parsed = _spy_front_end(monkeypatch)
     kept, dropped = apply_filter_detailed(candidates, QUERY)
-    assert [c.record.reason for c in dropped] == [
+    assert [exclusion(c.record, QUERY) for c in dropped] == [
         "too-long", "no-handler", "too-short", "no-exception-mention", "unlexable",
     ]
-    assert parsed == [c.source_text for c in kept] == [(corpus_dir / "listing2.java").read_text()]
+    assert [c.source_text for c in kept] == [(corpus_dir / "listing2.java").read_text()]
+    # a record is made whatever the query, so a dropped lexable file is parsed too
+    assert parsed == [c.source_text for c in candidates[:-1]]
     rank(listing1, kept, WeightConfig())  # reads the filter's prepared forms
     assert scanned == [c.source_text for c in candidates]
-    assert parsed == [c.source_text for c in kept]
+    assert parsed == [c.source_text for c in candidates[:-1]]
 
 
 def test_no_filter_still_parses_every_lexable_candidate(corpus_dir, listing1, monkeypatch):
     candidates = _one_file_per_rule(corpus_dir)
     scanned, parsed = _spy_front_end(monkeypatch)
     kept, dropped = apply_filter_detailed(candidates, None)
-    assert dropped == candidates[-1:] and dropped[0].record.reason == "unlexable"
+    assert dropped == candidates[-1:] and exclusion(dropped[0].record, None) == "unlexable"
     rank(listing1, kept, WeightConfig())
     assert scanned == [c.source_text for c in candidates]
     assert parsed == [c.source_text for c in candidates[:-1]]
@@ -158,7 +162,7 @@ def test_first_failing_rule_names_the_exclusion(text, reason):
     cand = Candidate.from_origin(LocalOrigin("x.java"), text)
     kept, dropped = apply_filter_detailed([cand], QUERY)
     assert (kept, dropped) == (([cand], []) if reason is None else ([], [cand]))
-    assert cand.record.reason == reason
+    assert exclusion(cand.record, QUERY) == reason
 
 
 def test_ingest_and_rank_build_no_token(monkeypatch, fixtures_dir, listing1):
@@ -217,7 +221,7 @@ def test_handler_filter_agrees_with_parsed_handlers(text):
     unit = parse(text)
     assume(unit.texts and unit.parse_status is not ParseStatus.FAILED)
     _kept, dropped = apply_filter_detailed([cand], QUERY)
-    no_handler = dropped == [cand] and cand.record.reason == "no-handler"
+    no_handler = dropped == [cand] and exclusion(cand.record, QUERY) == "no-handler"
     assert no_handler == (unit.handlers.try_blocks == 0 and not unit.handlers.catch_clauses)
 
 
@@ -240,7 +244,7 @@ def test_filter_without_query_drops_only_unlexable():
     code = Candidate.from_origin(LocalOrigin("a.java"), "int x;")
     comment = Candidate.from_origin(LocalOrigin("b.java"), "// nothing but a comment\n")
     assert apply_filter_detailed([code, comment], None) == ([code], [comment])
-    assert comment.record.reason == "unlexable"
+    assert exclusion(comment.record, None) == "unlexable"
 
 
 def test_unreadable_file_skipped(tmp_path, caplog):
@@ -818,24 +822,25 @@ def test_only_a_warm_replay_reads_or_writes_the_analysis_file(tmp_path):
     assert _analysis_files(tmp_path) == [] and all(c.record is None for c in cold)
     warm = fetch()
     assert len(_analysis_files(tmp_path)) == 1
-    assert all(c.record is not None and c.record.query == QUERY for c in warm)
+    assert all(c.record is not None for c in warm)
     files_dir = next(tmp_path.rglob("files"))
     ingest_local(files_dir, QUERY)
     assert sorted(p.name for p in files_dir.iterdir()) == sorted(f"{c.id}.java" for c in warm)
+    assert len(_analysis_files(tmp_path)) == 1
 
 
 def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
     candidates = _one_file_per_rule(corpus_dir) + [
-        Candidate.from_origin(LocalOrigin("broken.java"), "}\ntry { a(); }\ncatch (IOException e) { b(); }\n")
+        Candidate.from_origin(LocalOrigin("broken.java"), "}\ntry { a(); }\ncatch (IOException e) { b(); }\n"),
+        Candidate.from_origin(LocalOrigin("marks.java"), "{ } ;\n( ) ;\n"),
     ]
-    records = [corpus_mod.judge(c.source_text, QUERY) for c in candidates]
+    records = [corpus_mod.judge(c.source_text) for c in candidates]
     for record in records:
-        stored = json.loads(json.dumps(corpus_mod._record_json(record, "d")))
-        assert ("analysis" in stored) == (stored["excluded"] is None)
-        loaded = corpus_mod._record_from_json(stored, QUERY)
-        assert loaded.reason == record.reason
+        stored = json.loads(json.dumps(corpus_mod._record_json(record)))
+        assert ("analysis" in stored) == (record.prepared is not None) == (stored["sloc"] > 0)
+        loaded = corpus_mod._record_from_json(stored)
+        assert loaded.sloc == record.sloc
         want, got = record.prepared, loaded.prepared
-        assert (want is None) == (record.reason is not None)
         if want is None:
             assert got is None
             continue
@@ -844,8 +849,12 @@ def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
         assert got.norm == want.norm
         assert got.graph == want.graph
         assert got.quality == want.quality
+    # every lexable file is prepared, whatever the filter would say of it
+    assert [r.prepared is not None for r in records] == [True] * 5 + [False] + [True] * 2
     # a parsed unit's graph and a failed parse's null graph both go round
-    assert sorted(r.prepared.graph is None for r in records if r.prepared) == [False, True]
+    assert sorted({r.prepared.graph is None for r in records if r.prepared}) == [False, True]
+    # only punctuation: lexable, with code lines, but no significant token
+    assert records[-1].sloc == 2 and records[-1].prepared.texts == ()
 
 
 def test_the_fingerprint_is_computed_once_per_process():
@@ -869,18 +878,89 @@ def test_the_fingerprint_reads_every_module_of_the_package(monkeypatch):
     assert {"cli.py", "ranking.py", "structural.py"} <= set(read)
 
 
-def test_the_filter_reads_a_record_only_under_its_own_query():
+def test_the_filter_reads_the_record_not_the_text():
     text = "try {\n  u.openStream();\n} catch (IOException e) {\n  log(e);\n}\n"
     cand = Candidate.from_origin(LocalOrigin("a.java"), text)
-    # a record that says otherwise than the scan, to tell which one is read
-    record = cand.record = corpus_mod.Record(QUERY, "no-handler", None)
-    assert apply_filter_detailed([cand], QUERY) == ([], [cand])
-    assert cand.record is record
-    # without a query, a record under another query answers: only unlexable drops
-    assert apply_filter_detailed([cand], None) == ([cand], [])
-    assert cand.record is record
-    # under another query, the filter judges the candidate again from its scan
-    other = SearchQuery("IOException", "Socket")
-    assert apply_filter_detailed([cand], other) == ([cand], [])
-    assert cand.record == corpus_mod.Record(other, None, cand.record.prepared)
-    assert cand.record.prepared.texts
+    assert apply_filter_detailed([cand], QUERY) == ([cand], [])
+    # a record that says otherwise than the text, to tell which one is read
+    record = cand.record = corpus_mod.judge("int x;\nint y;\nint z;\n")
+    for query, verdict in ((QUERY, ([], [cand])), (None, ([cand], []))):
+        assert apply_filter_detailed([cand], query) == verdict
+        assert cand.record is record
+    assert exclusion(record, QUERY) == "no-handler"
+    assert exclusion(corpus_mod.Record(0, None), None) == "unlexable"
+
+
+def _oracle_reason(text: str, query: SearchQuery | None) -> str | None:
+    """The filter's rule as it read a scan before records were query-free:
+    the token texts of every kind and the scan's code lines."""
+    scanned = scan(text)
+    texts = scanned.texts
+    if not texts:
+        return "unlexable"
+    if query is None:
+        return None
+    if "try" not in texts and "catch" not in texts:
+        return "no-handler"
+    if query.exception_name not in texts:
+        return "no-exception-mention"
+    sloc = len(scanned.code_lines)
+    if sloc < MIN_SLOC:
+        return "too-short"
+    if sloc > MAX_SLOC:
+        return "too-long"
+    return None
+
+
+_ORACLE_PIECES = st.sampled_from(
+    ["try", "catch", "finally", "tryAgain", "{", "}", "(", ")", ";", "+", "==", "@", " ", "\n",
+     "e", "IOException", "Exception", "a.f()", "42", "null", "'c'", '"try"', '"IOException"',
+     "// try IOException\n", "/* catch */", "/* IOException\n */", '"catch (IOException e)"']
+)
+_COMMENTS = st.sampled_from(["// try { } catch (IOException e)\n", "/* IOException */", "/* a\n b */", " ", "\n"])
+_MARKS = st.sampled_from(sorted(SYMBOLS - {"/", "/="}) + [" ", "\n"])
+_HANDLER_LINE = "try { a(); } catch (IOException e) { b(); }"
+
+
+def _lines(n: int, filler: str = "c();") -> str:
+    """A text of ``n`` code lines that passes every rule but the line bounds."""
+    return "\n".join([_HANDLER_LINE] + [filler] * (n - 1)) + "\n"
+
+
+@st.composite
+def _oracle_text(draw) -> str:
+    """A text of one of the kinds the two rules could tell apart."""
+    arm = draw(st.sampled_from(["any", "pieces", "comments", "marks", "lines"]))
+    if arm == "any":
+        return draw(st.text(max_size=60))
+    if arm == "pieces":
+        return "".join(draw(st.lists(_ORACLE_PIECES, max_size=40)))
+    if arm == "comments":
+        return "".join(draw(st.lists(_COMMENTS, min_size=1, max_size=6)))
+    if arm == "marks":
+        return "".join(draw(st.lists(_MARKS, min_size=1, max_size=12)))
+    lines = draw(st.sampled_from([1, 2, 3, 4, 299, 300, 301, 302]))
+    return _lines(lines, draw(st.sampled_from(["c();", "/* */ c();", '"try";'])))
+
+
+_NAMES = st.one_of(
+    st.just("IOException"),  # the name the generated handlers catch
+    st.sampled_from(["Exception", "E", "e", "try", "catch", "null", "42", "'c'",
+                     '"IOException"', "a.f()", "IO Exception"]),
+    st.text(min_size=1, max_size=12).filter(lambda name: name not in SYMBOLS),
+)
+_QUERIES = st.none() | st.builds(SearchQuery, _NAMES, st.just("URL"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_oracle_text(), _QUERIES)
+@example(_lines(MIN_SLOC - 1), QUERY)
+@example(_lines(MIN_SLOC), QUERY)
+@example(_lines(MAX_SLOC), QUERY)
+@example(_lines(MAX_SLOC + 1), QUERY)
+def test_a_stored_record_gives_the_reason_the_scan_gave(text, query):
+    """Whatever the text and the query, the reason read from a record that
+    went through a pack equals the reason the scan rule gives."""
+    stored = json.loads(json.dumps(corpus_mod._record_json(corpus_mod.judge(text))))
+    assert exclusion(corpus_mod._record_from_json(stored), query) == _oracle_reason(text, query)
+

@@ -127,6 +127,15 @@ def test_query_requires_non_empty_terms():
         SearchQuery(exception_name="", dominant_class="URL")
 
 
+@pytest.mark.parametrize("name", ["+", ">>>=", ";", "@", "::"])
+def test_a_punctuation_mark_or_operator_is_no_exception_name(name):
+    """The filter finds the exception name among identifier, keyword and
+    literal tokens; a symbol could only be found among the others."""
+    with pytest.raises(ValueError, match="not an exception name"):
+        SearchQuery(exception_name=name, dominant_class="URL")
+    assert SearchQuery(exception_name=f"{name}Exception", dominant_class="URL")
+
+
 def test_formulate_query_propagates_no_objects(kb):
     with pytest.raises(NoApiObjects):
         formulate_query(parse("int x = 1;"), kb)
