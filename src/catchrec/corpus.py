@@ -187,6 +187,34 @@ def local_store(cache_dir: str | Path, corpora: list[str]) -> Path | None:
     return store
 
 
+def _java_files(root: str) -> list[tuple[tuple[str, ...], str]]:
+    """(path parts below ``root``, path) of every entry under ``root`` whose
+    name ends in ``.java``, dotfiles and directories included, ordered by
+    parts: the set and order ``sorted(Path(root).rglob("*.java"))`` gives on
+    POSIX. A symlinked directory is not entered, and a directory that cannot
+    be listed is skipped."""
+    found = []
+    stack: list[tuple[str, tuple[str, ...]]] = [(root, ())]
+    while stack:
+        directory, prefix = stack.pop()
+        try:
+            with os.scandir(directory) as entries:
+                listed = list(entries)
+        except OSError:
+            continue
+        for entry in listed:
+            parts = (*prefix, entry.name)
+            if entry.name.endswith(".java"):
+                found.append((parts, entry.path))
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append((entry.path, parts))
+            except OSError:
+                pass
+    found.sort()
+    return found
+
+
 def ingest_local(
     directory: str | Path, query: SearchQuery | None, store: Path | None = None
 ) -> list[Candidate]:
@@ -200,14 +228,13 @@ def ingest_local(
         raise FileNotFoundError(f"corpus directory not found: {root}")
 
     candidates: list[Candidate] = []
-    for path in sorted(root.rglob("*.java")):
-        rel = path.relative_to(root).as_posix()
+    for parts, path in _java_files(str(root)):
         try:
             text = read_input(path, "corpus file", str)
         except ConfigError as exc:
-            logger.warning("skipping unreadable corpus file %s: %s", path, exc.__cause__)
+            logger.warning("skipping unreadable corpus file %s: %s", root.joinpath(*parts), exc.__cause__)
             continue
-        candidates.append(Candidate.from_origin(LocalOrigin(rel), text))
+        candidates.append(Candidate.from_origin(LocalOrigin("/".join(parts)), text))
 
     if store is not None:
         key = hashlib.sha256(str(root.resolve()).encode("utf-8")).hexdigest()[:16]

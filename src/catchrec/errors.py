@@ -39,11 +39,17 @@ class ConfigError(CatchrecError):
 
 
 def read_input(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to the UTF-8 text of the input file ``path``. A file that
-    cannot be read, is not UTF-8 or that ``parse`` rejects (nesting too deep
-    included) raises one :class:`ConfigError` naming it as ``what``."""
+    """``parse`` applied to the UTF-8 text of the input file ``path``, with its
+    CR LF and lone CR line ends read as LF, as ``Path.read_text`` reads them:
+    the bytes are decoded once, and translated only when they hold a CR. A
+    file that cannot be read, is not UTF-8 or that ``parse`` rejects (nesting
+    too deep included) raises one :class:`ConfigError` naming it as ``what``."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 

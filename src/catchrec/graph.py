@@ -8,16 +8,33 @@ Dependency edges connect consumer objects to the producers they were fed.
 
 The parser emits the nodes and edges directly, as ``SourceUnit.objects``
 and ``SourceUnit.dependencies``; this module wraps them as a graph and
-renders it.
+renders it. What :mod:`catchrec.structural` reads of one graph (each
+object's :class:`ObjectAccess`, the edge groups, the labels) is derived on
+first use and kept with the graph, so a context scored against a whole pool
+derives it once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphUnavailable
 from .model import DependencyEdge, GraphObject, ParseStatus, SourceUnit
+
+
+class ObjectAccess(NamedTuple):
+    """One object's type and accesses as structural matching reads them."""
+
+    type_name: str
+    qualified: bool
+    simple_type: str
+    fields: dict[str, int]  # name -> multiplicity, in the object's order
+    field_total: int
+    methods: dict[str, int]
+    method_total: int
 
 
 @dataclass(frozen=True)
@@ -29,6 +46,31 @@ class ApiUsageGraph:
         for edge in self.dependencies:
             if edge.consumer == edge.producer:
                 raise ValueError("data dependency must connect distinct objects")
+
+    @functools.cached_property
+    def access(self) -> tuple[ObjectAccess, ...]:
+        """Each object's :class:`ObjectAccess`, in object order."""
+        views = []
+        for o in self.objects:
+            fields, methods = dict(o.fields), dict(o.methods)
+            views.append(ObjectAccess(
+                o.type_name, o.qualified, o.simple_type,
+                fields, sum(fields.values()), methods, sum(methods.values()),
+            ))
+        return tuple(views)
+
+    @functools.cached_property
+    def edge_groups(self) -> dict[tuple[int, int], list[str]]:
+        """The access points of the dependency edges by (consumer, producer),
+        in edge order."""
+        groups: dict[tuple[int, int], list[str]] = {}
+        for edge in self.dependencies:
+            groups.setdefault((edge.consumer, edge.producer), []).append(edge.access_point)
+        return groups
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(o.label for o in self.objects)
 
     def to_dict(self) -> dict:
         """Canonical form: nodes sorted by type name, edges lexicographically."""

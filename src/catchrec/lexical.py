@@ -16,7 +16,9 @@ They look at different granularities on purpose:
   splitting, case-sensitive: clones are about verbatim reuse. Note the
   asymmetry: only the context length normalizes the ratio. The LCS is
   computed bit-parallel over Python integers (Allison & Dix 1986; Hyyrö
-  2004), exactly and with no cap on the length of either sequence.
+  2004), exactly and with no cap on the length of either sequence. The
+  bits stand for the context's tokens, whose match masks are built once
+  per context (:attr:`PreparedUnit.masks`), not once per candidate.
 
 Context and candidate are the same kind of thing, a parsed fragment, so both
 reach the scorers as a :class:`PreparedUnit` from :func:`prepare`, the one
@@ -97,6 +99,11 @@ class PreparedUnit:
         counts = self.subtokens.values()
         return math.sqrt(sum(map(operator.mul, counts, counts)))
 
+    @functools.cached_property
+    def masks(self) -> dict[str, int]:
+        """The :func:`match_masks` of ``texts``; read on the context only."""
+        return match_masks(self.texts)
+
 
 def prepare(unit: SourceUnit) -> PreparedUnit:
     """Compute one unit's side of every measure. Identifiers count by their
@@ -146,34 +153,40 @@ def cosine_similarity(context: PreparedUnit, candidate: PreparedUnit) -> float:
     return dot / (context.norm * candidate.norm)
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+def match_masks(a: Sequence[str]) -> dict[str, int]:
+    """Each distinct item of ``a`` -> the integer whose bit ``i`` is set
+    where item ``i`` of ``a`` equals it."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def lcs_length(a: Sequence[str], b: Sequence[str], *, masks: dict[str, int] | None = None) -> int:
     """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
     Hyyrö 2004, "Bit-parallel LCS-length computation revisited").
 
-    Bit ``i`` of ``v`` stands for item ``i`` of the longer sequence; a zero
-    bit marks a step of the LCS row. Each item of the shorter sequence that
-    occurs in the longer one updates the whole row with a few operations on
-    ``len(longer)``-bit integers; other items leave the row unchanged. Exact
+    Bit ``i`` of ``v`` stands for item ``i`` of ``a``, whichever sequence is
+    longer (the LCS length is symmetric); a zero bit marks a step of the LCS
+    row. Each item of ``b`` that occurs in ``a`` updates the whole row with
+    a few operations on ``len(a)``-bit integers; other items leave the row
+    unchanged. ``masks`` is :func:`match_masks` of ``a``, built here when
+    not given: :func:`clone_measure` passes the context's, built once. Exact
     for any lengths; O(len(a) * len(b) / w) word operations.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    matches: dict[str, int] = {}
-    for i, x in enumerate(a):
-        matches[x] = matches.get(x, 0) | (1 << i)
+    if masks is None:
+        masks = match_masks(a)
     full = (1 << len(a)) - 1
     v = full
-    for y in b:
-        m = matches.get(y)
-        if m is not None:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
+    for m in filter(None, map(masks.get, b)):
+        u = v & m
+        v = ((v + u) | (v - u)) & full
     return len(a) - v.bit_count()
 
 
 def clone_measure(context: PreparedUnit, candidate: PreparedUnit) -> tuple[int, float]:
     """(LCS length, LCS length / context token count); exact token text."""
-    length = lcs_length(context.texts, candidate.texts)
+    length = lcs_length(context.texts, candidate.texts, masks=context.masks)
     ratio = length / len(context.texts) if context.texts else 0.0
     return length, ratio
 

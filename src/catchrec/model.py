@@ -101,6 +101,10 @@ class GraphObject:
         return self.type_name.rsplit(".", 1)[-1]
 
     @property
+    def qualified(self) -> bool:
+        return "." in self.type_name
+
+    @property
     def label(self) -> str:
         return f"{self.type_name}#{self.ordinal}"
 

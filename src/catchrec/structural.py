@@ -19,6 +19,11 @@ Pairings are scored from a table built once per candidate: for each
 context object, a record of its type-compatible candidate objects with the
 field and method fractions and the matched access count of each pair, and
 both graphs' dependency edges grouped by endpoints ``(consumer, producer)``.
+The context's side of every table (each object's field and method maps
+with their totals, whether its type name is qualified and its simple type,
+the edge groups and the labels) is kept with its graph, so it is built once
+per context, however many candidates are scored against it; a table builds
+only the candidate's side, once per candidate object.
 One rule weighs the edges of one context group against the candidate edges
 between its partners: equal access points first, then half weight, each
 candidate edge used once. A pairing is injective, so no two groups share a
@@ -44,9 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import StructureUnavailable
-from .graph import ApiUsageGraph, DependencyEdge, GraphObject
+from .graph import ApiUsageGraph, DependencyEdge
 from .lexical import PreparedUnit
 from .model import Weights
 
@@ -122,23 +128,6 @@ class MatchReport:
         }
 
 
-def types_match(a: GraphObject, b: GraphObject) -> bool:
-    """Qualified names must agree exactly; a simple name matches either."""
-    if "." in a.type_name and "." in b.type_name:
-        return a.type_name == b.type_name
-    return a.simple_type == b.simple_type
-
-
-def _overlap(context_counts, candidate_counts) -> tuple[int, int]:
-    """(matched, total) of context accesses covered by the candidate."""
-    total = sum(context_counts.values())
-    matched = sum(
-        min(count, candidate_counts.get(name, 0))
-        for name, count in context_counts.items()
-    )
-    return matched, total
-
-
 # candidate index -> (field fraction, method fraction, matched field and
 # method accesses) for the type-compatible candidate objects of one context
 # object, in declaration order
@@ -158,31 +147,29 @@ class _PairTable:
     candidate_edges: dict[tuple[int, int], list[str]]
 
 
-def _edge_groups(graph: ApiUsageGraph) -> dict[tuple[int, int], list[str]]:
-    """The access points of a graph's dependency edges by (consumer,
-    producer), in edge order."""
-    groups: dict[tuple[int, int], list[str]] = {}
-    for edge in graph.dependencies:
-        groups.setdefault((edge.consumer, edge.producer), []).append(edge.access_point)
-    return groups
-
-
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
-    cand_fields = [dict(o.fields) for o in candidate.objects]
-    cand_methods = [dict(o.methods) for o in candidate.objects]
+    """Types match when both are qualified and equal, or else when their
+    simple types are equal; a field or method fraction is the part of the
+    context object's accesses the candidate object covers. The context's
+    side is its graph's :attr:`~catchrec.graph.ApiUsageGraph.access` and
+    edge groups; each candidate object's side is read once per table."""
+    cand_access = [
+        (o.type_name, o.qualified, o.simple_type, dict(o.fields), dict(o.methods))
+        for o in candidate.objects
+    ]
     partners = []
-    for ctx_obj in context.objects:
-        ctx_fields, ctx_methods = dict(ctx_obj.fields), dict(ctx_obj.methods)
+    for type_name, qualified, simple, fields, ft, methods, mt in context.access:
         record: _Partners = {}
-        for ki, cand_obj in enumerate(candidate.objects):
-            if types_match(ctx_obj, cand_obj):
-                fm, ft = _overlap(ctx_fields, cand_fields[ki])
-                mm, mt = _overlap(ctx_methods, cand_methods[ki])
+        for ki, (k_type, k_qualified, k_simple, k_fields, k_methods) in enumerate(cand_access):
+            # equal qualified names have equal simple names
+            if k_simple == simple and (k_type == type_name or not (qualified and k_qualified)):
+                fm = sum(map(min, fields.values(), map(k_fields.get, fields, repeat(0))))
+                mm = sum(map(min, methods.values(), map(k_methods.get, methods, repeat(0))))
                 # objects without accesses contribute zero instead of dividing by zero
                 record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
         partners.append(record)
     return _PairTable(
-        context, candidate, tuple(partners), _edge_groups(context), _edge_groups(candidate)
+        context, candidate, tuple(partners), context.edge_groups, candidate.edge_groups
     )
 
 
@@ -367,6 +354,6 @@ def structural_score(
         dependency_matches=tuple(deps),
         raw=raw,
         exhaustive=exhaustive,
-        context_labels=tuple(o.label for o in table.context.objects),
-        candidate_labels=tuple(o.label for o in table.candidate.objects),
+        context_labels=table.context.labels,
+        candidate_labels=table.candidate.labels,
     )

@@ -247,6 +247,58 @@ def test_filter_without_query_drops_only_unlexable():
     assert exclusion(comment.record, None) == "unlexable"
 
 
+def _tree_of_every_walk_case(root: Path) -> None:
+    """Dotfiles, names that sort apart from their joined paths, a symlinked
+    directory and file, a dangling link, a directory named ``x.java`` and an
+    unreadable subdirectory (unreadable only when not run as root)."""
+    text = "try { go(); } catch (IOException e) { log(e); }\nURL u = null;\nint more = 2;\n"
+    for rel in ("a/b.java", "a-b/x.java", "a.java", "a b/c.java", ".hidden.java", ".java",
+                ".dot/d.java", "deep/er/est/e.java", "upper/F.JAVA", "upper/G.Java", "notes.txt",
+                "javafile", "locked/l.java", "target/t.java"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    (root / "x.java").mkdir()
+    (root / "x.java" / "inner.java").write_text(text)
+    (root / "linked").symlink_to(root / "target", target_is_directory=True)
+    (root / "linked.java").symlink_to(root / "target", target_is_directory=True)
+    (root / "alias.java").symlink_to(root / "a.java")
+    (root / "dangling.java").symlink_to(root / "missing.java")
+    (root / "locked").chmod(0)
+
+
+def test_the_walk_finds_what_sorted_rglob_finds(tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    _tree_of_every_walk_case(root)
+    try:
+        walked = corpus_mod._java_files(str(root))
+        expected = sorted(root.rglob("*.java"))
+    finally:
+        (root / "locked").chmod(0o755)
+    assert [path for _parts, path in walked] == [str(p) for p in expected]
+    assert [parts for parts, _path in walked] == [p.relative_to(root).parts for p in expected]
+    names = [p.relative_to(root).as_posix() for p in expected]
+    assert names.index("a/b.java") < names.index("a-b/x.java")
+    assert {".hidden.java", ".java", ".dot/d.java", "x.java", "x.java/inner.java"} <= set(names)
+    assert not any(name.startswith("linked/") for name in names)
+
+
+def test_ingest_tries_every_walked_path_and_warns_for_what_it_cannot_read(tmp_path, caplog):
+    import logging
+
+    root = tmp_path / "corpus"
+    root.mkdir()
+    _tree_of_every_walk_case(root)
+    (root / "locked").chmod(0o755)
+    with caplog.at_level(logging.WARNING):
+        kept = ingest_local(root, QUERY)
+    unreadable = {"x.java", "linked.java", "dangling.java"}
+    expected = [p.relative_to(root).as_posix() for p in sorted(root.rglob("*.java"))]
+    assert sorted(c.origin.path for c in kept) == sorted(set(expected) - unreadable)
+    warned = [m for m in caplog.messages if m.startswith("skipping unreadable corpus file")]
+    assert [m.split()[4].rstrip(":") for m in warned] == [str(root / rel) for rel in sorted(unreadable)]
+
+
 def test_unreadable_file_skipped(tmp_path, caplog):
     good = tmp_path / "good.java"
     good.write_text("try { go(); } catch (IOException e) { log(e); }\nint pad = 1;\nint more = 2;\n")

@@ -15,6 +15,7 @@ from catchrec.lexical import (
     clone_measure,
     cosine_similarity,
     lcs_length,
+    match_masks,
     significant_tokens,
 )
 
@@ -174,10 +175,14 @@ _token_lists = st.integers(1, 8).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(_token_lists)
 def test_lcs_matches_dp_oracle(pair):
+    """Either argument order, with the first sequence's masks built by
+    ``lcs_length`` or passed in, whichever sequence is the longer."""
     a, b = pair
     expected = dp_lcs(a, b)
     assert lcs_length(a, b) == expected
     assert lcs_length(b, a) == expected
+    assert lcs_length(a, b, masks=match_masks(a)) == expected
+    assert lcs_length(b, a, masks=match_masks(b)) == expected
 
 
 def test_shuffle_changes_clone_not_cosine():

@@ -14,9 +14,11 @@ from catchrec import (
     WeightConfig,
     load_weights,
     parse,
+    prepare,
     rank,
 )
 from catchrec.corpus import Candidate, LocalOrigin
+from catchrec import lexical as lexical_mod
 from catchrec.errors import ConfigError, EmptyPool
 from catchrec.model import MAX_WEIGHT
 from catchrec.ranking import (
@@ -402,3 +404,31 @@ def test_weight_config_defaults():
     assert config.structural.object_match == 1.0
     assert config.lexical.clone == 1.0
     assert config.quality.readability == 1.0
+
+
+@pytest.mark.parametrize("size", [1, 3, 12])
+def test_rank_builds_the_context_side_once_per_call(monkeypatch, listing1, size):
+    """The context's LCS masks are built once per ``rank``, whatever the pool
+    size, and its graph's access views stay with it; no candidate gets
+    either."""
+    built = []
+    original = lexical_mod.match_masks
+
+    def counted(texts):
+        built.append(tuple(texts))
+        return original(texts)
+
+    monkeypatch.setattr(lexical_mod, "match_masks", counted)
+    texts = [listing1.raw_text, "A a = new A(); a.go();", "java.net.URL u = new java.net.URL(s);"]
+    pool = [
+        Candidate.from_origin(LocalOrigin(f"c{i}.java"), texts[i % len(texts)])
+        for i in range(size)
+    ]
+    for _ in range(2):
+        assert rank(listing1, pool, k=size)
+        assert built == [prepare(listing1).texts]
+        built.clear()
+    for cand in pool:
+        prepared = cand.prepared()
+        assert "masks" not in vars(prepared)
+        assert "access" not in vars(prepared.graph)

@@ -3,6 +3,7 @@ that enumerates every injective type-compatible pairing from scratch."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from catchrec import extract_usage_graph, parse, prepare, structural, structural_score
 from catchrec.errors import StructureUnavailable
 from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
+from catchrec.lexical import PreparedUnit
 from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
@@ -447,6 +449,42 @@ def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
     assert pairing == max(
         _enumerate_pairings(table), key=lambda p: (_score_pairing(p, table, w)[0], len(p))
     )
+
+
+def _copy(graph):
+    return ApiUsageGraph(objects=graph.objects, dependencies=graph.dependencies)
+
+
+def _unit(graph):
+    return PreparedUnit(texts=(), subtokens=Counter(), graph=graph, quality=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ctx=_graphs(("A", "p.A", "q.A", "B", "p.B")),
+    cands=st.lists(_graphs(("A", "p.A", "q.A", "B", "r.B")), min_size=2, max_size=5),
+)
+def test_one_context_side_serves_every_candidate(ctx, cands):
+    """One context graph, whose side is built once and kept, scored against
+    several candidates mixing qualified and simple type names: each table
+    and report equals one built from fresh copies of both graphs, and the
+    partners are the reference type rule's, with the reference fractions."""
+    context = _unit(ctx)
+    for cand in cands:
+        table = _pair_table(ctx, cand)
+        assert table == _pair_table(_copy(ctx), _copy(cand))
+        for c, record in enumerate(table.partners):
+            ctx_obj = ctx.objects[c]
+            assert list(record) == [
+                k for k, cand_obj in enumerate(cand.objects) if _ref_types_match(ctx_obj, cand_obj)
+            ]
+            for k, (ff, mf, _matched) in record.items():
+                assert ff == _ref_fraction(dict(ctx_obj.fields), dict(cand.objects[k].fields))
+                assert mf == _ref_fraction(dict(ctx_obj.methods), dict(cand.objects[k].methods))
+        report = structural_score(context, _unit(cand))
+        assert report.to_dict() == structural_score(_unit(_copy(ctx)), _unit(_copy(cand))).to_dict()
+    assert "access" in vars(ctx)
+    assert not any("access" in vars(cand) for cand in cands)
 
 
 @settings(max_examples=150, deadline=None)
