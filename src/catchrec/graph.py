@@ -9,9 +9,10 @@ Dependency edges connect consumer objects to the producers they were fed.
 The parser emits the nodes and edges directly, as ``SourceUnit.objects``
 and ``SourceUnit.dependencies``; this module wraps them as a graph and
 renders it. What :mod:`catchrec.structural` reads of one graph (each
-object's :class:`ObjectAccess`, the edge groups, the labels) is derived on
-first use and kept with the graph, so a context scored against a whole pool
-derives it once.
+object's :class:`ObjectAccess`, the classes of objects with equal type name,
+fields and methods, the edge groups, the labels) is derived on first use and
+kept with the graph, so a context scored against a whole pool derives it
+once.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ class ApiUsageGraph:
                 fields, sum(fields.values()), methods, sum(methods.values()),
             ))
         return tuple(views)
+
+    @functools.cached_property
+    def access_classes(self) -> tuple[tuple[ObjectAccess, ...], tuple[int, ...]]:
+        """The :attr:`access` views of the classes of objects with equal type
+        name, fields and methods, in order of first occurrence, and each
+        object's class index. Objects of one class are interchangeable to
+        structural matching: against any candidate they have equal partners
+        with equal fractions."""
+        first: dict[tuple, int] = {}
+        views: list[ObjectAccess] = []
+        of = []
+        for o, view in zip(self.objects, self.access):
+            key = (o.type_name, o.fields, o.methods)
+            if key not in first:
+                first[key] = len(views)
+                views.append(view)
+            of.append(first[key])
+        return tuple(views), tuple(of)
 
     @functools.cached_property
     def edge_groups(self) -> dict[tuple[int, int], list[str]]:

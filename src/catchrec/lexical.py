@@ -41,6 +41,7 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EmptyUnit
@@ -149,7 +150,7 @@ def cosine_similarity(context: PreparedUnit, candidate: PreparedUnit) -> float:
     u, v = context.subtokens, candidate.subtokens
     if not u or not v:
         return 0.0
-    dot = sum(count * v[name] for name, count in u.items() if name in v)
+    dot = sum(map(operator.mul, u.values(), map(v.get, u, repeat(0))))
     return dot / (context.norm * candidate.norm)
 
 

@@ -140,8 +140,11 @@ class ScoreBreakdown(RawComponents):
         return payload
 
 
-def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreakdown]:
-    """Normalize each component over the pool, combine, sort, and rank."""
+def fuse(
+    raws: list[RawComponents], weights: TopLevelWeights, k: int | None = None
+) -> list[ScoreBreakdown]:
+    """Normalize each component over the pool, combine, sort, and rank; a
+    breakdown is built only for the first ``k`` ranks (all when ``None``)."""
     if not raws:
         raise EmptyPool("cannot rank an empty pool")
     structural_norm = normalize_pool([r.structural_raw for r in raws])
@@ -167,7 +170,7 @@ def fuse(raws: list[RawComponents], weights: TopLevelWeights) -> list[ScoreBreak
             total=total,
             rank=position,
         )
-        for position, (r, s_norm, l_norm, q_norm, total) in enumerate(scored, 1)
+        for position, (r, s_norm, l_norm, q_norm, total) in enumerate(scored[:k], 1)
     ]
 
 
@@ -214,7 +217,7 @@ def rank(
     config = config or WeightConfig()
     prepared = prepare(context)  # once per call, not per candidate
     raws = [score_candidate(prepared, cand.id, cand.prepared(), config) for cand in candidates]
-    return fuse(raws, config.top_level)[:k]
+    return fuse(raws, config.top_level, k)
 
 
 _METRIC_ROWS = (

@@ -17,13 +17,15 @@ report as non-exhaustive so the approximation is visible downstream.
 
 Pairings are scored from a table built once per candidate: for each
 context object, a record of its type-compatible candidate objects with the
-field and method fractions and the matched access count of each pair, and
-both graphs' dependency edges grouped by endpoints ``(consumer, producer)``.
-The context's side of every table (each object's field and method maps
-with their totals, whether its type name is qualified and its simple type,
-the edge groups and the labels) is kept with its graph, so it is built once
-per context, however many candidates are scored against it; a table builds
-only the candidate's side, once per candidate object.
+field and method fractions and the matched access count of each pair, read
+with both graphs' dependency edges grouped by endpoints ``(consumer,
+producer)``. Context objects of equal type name, fields and methods form a
+class and share one record, built once per class; no record is mutated.
+The context's side of every table (the classes, each class's field and
+method maps with their totals, whether its type name is qualified and its
+simple type, the edge groups and the labels) is kept with its graph, so it
+is built once per context, however many candidates are scored against it;
+a table builds only the candidate's side, once per candidate object.
 One rule weighs the edges of one context group against the candidate edges
 between its partners: equal access points first, then half weight, each
 candidate edge used once. A pairing is injective, so no two groups share a
@@ -36,18 +38,28 @@ level carries the pairing size, the field- and method-fraction sums (added
 in pairing order) and a dependency total, to which each group's total under
 the rule is added once both its endpoints are paired. Its weights are all
 1.0 or 0.5, so the total is exact in any order and a leaf's key is the very
-float the report's scoring returns, which runs once, on the chosen pairing.
-A subtree is pruned when its bound (the partial score, plus each remaining
-object's best object, field and method term, plus each open group's best
-total) is below the best score by more than a rounding margin, so pruning
-never changes which pairing wins. Both graphs come from the two units'
-:class:`~catchrec.lexical.PreparedUnit`; a unit whose parse failed has none,
-and scoring it raises :class:`~catchrec.errors.StructureUnavailable`.
+float :func:`_score_pairing` returns for its pairing. The report takes the
+best key as its ``raw``, so an exhaustive table is never scored a second
+time; a table in which no context object has a partner is not searched at
+all. A subtree is pruned when its bound (the partial score, plus each
+remaining object's best object, field and method term, plus each open
+group's best total) is below the best score by more than a rounding margin,
+so pruning never changes which pairing wins.
+
+A report holds the chosen pairing, its fractions (read from the table), its
+raw score and whether the search was exhaustive. Its dependency matches and
+both graphs' labels are derived from the two graphs when first read, which
+in a ranked pool happens only for the candidates shown. Both graphs come
+from the two units' :class:`~catchrec.lexical.PreparedUnit`; a unit whose
+parse failed has none, and scoring it raises
+:class:`~catchrec.errors.StructureUnavailable`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -72,16 +84,47 @@ class StructuralWeights(Weights):
     dependency_match: float = 1.0  # per summed dependency weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
+    """The chosen pairing of two graphs and its scores. The dependency
+    matches and the labels are derived from ``context`` and ``candidate`` on
+    first read. Two reports are equal when their pairings, fractions,
+    dependency matches, raw score and exhaustive flag are; labels and graphs
+    are not compared."""
+
     pairings: tuple[tuple[int, int], ...]       # (context index, candidate index)
     field_fractions: tuple[float, ...]          # aligned with pairings
     method_fractions: tuple[float, ...]
-    dependency_matches: tuple[tuple[DependencyEdge, float], ...]
     raw: float
     exhaustive: bool
-    context_labels: tuple[str, ...] = field(compare=False)
-    candidate_labels: tuple[str, ...] = field(compare=False)
+    context: ApiUsageGraph = field(repr=False)
+    candidate: ApiUsageGraph = field(repr=False)
+
+    @functools.cached_property
+    def dependency_matches(self) -> tuple[tuple[DependencyEdge, float], ...]:
+        return tuple(_dependency_matches(self.pairings, self.context, self.candidate))
+
+    @property
+    def context_labels(self) -> tuple[str, ...]:
+        return self.context.labels
+
+    @property
+    def candidate_labels(self) -> tuple[str, ...]:
+        return self.candidate.labels
+
+    def _key(self) -> tuple:
+        return (
+            self.pairings, self.field_fractions, self.method_fractions,
+            self.dependency_matches, self.raw, self.exhaustive,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.pairings, self.raw, self.exhaustive))
 
     @property
     def matched_objects(self) -> int:
@@ -138,27 +181,29 @@ _Partners = dict[int, tuple[float, float, int]]
 class _PairTable:
     """What every pairing of two graphs is scored from, computed once per
     (context, candidate) pair of graphs: the partner record of each context
-    object, and both graphs' dependency edges grouped by their endpoints."""
+    object, one record shared by the objects of a class. The dependency
+    edges grouped by their endpoints are each graph's ``edge_groups``."""
 
     context: ApiUsageGraph
     candidate: ApiUsageGraph
     partners: tuple[_Partners, ...]
-    context_edges: dict[tuple[int, int], list[str]]
-    candidate_edges: dict[tuple[int, int], list[str]]
 
 
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     """Types match when both are qualified and equal, or else when their
     simple types are equal; a field or method fraction is the part of the
     context object's accesses the candidate object covers. The context's
-    side is its graph's :attr:`~catchrec.graph.ApiUsageGraph.access` and
-    edge groups; each candidate object's side is read once per table."""
+    side is its graph's
+    :attr:`~catchrec.graph.ApiUsageGraph.access_classes`: one record is
+    built per class and shared by its objects. Each candidate object's side
+    is read once per table."""
     cand_access = [
         (o.type_name, o.qualified, o.simple_type, dict(o.fields), dict(o.methods))
         for o in candidate.objects
     ]
-    partners = []
-    for type_name, qualified, simple, fields, ft, methods, mt in context.access:
+    views, class_of = context.access_classes
+    records = []
+    for type_name, qualified, simple, fields, ft, methods, mt in views:
         record: _Partners = {}
         for ki, (k_type, k_qualified, k_simple, k_fields, k_methods) in enumerate(cand_access):
             # equal qualified names have equal simple names
@@ -167,10 +212,8 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
                 mm = sum(map(min, methods.values(), map(k_methods.get, methods, repeat(0))))
                 # objects without accesses contribute zero instead of dividing by zero
                 record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
-        partners.append(record)
-    return _PairTable(
-        context, candidate, tuple(partners), context.edge_groups, candidate.edge_groups
-    )
+        records.append(record)
+    return _PairTable(context, candidate, tuple(map(records.__getitem__, class_of)))
 
 
 def _dependency_weights(context_points: list[str], candidate_points: list[str]) -> list[float]:
@@ -192,6 +235,27 @@ def _dependency_weights(context_points: list[str], candidate_points: list[str]) 
     return weights
 
 
+def _dependency_matches(
+    pairings: Iterable[tuple[int, int]], context: ApiUsageGraph, candidate: ApiUsageGraph
+) -> list[tuple[DependencyEdge, float]]:
+    """The context edges a pairing matches, with their weights under the
+    rule, in context-edge order."""
+    paired = dict(pairings)
+    candidate_edges = candidate.edge_groups
+    group_weights = {
+        (c, p): iter(_dependency_weights(
+            points, candidate_edges.get((paired.get(c), paired.get(p)), [])
+        ))
+        for (c, p), points in context.edge_groups.items()
+    }
+    deps = []
+    for edge in context.dependencies:
+        weight = next(group_weights[edge.consumer, edge.producer])
+        if weight:
+            deps.append((edge, weight))
+    return deps
+
+
 def _score_pairing(
     pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
@@ -199,18 +263,7 @@ def _score_pairing(
     pairing order, and the dependency matches are in context-edge order."""
     fam = [table.partners[c][k][0] for c, k in pairings]
     mim = [table.partners[c][k][1] for c, k in pairings]
-    paired = dict(pairings)
-    group_weights = {
-        (c, p): iter(_dependency_weights(
-            points, table.candidate_edges.get((paired.get(c), paired.get(p)), [])
-        ))
-        for (c, p), points in table.context_edges.items()
-    }
-    deps = []
-    for edge in table.context.dependencies:
-        weight = next(group_weights[edge.consumer, edge.producer])
-        if weight:
-            deps.append((edge, weight))
+    deps = _dependency_matches(pairings, table.context, table.candidate)
     raw = (
         weights.object_match * len(pairings)
         + weights.field_match * sum(fam)
@@ -252,10 +305,11 @@ def _dependency_groups(table: _PairTable) -> list[_Group]:
     """For each context endpoint group, its dependency total under each pair
     of partners that has candidate edges between them."""
     groups = []
-    for (c, p), points in table.context_edges.items():
+    candidate_edges = table.candidate.edge_groups
+    for (c, p), points in table.context.edge_groups.items():
         terms = {
             (kc, kp): sum(_dependency_weights(points, found))
-            for (kc, kp), found in table.candidate_edges.items()
+            for (kc, kp), found in candidate_edges.items()
             if kc in table.partners[c] and kp in table.partners[p]
         }
         if terms:
@@ -265,16 +319,22 @@ def _dependency_groups(table: _PairTable) -> list[_Group]:
 
 def _best_pairing(
     table: _PairTable, weights: StructuralWeights
-) -> tuple[list[tuple[int, int]], bool]:
+) -> tuple[list[tuple[int, int]], float, bool]:
+    """The chosen pairing, its raw score as :func:`_score_pairing` returns
+    it, and whether the search was exhaustive."""
     if _assignment_space(table) > _MAX_ASSIGNMENTS:
-        return _greedy_pairing(table), False
-    wo, wf, wm, wd = (
-        weights.object_match, weights.field_match, weights.method_match, weights.dependency_match
-    )
+        greedy = _greedy_pairing(table)
+        return greedy, _score_pairing(greedy, table, weights)[0], False
     # An object without a partner can only stay unpaired, so the search
     # skips it; each object it visits at least doubles the assignment
     # space, which bounds the recursion by log2(_MAX_ASSIGNMENTS).
     visits = [(ci, record) for ci, record in enumerate(table.partners) if record]
+    if not visits:
+        # only the empty pairing, which matches no edge and scores 0.0
+        return [], 0.0, True
+    wo, wf, wm, wd = (
+        weights.object_match, weights.field_match, weights.method_match, weights.dependency_match
+    )
     # Each dependency group is scored at the depth of its later endpoint;
     # bound[d] is the most the objects and groups still open at depth d can
     # add: each object's best object, field and method term, and each
@@ -332,7 +392,7 @@ def _best_pairing(
         search(d + 1, n, fsum, msum, dep)  # leave this context object unpaired
 
     search(0, 0, 0, 0, 0)
-    return best, True
+    return best, best_raw, True
 
 
 def structural_score(
@@ -345,15 +405,14 @@ def structural_score(
         raise StructureUnavailable("structural scoring needs two parsed units")
     weights = weights or StructuralWeights()
     table = _pair_table(context.graph, candidate.graph)
-    pairing, exhaustive = _best_pairing(table, weights)
-    raw, fam, mim, deps = _score_pairing(pairing, table, weights)
+    pairing, raw, exhaustive = _best_pairing(table, weights)
+    partners = table.partners
     return MatchReport(
         pairings=tuple(pairing),
-        field_fractions=tuple(fam),
-        method_fractions=tuple(mim),
-        dependency_matches=tuple(deps),
+        field_fractions=tuple(partners[c][k][0] for c, k in pairing),
+        method_fractions=tuple(partners[c][k][1] for c, k in pairing),
         raw=raw,
         exhaustive=exhaustive,
-        context_labels=table.context.labels,
-        candidate_labels=table.candidate.labels,
+        context=context.graph,
+        candidate=candidate.graph,
     )

@@ -11,6 +11,7 @@ from catchrec import lexical_score, parse, prepare
 from catchrec.lexer import TokenKind
 from catchrec.lexical import (
     LexicalWeights,
+    PreparedUnit,
     _identifier_parts,
     clone_measure,
     cosine_similarity,
@@ -92,6 +93,33 @@ def test_cosine_symmetry():
     u = idents("load", "parse", "load", "emit")
     v = idents("parse", "emit", "emit")
     assert cosine_similarity(u, v) == pytest.approx(cosine_similarity(v, u))
+
+
+def _vector_unit(counts):
+    return PreparedUnit(texts=(), subtokens=Counter(counts), graph=None, quality=None)
+
+
+_VECTORS = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 10**9), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS, _VECTORS)
+@example({}, {})
+@example({}, {"a": 1})
+@example({"a": 2}, {})
+@example({"a": 1, "b": 2}, {"c": 3, "d": 1})
+def test_cosine_matches_the_generator_formula(u, v):
+    """The dot product is an exact integer sum however it is computed, so
+    the cosine is the same float as one over a generator of the shared
+    subtokens' products; empty and disjoint vectors read 0.0."""
+    ctx, cand = _vector_unit(u), _vector_unit(v)
+    if not u or not v:
+        expected = 0.0
+    else:
+        a, b = ctx.subtokens, cand.subtokens
+        dot = sum(count * b[name] for name, count in a.items() if name in b)
+        expected = dot / (ctx.norm * cand.norm)
+    assert cosine_similarity(ctx, cand).hex() == expected.hex()
 
 
 def test_cosine_bounds_random():

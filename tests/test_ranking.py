@@ -19,6 +19,8 @@ from catchrec import (
 )
 from catchrec.corpus import Candidate, LocalOrigin
 from catchrec import lexical as lexical_mod
+from catchrec import ranking as ranking_mod
+from catchrec import structural as structural_mod
 from catchrec.errors import ConfigError, EmptyPool
 from catchrec.model import MAX_WEIGHT
 from catchrec.ranking import (
@@ -432,3 +434,41 @@ def test_rank_builds_the_context_side_once_per_call(monkeypatch, listing1, size)
         prepared = cand.prepared()
         assert "masks" not in vars(prepared)
         assert "access" not in vars(prepared.graph)
+
+
+@pytest.mark.parametrize("size, k", [(1, 1), (3, 2), (12, 5)])
+def test_rank_builds_detail_only_for_the_returned_candidates(monkeypatch, listing1, size, k):
+    """Every candidate is scored once, structurally and by LCS, but only the
+    ``k`` returned get a breakdown, and only they derive dependency detail,
+    when it is read."""
+    counts = {"breakdowns": 0, "detail": 0, "structural": 0, "lcs": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ranking_mod, "ScoreBreakdown", counting("breakdowns", ranking_mod.ScoreBreakdown))
+    monkeypatch.setattr(ranking_mod, "structural_score", counting("structural", ranking_mod.structural_score))
+    monkeypatch.setattr(lexical_mod, "lcs_length", counting("lcs", lexical_mod.lcs_length))
+    monkeypatch.setattr(
+        structural_mod, "_dependency_matches", counting("detail", structural_mod._dependency_matches)
+    )
+    texts = [
+        listing1.raw_text,
+        "A a = new A(); B b = new B(a.f()); a.go();",
+        "} catch }",
+        "java.net.URL u = new java.net.URL(s); u.openConnection();",
+    ]
+    pool = [
+        Candidate.from_origin(LocalOrigin(f"c{i}.java"), texts[i % len(texts)])
+        for i in range(size)
+    ]
+    top = rank(listing1, pool, k=k)
+    assert len(top) == k
+    assert counts == {"breakdowns": k, "detail": 0, "structural": size, "lcs": size}
+    for breakdown in top:
+        json.dumps(breakdown.to_dict())
+        explain(breakdown)
+    assert counts["detail"] == sum(b.structure_available for b in top) <= k

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import extract_usage_graph, parse, prepare, structural, structural_score
@@ -17,8 +17,10 @@ from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
     _dependency_groups,
+    _dependency_matches,
     _greedy_pairing,
     _pair_table,
+    _PairTable,
     _score_pairing,
 )
 
@@ -306,9 +308,9 @@ def test_brute_force_equivalence_on_small_graphs():
 
 def _score_via_module(ctx, cand, w):
     table = _pair_table(ctx, cand)
-    pairing, exhaustive = _best_pairing(table, w)
+    pairing, raw, exhaustive = _best_pairing(table, w)
     assert exhaustive
-    raw, _f, _m, _d = _score_pairing(pairing, table, w)
+    assert raw == _score_pairing(pairing, table, w)[0]
     return raw
 
 
@@ -339,11 +341,11 @@ def test_table_pairing_matches_per_pairing_scan():
             key = (_ref_score(pairing, ctx, cand, w), len(pairing))
             if scan_key is None or key > scan_key:
                 scan_best, scan_key = pairing, key
-        pairing, exhaustive = _best_pairing(table, w)
+        pairing, searched, exhaustive = _best_pairing(table, w)
         assert exhaustive
         assert pairing == scan_best, (ctx, cand)
         raw, fam, mim, deps = _score_pairing(pairing, table, w)
-        assert raw == scan_key[0], (ctx, cand)
+        assert raw == searched == scan_key[0], (ctx, cand)
         expected = _ref_dependency_weights(pairing, ctx, cand)
         assert deps == [(ctx.dependencies[pos], weight) for pos, weight in sorted(expected.items())]
         assert fam == [
@@ -405,8 +407,10 @@ def test_exhaustive_flag_tells_the_greedy_fallback(n, exhaustive):
     assert report.exhaustive is exhaustive
     assert report.to_dict()["exhaustive"] is exhaustive
     if not exhaustive:
-        greedy = _greedy_pairing(_pair_table(ctx.graph, cand.graph))
+        table = _pair_table(ctx.graph, cand.graph)
+        greedy = _greedy_pairing(table)
         assert report.pairings == tuple(greedy)
+        assert report.raw == _score_pairing(greedy, table, StructuralWeights())[0]
 
 
 def _members(names):
@@ -416,15 +420,16 @@ def _members(names):
 
 
 @st.composite
-def _graphs(draw, types):
-    """Up to five objects over few types and members, so equal scores are
-    common; a type the other side lacks gives partnerless objects; edges
-    may repeat endpoints and access points."""
+def _graphs(draw, types, min_objects=0, max_objects=5):
+    """Up to five objects (by default) over few types and members, so equal scores and
+    objects of one class (equal type, fields and methods) are common; a
+    type the other side lacks gives partnerless objects; edges may repeat
+    endpoints and access points."""
     objects = tuple(
         GraphObject(
             draw(st.sampled_from(types)), i, f"v{i}", draw(_members("xy")), draw(_members("fg"))
         )
-        for i in range(draw(st.integers(0, 5)))
+        for i in range(draw(st.integers(min_objects, max_objects)))
     )
     dependencies = ()
     if len(objects) > 1:
@@ -444,7 +449,7 @@ def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
     """The depth-first search returns exactly the pairing that ``max`` over
     the full enumeration returns, keyed by (raw, pairing size)."""
     table = _pair_table(ctx, cand)
-    pairing, exhaustive = _best_pairing(table, w)
+    pairing, _raw, exhaustive = _best_pairing(table, w)
     assert exhaustive  # five objects a side stay below the switch
     assert pairing == max(
         _enumerate_pairings(table), key=lambda p: (_score_pairing(p, table, w)[0], len(p))
@@ -514,23 +519,34 @@ def test_equal_raw_goes_to_the_larger_pairing_past_a_pruned_subtree():
         objects=(GraphObject("A", 0, "c1", (), ()), GraphObject("q.A", 0, "c2", (), ())),
         dependencies=(),
     )
-    pairing, exhaustive = _best_pairing(_pair_table(ctx, cand), StructuralWeights(0, 0, 0, 0))
+    pairing, _raw, exhaustive = _best_pairing(_pair_table(ctx, cand), StructuralWeights(0, 0, 0, 0))
     assert exhaustive
     assert pairing == [(0, 1), (1, 0)]
 
 
 def test_structural_score_scores_one_pairing(listing2, monkeypatch):
-    """The search keys its leaves from running sums; the full scoring runs
-    once, for the report."""
-    calls = []
+    """The search keys its leaves from running sums and the report takes the
+    best key as its raw, so an exhaustive table is never scored in full; the
+    report derives its dependency detail once, when it is first read."""
+    scored, derived = [], []
 
-    def spy(pairings, table, weights):
-        calls.append(list(pairings))
+    def score_spy(pairings, table, weights):
+        scored.append(list(pairings))
         return _score_pairing(pairings, table, weights)
 
-    monkeypatch.setattr(structural, "_score_pairing", spy)
+    def derive_spy(pairings, context, candidate):
+        derived.append(tuple(pairings))
+        return _dependency_matches(pairings, context, candidate)
+
+    monkeypatch.setattr(structural, "_score_pairing", score_spy)
+    monkeypatch.setattr(structural, "_dependency_matches", derive_spy)
     report = structural_score(prepare(listing2), prepare(listing2))
-    assert calls == [list(report.pairings)]
+    assert report.exhaustive
+    assert scored == derived == []
+    for _ in range(2):
+        assert report.to_dict()["dependency_total"] == report.dependency_total
+    assert scored == []
+    assert derived == [report.pairings]
     assert report.matched_objects == len(listing2.objects) > 2
 
 
@@ -553,3 +569,131 @@ def test_greedy_picks_the_earlier_of_equal_overlaps():
     )
     # a1 ties c2 and c3 at two and takes c2; a2 ties c1, c3 and c4 at one
     assert _greedy_pairing(_pair_table(ctx, cand)) == [(0, 1), (1, 0)]
+
+
+def _per_object_partners(ctx, cand):
+    """Partner records built object by object from both graphs, each
+    fraction as the part of the context object's accesses covered."""
+    records = []
+    for c_obj in ctx.objects:
+        record = {}
+        for k, k_obj in enumerate(cand.objects):
+            if _ref_types_match(c_obj, k_obj):
+                fields, methods = dict(c_obj.fields), dict(c_obj.methods)
+                k_fields, k_methods = dict(k_obj.fields), dict(k_obj.methods)
+                fm = sum(min(n, k_fields.get(name, 0)) for name, n in fields.items())
+                mm = sum(min(n, k_methods.get(name, 0)) for name, n in methods.items())
+                ft, mt = sum(fields.values()), sum(methods.values())
+                record[k] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
+        records.append(record)
+    return tuple(records)
+
+
+@st.composite
+def _graphs_with_repeats(draw, types):
+    """A :func:`_graphs` graph plus copies of some of its objects under new
+    ordinals and names, so that most classes have several objects."""
+    graph = draw(_graphs(types))
+    objects = list(graph.objects)
+    if objects:
+        for i in draw(st.lists(st.integers(0, len(objects) - 1), max_size=4)):
+            o = objects[i]
+            objects.append(GraphObject(o.type_name, len(objects), f"w{len(objects)}", o.fields, o.methods))
+    return ApiUsageGraph(objects=tuple(objects), dependencies=graph.dependencies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=_graphs_with_repeats(("A", "B", "p.A")), cand=_graphs(("A", "B", "q.A")))
+def test_class_shared_records_equal_per_object_records(ctx, cand):
+    """One record per class of equal type name, fields and methods, shared
+    by its objects, equals the record built for each object on its own."""
+    table = _pair_table(ctx, cand)
+    assert table.partners == _per_object_partners(ctx, cand)
+    views, class_of = ctx.access_classes
+    assert len(class_of) == len(ctx.objects)
+    for c, o in enumerate(ctx.objects):
+        first = class_of.index(class_of[c])
+        same = (o.type_name, o.fields, o.methods) == (
+            ctx.objects[first].type_name, ctx.objects[first].fields, ctx.objects[first].methods
+        )
+        assert same
+        assert table.partners[c] is table.partners[first]
+        assert views[class_of[c]] == ctx.access[first]
+    assert len(views) == len({(o.type_name, o.fields, o.methods) for o in ctx.objects})
+
+
+# six to eight objects of one type a side span at least 7**6 assignments,
+# past the switch to the greedy pass
+_LARGE = _graphs(("A",), min_objects=6, max_objects=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sides=st.one_of(st.tuples(_graphs(("A", "B")), _graphs(("A", "B"))), st.tuples(_LARGE, _LARGE)),
+    w=st.sampled_from(_WEIGHTINGS),
+)
+def test_report_raw_is_the_search_key(sides, w):
+    """For exhaustive and greedy tables alike, the raw the report takes from
+    the search is the very float a full scoring of the chosen pairing
+    returns, and the dependency matches the report derives when read are
+    that scoring's; the report holds no pair table."""
+    ctx, cand = sides
+    table = _pair_table(ctx, cand)
+    pairing, raw, exhaustive = _best_pairing(table, w)
+    full, fam, mim, deps = _score_pairing(pairing, table, w)
+    assert raw.hex() == float(full).hex()
+    report = structural_score(_unit(ctx), _unit(cand), w)
+    assert report.raw.hex() == raw.hex()
+    assert report.exhaustive is exhaustive
+    assert report.pairings == tuple(pairing)
+    assert (report.field_fractions, report.method_fractions) == (tuple(fam), tuple(mim))
+    assert not any(isinstance(value, _PairTable) for value in vars(report).values())
+    assert report.dependency_matches == tuple(deps)
+
+
+def _two_objects(*access_points):
+    return ApiUsageGraph(
+        objects=(GraphObject("A", 0, "a", (), ()), GraphObject("B", 0, "b", (), ())),
+        dependencies=tuple(DependencyEdge(1, 0, point) for point in access_points),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ctx=_graphs(("A", "B")),
+    cands=st.lists(_graphs(("A", "B")), min_size=2, max_size=2),
+    relabel=st.booleans(),
+)
+# one exact match against two half matches: equal pairings, fractions and
+# raw, but other dependency matches
+@example(ctx=_two_objects("f", "g"), cands=[_two_objects("f"), _two_objects("x", "y")], relabel=False)
+def test_reports_compare_by_their_scores_not_their_labels(ctx, cands, relabel):
+    """Two reports are equal exactly when their pairings, fractions,
+    dependency matches, raw and exhaustive flag are; labels are not
+    compared, so a candidate renumbered under new ordinals scores equal."""
+    first, second = (structural_score(_unit(ctx), _unit(cand)) for cand in cands)
+
+    def compared(report):
+        return (
+            report.pairings, report.field_fractions, report.method_fractions,
+            report.dependency_matches, report.raw, report.exhaustive,
+        )
+
+    assert (first == second) is (compared(first) == compared(second))
+    if first == second:
+        assert hash(first) == hash(second)
+
+    def renamed(graph):
+        return ApiUsageGraph(
+            objects=tuple(
+                GraphObject(o.type_name, o.ordinal + 7 * relabel, "r", o.fields, o.methods)
+                for o in graph.objects
+            ),
+            dependencies=graph.dependencies,
+        )
+
+    again = structural_score(_unit(renamed(ctx)), _unit(renamed(cands[0])))
+    assert again == first and hash(again) == hash(first)
+    if relabel:
+        assert again.context_labels != first.context_labels or not ctx.objects
+        assert again.candidate_labels != first.candidate_labels or not cands[0].objects
