@@ -10,15 +10,16 @@ The parser emits the nodes and edges directly, as ``SourceUnit.objects``
 and ``SourceUnit.dependencies``; this module wraps them as a graph and
 renders it. What :mod:`catchrec.structural` reads of one graph (each
 object's :class:`ObjectAccess`, the classes of objects with equal type name,
-fields and methods, the edge groups, the labels) is derived on first use and
-kept with the graph, so a context scored against a whole pool derives it
-once.
+fields and methods, the common denominator of their fractions, the edge
+groups, the labels) is derived on first use and kept with the graph, so a
+context scored against a whole pool derives it once.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,9 +65,10 @@ class ApiUsageGraph:
     def access_classes(self) -> tuple[tuple[ObjectAccess, ...], tuple[int, ...]]:
         """The :attr:`access` views of the classes of objects with equal type
         name, fields and methods, in order of first occurrence, and each
-        object's class index. Objects of one class are interchangeable to
-        structural matching: against any candidate they have equal partners
-        with equal fractions."""
+        object's class index. Against any candidate, objects of one class
+        have equal partners with equal fractions; they are not
+        interchangeable in general, since their dependency edges may
+        differ."""
         first: dict[tuple, int] = {}
         views: list[ObjectAccess] = []
         of = []
@@ -77,6 +79,21 @@ class ApiUsageGraph:
                 views.append(view)
             of.append(first[key])
         return tuple(views), tuple(of)
+
+    @functools.cached_property
+    def access_scale(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The least common multiple of the objects' nonzero field and method
+        totals (1 when no object has an access), and for each of the
+        :attr:`access_classes` that multiple over its field and over its
+        method total (0 for a total of 0): a fraction of a class's accesses
+        times the multiple is a count times the class's factor."""
+        views, _class_of = self.access_classes
+        scale = math.lcm(*{t for view in views for t in (view.field_total, view.method_total) if t})
+        return scale, tuple(
+            (scale // view.field_total if view.field_total else 0,
+             scale // view.method_total if view.method_total else 0)
+            for view in views
+        )
 
     @functools.cached_property
     def edge_groups(self) -> dict[tuple[int, int], list[str]]:

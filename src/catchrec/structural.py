@@ -8,24 +8,27 @@ the endpoints do.
 
 Object pairing is the one underspecified step: while the assignment space
 is at most 20,000, a depth-first branch-and-bound search finds the best
-injective type-compatible assignment, holding one pairing and a copy of
-the best so far (ties resolved toward declaration order). It visits only
-context objects that have a partner, each of which at least doubles the
-space, so its recursion is under 15 deep whatever the graph size. For
-larger spaces it falls back to a greedy per-object choice and marks the
-report as non-exhaustive so the approximation is visible downstream.
+injective type-compatible assignment by an exact key, holding one pairing
+and a copy of the best so far (of equal raw scores the larger pairing
+wins, then the first in depth-first order). It visits only context
+objects that have a partner, each of which at least doubles the space,
+so its recursion is under 15 deep whatever the graph size. For larger
+spaces it falls back to a greedy per-object choice and marks the report
+as non-exhaustive so the approximation is visible downstream.
 
 Pairings are scored from a table built once per candidate: for each
 context object, a record of its type-compatible candidate objects with the
-field and method fractions and the matched access count of each pair, read
-with both graphs' dependency edges grouped by endpoints ``(consumer,
-producer)``. Context objects of equal type name, fields and methods form a
-class and share one record, built once per class; no record is mutated.
-The context's side of every table (the classes, each class's field and
-method maps with their totals, whether its type name is qualified and its
-simple type, the edge groups and the labels) is kept with its graph, so it
-is built once per context, however many candidates are scored against it;
-a table builds only the candidate's side, once per candidate object.
+field and method fractions, the matched access count and the field and
+method overlaps scaled to whole numbers of each pair, read with both
+graphs' dependency edges grouped by endpoints ``(consumer, producer)``.
+Context objects of equal type name, fields and methods form a class and
+share one record, built once per class; no record is mutated. The
+context's side of every table (the classes, each class's field and method
+maps with their totals, whether its type name is qualified and its simple
+type, the least common multiple of the totals, the edge groups and the
+labels) is kept with its graph, so it is built once per context, however
+many candidates are scored against it; a table builds only the
+candidate's side, once per candidate object.
 One rule weighs the edges of one context group against the candidate edges
 between its partners: equal access points first, then half weight, each
 candidate edge used once. A pairing is injective, so no two groups share a
@@ -33,18 +36,27 @@ candidate edge and each group is weighed on its own. The report's
 dependency matches are the rule's weights for the chosen pairing, in
 context-edge order.
 
-The search scores each leaf from running sums, not from scratch: each
-level carries the pairing size, the field- and method-fraction sums (added
-in pairing order) and a dependency total, to which each group's total under
-the rule is added once both its endpoints are paired. Its weights are all
-1.0 or 0.5, so the total is exact in any order and a leaf's key is the very
-float :func:`_score_pairing` returns for its pairing. The report takes the
-best key as its ``raw``, so an exhaustive table is never scored a second
-time; a table in which no context object has a partner is not searched at
-all. A subtree is pruned when its bound (the partial score, plus each
-remaining object's best object, field and method term, plus each open
-group's best total) is below the best score by more than a rounding margin,
-so pruning never changes which pairing wins.
+The search keys each leaf by its raw score times one whole number: twice
+the least common multiple of the context's access totals, times the
+common denominator of the four weights (each float is a binary fraction,
+:attr:`StructuralWeights.exact`). Every field and method fraction, every
+dependency total (a sum of 1.0s and 0.5s) and every weight then scales to
+a whole number, so the key is exact and does not depend on the order its
+terms are added in. Each level carries the pairing size and the key, to
+which each group's term is added once both its endpoints are paired. A
+subtree is pruned exactly when its bound (the partial key, plus each
+remaining object's best pair term, plus each open group's best term) and
+its largest possible size are at most the best key and size, so pruning
+never changes which pairing wins. As the key is order-free, objects of one
+class that are no endpoint of a dependency group with terms are
+interchangeable, and the search visits one ordering of them: their
+partners increase in candidate order, and unpaired ones come last.
+
+Each level also carries the field- and method-fraction sums, added in
+pairing order, so the best leaf's raw is the very float
+:func:`_score_pairing` returns for its pairing; the report takes it as its
+``raw``, so an exhaustive table is never scored a second time. A table in
+which no context object has a partner is not searched at all.
 
 A report holds the chosen pairing, its fractions (read from the table), its
 raw score and whether the search was exhaustive. Its dependency matches and
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -70,10 +83,6 @@ from .model import Weights
 
 # Exhaustive pairing is used while the assignment space stays below this.
 _MAX_ASSIGNMENTS = 20_000
-# The search prunes a subtree only when its bound is below the best raw
-# score by more than this fraction of that score (or of 1.0 if larger):
-# far above the rounding error of the sums, far below any real difference.
-_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,22 @@ class StructuralWeights(Weights):
     field_match: float = 1.0       # per summed field-access fraction
     method_match: float = 1.0      # per summed method-invocation fraction
     dependency_match: float = 1.0  # per summed dependency weight
+
+    @functools.cached_property
+    def exact(self) -> tuple[int, int, int, int]:
+        """The four weights as whole numbers over their least common
+        denominator, in field order: a float is a binary fraction, so these
+        are the weights scaled by one positive factor, with no rounding."""
+        ratios = [
+            weight.as_integer_ratio()
+            for weight in (self.object_match, self.field_match, self.method_match, self.dependency_match)
+        ]
+        denominator = math.lcm(*(q for _p, q in ratios))
+        return tuple(p * (denominator // q) for p, q in ratios)
+
+
+# one instance, so that its exact weights are derived once
+_DEFAULT_WEIGHTS = StructuralWeights()
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +197,10 @@ class MatchReport:
 
 
 # candidate index -> (field fraction, method fraction, matched field and
-# method accesses) for the type-compatible candidate objects of one context
-# object, in declaration order
-_Partners = dict[int, tuple[float, float, int]]
+# method accesses, matched field and matched method accesses each times the
+# context object's factor in ``access_scale``) for the type-compatible
+# candidate objects of one context object, in declaration order
+_Partners = dict[int, tuple[float, float, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -192,8 +218,9 @@ class _PairTable:
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     """Types match when both are qualified and equal, or else when their
     simple types are equal; a field or method fraction is the part of the
-    context object's accesses the candidate object covers. The context's
-    side is its graph's
+    context object's accesses the candidate object covers, and the scaled
+    overlaps are that fraction times the context's ``access_scale``, as
+    whole numbers. The context's side is its graph's
     :attr:`~catchrec.graph.ApiUsageGraph.access_classes`: one record is
     built per class and shared by its objects. Each candidate object's side
     is read once per table."""
@@ -202,8 +229,9 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
         for o in candidate.objects
     ]
     views, class_of = context.access_classes
+    _scale, factors = context.access_scale
     records = []
-    for type_name, qualified, simple, fields, ft, methods, mt in views:
+    for (type_name, qualified, simple, fields, ft, methods, mt), (fq, mq) in zip(views, factors):
         record: _Partners = {}
         for ki, (k_type, k_qualified, k_simple, k_fields, k_methods) in enumerate(cand_access):
             # equal qualified names have equal simple names
@@ -211,7 +239,7 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
                 fm = sum(map(min, fields.values(), map(k_fields.get, fields, repeat(0))))
                 mm = sum(map(min, methods.values(), map(k_methods.get, methods, repeat(0))))
                 # objects without accesses contribute zero instead of dividing by zero
-                record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
+                record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm, fm * fq, mm * mq)
         records.append(record)
     return _PairTable(context, candidate, tuple(map(records.__getitem__, class_of)))
 
@@ -256,6 +284,12 @@ def _dependency_matches(
     return deps
 
 
+def _summed(fractions: Iterable[float]) -> float:
+    """The fractions added one by one in their order (which ``sum`` does
+    not promise for floats from Python 3.12 on)."""
+    return functools.reduce(operator.add, fractions, 0)
+
+
 def _score_pairing(
     pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
@@ -266,8 +300,8 @@ def _score_pairing(
     deps = _dependency_matches(pairings, table.context, table.candidate)
     raw = (
         weights.object_match * len(pairings)
-        + weights.field_match * sum(fam)
-        + weights.method_match * sum(mim)
+        + weights.field_match * _summed(fam)
+        + weights.method_match * _summed(mim)
         + weights.dependency_match * sum(w for _e, w in deps)
     )
     return raw, fam, mim, deps
@@ -332,67 +366,106 @@ def _best_pairing(
     if not visits:
         # only the empty pairing, which matches no edge and scores 0.0
         return [], 0.0, True
-    wo, wf, wm, wd = (
-        weights.object_match, weights.field_match, weights.method_match, weights.dependency_match
-    )
+    size = len(visits)
+    # The exact key is the raw score times twice the context's scale and
+    # the weights' common denominator: a whole number, whatever the order
+    # of its terms. A pair's term is ko + kf * scaled fields + km * scaled
+    # methods; a group's is twice its total (a sum of 1.0s and 0.5s) times
+    # kd.
+    scale, _factors = table.context.access_scale
+    eo, ef, em, ed = weights.exact
+    ko, kf, km, kd = 2 * scale * eo, 2 * ef, 2 * em, scale * ed
     # Each dependency group is scored at the depth of its later endpoint;
     # bound[d] is the most the objects and groups still open at depth d can
-    # add: each object's best object, field and method term, and each
-    # group's best total over its pairs of partners. bound[0] stays 0.0,
-    # since the root is entered before any leaf sets a cutoff.
+    # add to the key: each object's best pair term, and each group's best
+    # term over its pairs of partners. bound[0] stays 0, since the root is
+    # entered before any leaf sets a best key.
     closing: list[list[_Group]] = [[] for _ in visits]
-    bound = [0.0] * (len(visits) + 1)
+    bound = [0] * (size + 1)
     groups = _dependency_groups(table)
     if groups:
         depth = {ci: d for d, (ci, _record) in enumerate(visits)}
         for c, p, terms in groups:
             d = max(depth[c], depth[p])
-            closing[d].append((c, p, terms))
-            bound[d] += wd * max(terms.values())
-    for d in range(len(visits) - 1, 0, -1):
-        top = 0.0
-        for ff, mf, _matched in visits[d][1].values():
-            unary = wo + wf * ff + wm * mf
-            if unary > top:
-                top = unary
+            exact = {pair: int(2 * total) * kd for pair, total in terms.items()}
+            closing[d].append((c, p, exact))
+            bound[d] += max(exact.values())
+    for d in range(size - 1, 0, -1):
+        top = 0
+        for _ff, _mf, _matched, fs, ms in visits[d][1].values():
+            term = ko + kf * fs + km * ms
+            if term > top:
+                top = term
         bound[d] += bound[d + 1] + top
+    # earlier[d] is the last object before visit d's of the same class, when
+    # neither is an endpoint of a group
+    earlier: list[int | None] = [None] * size
+    views, class_of = table.context.access_classes
+    if len(views) < len(class_of):
+        ends = {end for c, p, _terms in groups for end in (c, p)}
+        last: dict[int, int] = {}
+        for d, (ci, _record) in enumerate(visits):
+            if ci not in ends:
+                earlier[d] = last.get(class_of[ci])
+                last[class_of[ci]] = ci
     partner: list[int | None] = [None] * len(table.partners)
     used: set[int] = set()
     best: list[tuple[int, int]] = []
-    best_raw, best_n, cutoff = -math.inf, -1, -math.inf
+    best_key, best_n, best_sums = -1, -1, (0, 0)
 
-    def search(d: int, n: int, fsum: float, msum: float, dep: float) -> None:
+    def search(d: int, n: int, key: int, fsum: float, msum: float) -> None:
         """Leaves in order of pairing before skipping, earlier-declared
-        candidates first. The sums run in pairing order, so a leaf's raw is
-        the float :func:`_score_pairing` returns; only a strictly greater
-        (raw, size) key replaces the best, so the first of equal keys wins.
-        A subtree whose bound falls below the cutoff holds no such key."""
-        nonlocal best, best_raw, best_n, cutoff
-        raw = wo * n + wf * fsum + wm * msum + wd * dep
-        if d == len(visits):
-            if raw > best_raw or (raw == best_raw and n > best_n):
-                # visits run in context order, so this is the pairing order
-                best = [(ci, ki) for ci, ki in enumerate(partner) if ki is not None]
-                best_raw, best_n = raw, n
-                cutoff = raw - _PRUNE_SLACK * max(1.0, raw)
+        candidates first, each keyed by its exact raw and its size. A
+        subtree whose bound and most pairs are at most the best key and
+        size holds no greater leaf and is pruned; only a greater leaf
+        replaces the best, so the first of equal leaves wins. The fraction
+        sums run in pairing order, for the report's raw.
+
+        An object with an earlier one of its class takes only candidates
+        after that one's partner, and none if that one stayed unpaired. Both
+        have one record and no dependency term, so swapping their partners
+        keeps every leaf's key and size: each leaf skipped has an equal one
+        earlier in this order, and the first best leaf is never skipped."""
+        nonlocal best, best_key, best_n, best_sums
+        top = key + bound[d]
+        if top < best_key or (top == best_key and n + size - d <= best_n):
             return
-        if raw + bound[d] < cutoff:
+        if d == size:
+            # visits run in context order, so this is the pairing order
+            best = [(ci, ki) for ci, ki in enumerate(partner) if ki is not None]
+            best_key, best_n, best_sums = key, n, (fsum, msum)
             return
         ci, record = visits[d]
-        for ki, (ff, mf, _matched) in record.items():
-            if ki not in used:
-                used.add(ki)
-                partner[ci] = ki
-                gain = 0.0
-                for c, p, terms in closing[d]:
-                    gain += terms.get((partner[c], partner[p]), 0.0)
-                search(d + 1, n + 1, fsum + ff, msum + mf, dep + gain)
-                partner[ci] = None
-                used.remove(ki)
-        search(d + 1, n, fsum, msum, dep)  # leave this context object unpaired
+        before = earlier[d]
+        low = -1 if before is None else partner[before]
+        if low is not None:
+            for ki, (ff, mf, _matched, fs, ms) in record.items():
+                if ki > low and ki not in used:
+                    used.add(ki)
+                    partner[ci] = ki
+                    gain = ko + kf * fs + km * ms
+                    for c, p, terms in closing[d]:
+                        gain += terms.get((partner[c], partner[p]), 0)
+                    search(d + 1, n + 1, key + gain, fsum + ff, msum + mf)
+                    partner[ci] = None
+                    used.remove(ki)
+        search(d + 1, n, key, fsum, msum)  # leave this context object unpaired
 
     search(0, 0, 0, 0, 0)
-    return best, best_raw, True
+    # search refers to itself, a cycle that only the cyclic collector would
+    # free; breaking it frees the table's search state at once
+    del search
+    dep = 0.0
+    if groups:
+        paired = dict(best)
+        for c, p, terms in groups:
+            dep += terms.get((paired.get(c), paired.get(p)), 0.0)
+    fsum, msum = best_sums
+    raw = (
+        weights.object_match * best_n + weights.field_match * fsum
+        + weights.method_match * msum + weights.dependency_match * dep
+    )
+    return best, raw, True
 
 
 def structural_score(
@@ -403,7 +476,7 @@ def structural_score(
     """Full structural relevance between two prepared units."""
     if context.graph is None or candidate.graph is None:
         raise StructureUnavailable("structural scoring needs two parsed units")
-    weights = weights or StructuralWeights()
+    weights = weights or _DEFAULT_WEIGHTS
     table = _pair_table(context.graph, candidate.graph)
     pairing, raw, exhaustive = _best_pairing(table, weights)
     partners = table.partners

@@ -1,12 +1,17 @@
 """Structural scoring tests, backed by an independent brute-force scorer
 that enumerates every injective type-compatible pairing from scratch."""
 
+import functools
 import itertools
+import math
+import operator
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from catchrec import extract_usage_graph, parse, prepare, structural, structural_score
@@ -21,6 +26,7 @@ from catchrec.structural import (
     _greedy_pairing,
     _pair_table,
     _PairTable,
+    _assignment_space,
     _score_pairing,
 )
 
@@ -80,14 +86,16 @@ def _ref_dependency_total(pairing, ctx, cand):
 
 
 def _ref_score(pairing, ctx, cand, w):
-    fam = sum(
+    """The raw score with the fractions added one by one in pairing order
+    (``sum`` compensates float sums from Python 3.12 on)."""
+    fam = functools.reduce(operator.add, (
         _ref_fraction(dict(ctx.objects[c].fields), dict(cand.objects[k].fields))
         for c, k in pairing
-    )
-    mim = sum(
+    ), 0)
+    mim = functools.reduce(operator.add, (
         _ref_fraction(dict(ctx.objects[c].methods), dict(cand.objects[k].methods))
         for c, k in pairing
-    )
+    ), 0)
     ddm = _ref_dependency_total(pairing, ctx, cand)
     return (
         w.object_match * len(pairing)
@@ -439,6 +447,59 @@ def _graphs(draw, types, min_objects=0, max_objects=5):
     return ApiUsageGraph(objects=objects, dependencies=dependencies)
 
 
+def _exact_ref_scores(pairings, ctx, cand, w):
+    """The raw score of each pairing as an exact rational: each fraction a
+    ratio of the reference counts, each dependency weight and each weight
+    the rational its float is."""
+
+    def fraction(ctx_counts, cand_counts):
+        total = sum(ctx_counts.values())
+        hit = sum(min(c, cand_counts.get(name, 0)) for name, c in ctx_counts.items())
+        return Fraction(hit, total) if total else Fraction(0)
+
+    @functools.cache
+    def unary(c, k):
+        return (
+            Fraction(w.object_match)
+            + Fraction(w.field_match) * fraction(dict(ctx.objects[c].fields), dict(cand.objects[k].fields))
+            + Fraction(w.method_match) * fraction(dict(ctx.objects[c].methods), dict(cand.objects[k].methods))
+        )
+
+    wd = Fraction(w.dependency_match)
+    return [
+        sum(itertools.starmap(unary, pairing), Fraction(0))
+        + wd * sum(map(Fraction, _ref_dependency_weights(pairing, ctx, cand).values()), Fraction(0))
+        for pairing in pairings
+    ]
+
+
+def _orders_agree(keys):
+    """Whether two keys of each enumerated pairing order the pairings alike:
+    sorted by the first, the second never falls, and it ties exactly where
+    the first does."""
+    ranked = sorted(keys)
+    return all(
+        (a[0] == b[0]) == (a[1] == b[1]) and a[1] <= b[1] for a, b in zip(ranked, ranked[1:])
+    )
+
+
+def _assert_first_exact_best(ctx, cand, w):
+    """The search returns the first pairing of greatest (exact raw, size) in
+    enumeration order, with :func:`_score_pairing`'s raw to the bit; where
+    the float raw orders the pairings as the exact one does, that is also
+    the first pairing of greatest (float raw, size)."""
+    table = _pair_table(ctx, cand)
+    pairing, raw, exhaustive = _best_pairing(table, w)
+    assert exhaustive
+    pairings = _enumerate_pairings(table)
+    exact = list(zip(_exact_ref_scores(pairings, ctx, cand, w), map(len, pairings)))
+    floats = [(_score_pairing(p, table, w)[0], len(p)) for p in pairings]
+    assert pairing == pairings[exact.index(max(exact))]
+    assert raw.hex() == float(_score_pairing(pairing, table, w)[0]).hex()
+    if _orders_agree(list(zip(exact, floats))):
+        assert pairing == pairings[floats.index(max(floats))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     ctx=_graphs(("A", "B", "p.A", "C")),
@@ -447,13 +508,42 @@ def _graphs(draw, types, min_objects=0, max_objects=5):
 )
 def test_search_keeps_the_first_best_enumerated_pairing(ctx, cand, w):
     """The depth-first search returns exactly the pairing that ``max`` over
-    the full enumeration returns, keyed by (raw, pairing size)."""
-    table = _pair_table(ctx, cand)
-    pairing, _raw, exhaustive = _best_pairing(table, w)
-    assert exhaustive  # five objects a side stay below the switch
-    assert pairing == max(
-        _enumerate_pairings(table), key=lambda p: (_score_pairing(p, table, w)[0], len(p))
-    )
+    the full enumeration returns, keyed by (exact raw, pairing size); five
+    objects a side stay below the switch."""
+    _assert_first_exact_best(ctx, cand, w)
+
+
+@st.composite
+def _copied_sides(draw, types):
+    """A context and a candidate graph of six to eight objects each, every
+    object a copy (equal type, fields and methods, its own ordinal and
+    name) of one of two or three drawn objects, so most objects have
+    interchangeable twins on both sides; up to four dependency edges a side
+    make some twins endpoints and leave others free."""
+    originals = [
+        (draw(st.sampled_from(types)), draw(_members("xy")), draw(_members("fg")))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    sides = []
+    for _side in range(2):
+        drawn = draw(st.lists(st.sampled_from(originals), min_size=6, max_size=8))
+        objects = tuple(GraphObject(t, i, f"v{i}", f, m) for i, (t, f, m) in enumerate(drawn))
+        ends = st.lists(st.integers(0, len(objects) - 1), min_size=2, max_size=2, unique=True)
+        edge = st.builds(lambda e, ap: DependencyEdge(*e, ap), ends, st.sampled_from(("", "f")))
+        sides.append(ApiUsageGraph(objects=objects, dependencies=tuple(draw(st.lists(edge, max_size=4)))))
+    return sides
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sides=_copied_sides(("A", "B", "C", "p.A", "q.A")), w=st.sampled_from(_WEIGHTINGS))
+def test_search_keeps_the_first_exact_best_among_copied_objects(sides, w):
+    """With classes of several interchangeable objects, which the search
+    visits in one order only, it still returns the first pairing of
+    greatest (exact raw, size) of the full enumeration; tables past 5,000
+    assignments are left out to keep the enumeration short."""
+    ctx, cand = sides
+    assume(_assignment_space(_pair_table(ctx, cand)) <= 5_000)
+    _assert_first_exact_best(ctx, cand, w)
 
 
 def _copy(graph):
@@ -483,7 +573,7 @@ def test_one_context_side_serves_every_candidate(ctx, cands):
             assert list(record) == [
                 k for k, cand_obj in enumerate(cand.objects) if _ref_types_match(ctx_obj, cand_obj)
             ]
-            for k, (ff, mf, _matched) in record.items():
+            for k, (ff, mf, _matched, _fs, _ms) in record.items():
                 assert ff == _ref_fraction(dict(ctx_obj.fields), dict(cand.objects[k].fields))
                 assert mf == _ref_fraction(dict(ctx_obj.methods), dict(cand.objects[k].methods))
         report = structural_score(context, _unit(cand))
@@ -573,7 +663,11 @@ def test_greedy_picks_the_earlier_of_equal_overlaps():
 
 def _per_object_partners(ctx, cand):
     """Partner records built object by object from both graphs, each
-    fraction as the part of the context object's accesses covered."""
+    fraction as the part of the context object's accesses covered, and each
+    scaled overlap as that fraction times the least common multiple of the
+    context objects' access totals."""
+    totals = [sum(dict(members).values()) for o in ctx.objects for members in (o.fields, o.methods)]
+    scale = math.lcm(*filter(None, totals))
     records = []
     for c_obj in ctx.objects:
         record = {}
@@ -584,7 +678,10 @@ def _per_object_partners(ctx, cand):
                 fm = sum(min(n, k_fields.get(name, 0)) for name, n in fields.items())
                 mm = sum(min(n, k_methods.get(name, 0)) for name, n in methods.items())
                 ft, mt = sum(fields.values()), sum(methods.values())
-                record[k] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm)
+                record[k] = (
+                    fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm,
+                    int(Fraction(fm, ft or 1) * scale), int(Fraction(mm, mt or 1) * scale),
+                )
         records.append(record)
     return tuple(records)
 
@@ -697,3 +794,163 @@ def test_reports_compare_by_their_scores_not_their_labels(ctx, cands, relabel):
     if relabel:
         assert again.context_labels != first.context_labels or not ctx.objects
         assert again.candidate_labels != first.candidate_labels or not cands[0].objects
+
+
+def _search_calls(table, w):
+    """The pairing search's result and how many times its nested ``search``
+    was entered, counted with a profile hook for the call alone."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is search_code:
+            calls += 1
+
+    search_code = next(
+        const for const in _best_pairing.__code__.co_consts
+        if getattr(const, "co_name", None) == "search"
+    )
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = _best_pairing(table, w)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def _one_class_against(objects, covered):
+    """``objects`` context objects of one class, each calling f, g and h,
+    against one candidate of their type per entry of ``covered``, which
+    names the methods that candidate calls."""
+    methods = (("f", 1), ("g", 1), ("h", 1))
+    ctx = ApiUsageGraph(
+        objects=tuple(GraphObject("A", i, f"a{i}", (), methods) for i in range(objects)),
+        dependencies=(),
+    )
+    cand = ApiUsageGraph(
+        objects=tuple(
+            GraphObject("A", i, f"c{i}", (), tuple((m, 1) for m in names))
+            for i, names in enumerate(covered)
+        ),
+        dependencies=(),
+    )
+    return ctx, cand
+
+
+# every subset of the three methods, from none to all
+_COVERED = ((), ("f",), ("g",), ("f", "g"), ("h",), ("f", "h"), ("g", "h"), ("f", "g", "h"))
+
+
+@pytest.mark.parametrize(
+    "objects, covered",
+    [(4, _COVERED), (8, (("f",), ("g",)))],
+    ids=["4-against-8", "8-against-2"],
+)
+def test_search_visits_one_ordering_of_a_class(objects, covered):
+    """Both tables span 9**4 = 3**8 = 6,561 assignments, below the switch.
+    The search enters only canonical prefixes: at depth d, the first j
+    objects of the class paired with increasing candidates and the rest
+    unpaired, so at most the sum over d <= objects and j <= min(d, k) of
+    C(k, j) calls for k candidates (303 and 32). A search that tries other
+    orderings of the class, lets an object pair after an unpaired twin, or
+    orders each object after the first of its class instead of the last
+    enters more on at least one of the two tables."""
+    ctx, cand = _one_class_against(objects, covered)
+    table = _pair_table(ctx, cand)
+    assert _assignment_space(table) == 6_561
+    k = len(covered)
+    canonical = sum(math.comb(k, j) for d in range(objects + 1) for j in range(min(d, k) + 1))
+    assert canonical == {4: 303, 8: 32}[objects]
+    for w in _WEIGHTINGS:
+        (_pairing, _raw, exhaustive), calls = _search_calls(table, w)
+        assert exhaustive
+        assert calls <= canonical, w
+        _assert_first_exact_best(ctx, cand, w)
+
+
+def test_a_dependency_endpoint_is_not_held_to_its_class_order():
+    """a1 and a2 are one class, but only a2 feeds b; the candidate's edge
+    runs from d to c1, so the best pairing gives c1 to a2 and c2 to a1,
+    against the candidate order of their class."""
+    ctx = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "a1", (), (("f", 1),)),
+            GraphObject("A", 1, "a2", (), (("f", 1),)),
+            GraphObject("B", 0, "b", (), ()),
+        ),
+        dependencies=(DependencyEdge(2, 1, "f"),),
+    )
+    cand = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "c1", (), (("f", 1),)),
+            GraphObject("A", 1, "c2", (), (("f", 1),)),
+            GraphObject("B", 0, "d", (), ()),
+        ),
+        dependencies=(DependencyEdge(2, 0, "f"),),
+    )
+    for w in _WEIGHTINGS:
+        pairing, _raw, exhaustive = _best_pairing(_pair_table(ctx, cand), w)
+        assert exhaustive
+        if w.dependency_match:
+            assert pairing == [(0, 1), (1, 0), (2, 2)], w
+        _assert_first_exact_best(ctx, cand, w)
+
+
+def test_an_exact_tie_goes_to_the_first_pairing_whatever_the_rounding():
+    """c1 covers two of the context object's three field accesses and two of
+    its six method calls, c2 all three fields and no call: both pairings
+    score exactly 2, but in floats 1 + 2/3 + 1/3 rounds to
+    1.9999999999999998. The exact key ties them, so the first, c1, wins,
+    and the report's raw is its float."""
+    ctx = ApiUsageGraph(
+        objects=(GraphObject("A", 0, "a", (("x", 1), ("y", 2)), (("f", 2), ("g", 2), ("h", 2))),),
+        dependencies=(),
+    )
+    cand = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "c1", (("x", 1), ("y", 1)), (("f", 1), ("g", 1))),
+            GraphObject("A", 1, "c2", (("x", 1), ("y", 2)), ()),
+        ),
+        dependencies=(),
+    )
+    report = structural_score(_unit(ctx), _unit(cand))
+    assert report.pairings == ((0, 0),)
+    assert report.raw == 1 + 2 / 3 + 1 / 3 == 1.9999999999999998
+    assert _exact_ref_scores([[(0, 0)], [(0, 1)]], ctx, cand, StructuralWeights()) == [2, 2]
+    _assert_first_exact_best(ctx, cand, StructuralWeights())
+
+
+_EXTREME_WEIGHTS = (0, 5e-324, 0.1, 1e6)
+
+
+def _weights_with(position, value):
+    weights = [1.0] * 4
+    weights[position] = value
+    return StructuralWeights(*weights)
+
+
+@pytest.mark.parametrize("value", _EXTREME_WEIGHTS)
+@pytest.mark.parametrize("position", range(4))
+def test_extreme_weights_keep_the_exact_pairing_and_the_float_raw(position, value):
+    """At the edges of what the weight check admits, on each sub-weight,
+    the report holds the exact oracle's pairing and the raw
+    :func:`_score_pairing` gives it. A subnormal weight's ratio has a
+    denominator of 2**1074, which the key carries exactly."""
+    w = _weights_with(position, value)
+    rng = random.Random(20261020 + position)
+    graphs = [
+        (_random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5),
+         _random_graph(rng, max_objects=5, types=["A", "B"], max_deps=5))
+        for _ in range(25)
+    ]
+    graphs.append(_one_class_against(4, _COVERED))
+    for ctx, cand in graphs:
+        table = _pair_table(ctx, cand)
+        pairings = _enumerate_pairings(table)
+        exact = list(zip(_exact_ref_scores(pairings, ctx, cand, w), map(len, pairings)))
+        expected = pairings[exact.index(max(exact))]
+        report = structural_score(_unit(ctx), _unit(cand), w)
+        assert report.exhaustive
+        assert list(report.pairings) == expected, (ctx, cand)
+        assert report.raw.hex() == float(_score_pairing(expected, table, w)[0]).hex()
