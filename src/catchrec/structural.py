@@ -6,29 +6,32 @@ normalized by the context object's own access counts), and matched data
 dependencies weighted 1.0 when the access point agrees and 0.5 when only
 the endpoints do.
 
-Object pairing is the one underspecified step: while the assignment space
-is at most 20,000, a depth-first branch-and-bound search finds the best
-injective type-compatible assignment by an exact key, holding one pairing
-and a copy of the best so far (of equal raw scores the larger pairing
-wins, then the first in depth-first order). It visits only context
-objects that have a partner, each of which at least doubles the space,
-so its recursion is under 15 deep whatever the graph size. For larger
-spaces it falls back to a greedy per-object choice and marks the report
-as non-exhaustive so the approximation is visible downstream.
+Object pairing is the one underspecified step: a depth-first
+branch-and-bound search finds the best injective type-compatible
+assignment by an exact key, holding one pairing and a copy of the best so
+far (of equal raw scores the larger pairing wins, then the first in
+depth-first order). It visits only context objects that have a partner,
+and runs as one loop over an explicit stack, so its depth is not bounded
+by Python's recursion limit. It counts the nodes that pass its prune test
+and stops after ``_MAX_NODES`` of them, returning its best leaf so far;
+``exhaustive`` tells whether it ended within that budget.
 
 Pairings are scored from a table built once per candidate: for each
 context object, a record of its type-compatible candidate objects with the
-field and method fractions, the matched access count and the field and
-method overlaps scaled to whole numbers of each pair, read with both
-graphs' dependency edges grouped by endpoints ``(consumer, producer)``.
+field and method fractions and the field and method overlaps scaled to
+whole numbers of each pair, read with both graphs' dependency edges
+grouped by endpoints ``(consumer, producer)``.
 Context objects of equal type name, fields and methods form a class and
 share one record, built once per class; no record is mutated. The
 context's side of every table (the classes, each class's field and method
 maps with their totals, whether its type name is qualified and its simple
 type, the least common multiple of the totals, the edge groups and the
 labels) is kept with its graph, so it is built once per context, however
-many candidates are scored against it; a table builds only the
-candidate's side, once per candidate object.
+many candidates are scored against it. A table builds only the
+candidate's side: candidate objects of equal type name, fields and
+methods form a class too, and each record's cell is computed once per
+candidate class and shared by its objects. The table keeps each candidate
+object's class.
 One rule weighs the edges of one context group against the candidate edges
 between its partners: equal access points first, then half weight, each
 candidate edge used once. A pairing is injective, so no two groups share a
@@ -45,18 +48,26 @@ a whole number, so the key is exact and does not depend on the order its
 terms are added in. Each level carries the pairing size and the key, to
 which each group's term is added once both its endpoints are paired. A
 subtree is pruned exactly when its bound (the partial key, plus each
-remaining object's best pair term, plus each open group's best term) and
-its largest possible size are at most the best key and size, so pruning
-never changes which pairing wins. As the key is order-free, objects of one
+remaining object's best pair term, with at most k objects of a class that
+has k partners counted, plus each open group's best term) and its largest
+possible size are at most the best key and size, so pruning never changes
+which pairing wins; an open node is tested again whenever the search
+returns to it. As the key is order-free, objects of one
 class that are no endpoint of a dependency group with terms are
-interchangeable, and the search visits one ordering of them: their
-partners increase in candidate order, and unpaired ones come last.
+interchangeable, on either side. The search visits one ordering of such
+context objects (their partners increase in candidate order, and unpaired
+ones come last), and offers a context object only the first unused
+member of such a candidate class. Swapping two such objects' partners, or
+a partner for an unused twin, keeps a leaf's key and size and gives an
+equal leaf that comes earlier in depth-first order; so the first best leaf
+keeps both rules, and they never change the winner.
 
 Each level also carries the field- and method-fraction sums, added in
 pairing order, so the best leaf's raw is the very float
 :func:`_score_pairing` returns for its pairing; the report takes it as its
-``raw``, so an exhaustive table is never scored a second time. A table in
-which no context object has a partner is not searched at all.
+``raw``, so the chosen pairing is never scored a second time, whether or
+not the search ended within its budget. A table in which no context object
+has a partner is not searched at all.
 
 A report holds the chosen pairing, its fractions (read from the table), its
 raw score and whether the search was exhaustive. Its dependency matches and
@@ -69,6 +80,7 @@ parse failed has none, and scoring it raises
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -81,8 +93,8 @@ from .graph import ApiUsageGraph, DependencyEdge
 from .lexical import PreparedUnit
 from .model import Weights
 
-# Exhaustive pairing is used while the assignment space stays below this.
-_MAX_ASSIGNMENTS = 20_000
+# A pairing search stops after this many nodes that pass its prune test.
+_MAX_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -197,22 +209,26 @@ class MatchReport:
 
 
 # candidate index -> (field fraction, method fraction, matched field and
-# method accesses, matched field and matched method accesses each times the
-# context object's factor in ``access_scale``) for the type-compatible
-# candidate objects of one context object, in declaration order
-_Partners = dict[int, tuple[float, float, int, int, int]]
+# matched method accesses each times the context object's factor in
+# ``access_scale``) for the type-compatible candidate objects of one context
+# object, in declaration order
+_Partners = dict[int, tuple[float, float, int, int]]
 
 
 @dataclass(frozen=True)
 class _PairTable:
     """What every pairing of two graphs is scored from, computed once per
     (context, candidate) pair of graphs: the partner record of each context
-    object, one record shared by the objects of a class. The dependency
-    edges grouped by their endpoints are each graph's ``edge_groups``."""
+    object, one record shared by the objects of a class, and each candidate
+    object's class index (equal type name, fields and methods, numbered in
+    order of first occurrence), left empty when no record holds two objects
+    of one class, as the search then needs none. The dependency edges
+    grouped by their endpoints are each graph's ``edge_groups``."""
 
     context: ApiUsageGraph
     candidate: ApiUsageGraph
     partners: tuple[_Partners, ...]
+    candidate_classes: tuple[int, ...]
 
 
 def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
@@ -222,26 +238,41 @@ def _pair_table(context: ApiUsageGraph, candidate: ApiUsageGraph) -> _PairTable:
     overlaps are that fraction times the context's ``access_scale``, as
     whole numbers. The context's side is its graph's
     :attr:`~catchrec.graph.ApiUsageGraph.access_classes`: one record is
-    built per class and shared by its objects. Each candidate object's side
-    is read once per table."""
-    cand_access = [
-        (o.type_name, o.qualified, o.simple_type, dict(o.fields), dict(o.methods))
-        for o in candidate.objects
-    ]
+    built per class and shared by its objects. The candidate's side is read
+    once per class of candidate objects, one column each, and a record's
+    cell for a column is shared by the column's objects."""
+    column_of: dict[tuple, int] = {}
+    columns = []
+    classes = []
+    for o in candidate.objects:
+        key = (o.type_name, o.fields, o.methods)
+        j = column_of.setdefault(key, len(columns))
+        if j == len(columns):
+            columns.append((o.type_name, o.qualified, o.simple_type, dict(o.fields), dict(o.methods)))
+        classes.append(j)
     views, class_of = context.access_classes
     _scale, factors = context.access_scale
+    twins = len(columns) < len(classes)
+    shared = False  # whether a record holds two objects of one class
     records = []
     for (type_name, qualified, simple, fields, ft, methods, mt), (fq, mq) in zip(views, factors):
-        record: _Partners = {}
-        for ki, (k_type, k_qualified, k_simple, k_fields, k_methods) in enumerate(cand_access):
+        # column index -> cell; without twins a column's index is its object's
+        cells: _Partners = {}
+        for j, (k_type, k_qualified, k_simple, k_fields, k_methods) in enumerate(columns):
             # equal qualified names have equal simple names
             if k_simple == simple and (k_type == type_name or not (qualified and k_qualified)):
                 fm = sum(map(min, fields.values(), map(k_fields.get, fields, repeat(0))))
                 mm = sum(map(min, methods.values(), map(k_methods.get, methods, repeat(0))))
                 # objects without accesses contribute zero instead of dividing by zero
-                record[ki] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm, fm * fq, mm * mq)
-        records.append(record)
-    return _PairTable(context, candidate, tuple(map(records.__getitem__, class_of)))
+                cells[j] = (fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm * fq, mm * mq)
+        if twins and cells:
+            record = {ki: cells[j] for ki, j in enumerate(classes) if j in cells}
+            shared = shared or len(record) > len(cells)
+            cells = record
+        records.append(cells)
+    return _PairTable(
+        context, candidate, tuple(map(records.__getitem__, class_of)), tuple(classes) if shared else ()
+    )
 
 
 def _dependency_weights(context_points: list[str], candidate_points: list[str]) -> list[float]:
@@ -294,7 +325,9 @@ def _score_pairing(
     pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
     """Raw score of one pairing and its parts; fractions are summed in
-    pairing order, and the dependency matches are in context-edge order."""
+    pairing order, and the dependency matches are in context-edge order.
+    No shipped code calls it: it is the reference the tests hold the
+    search's raw to."""
     fam = [table.partners[c][k][0] for c, k in pairings]
     mim = [table.partners[c][k][1] for c, k in pairings]
     deps = _dependency_matches(pairings, table.context, table.candidate)
@@ -307,45 +340,35 @@ def _score_pairing(
     return raw, fam, mim, deps
 
 
-def _assignment_space(table: _PairTable) -> int:
-    space = 1
-    for record in table.partners:
-        space *= len(record) + 1
-        if space > _MAX_ASSIGNMENTS:
-            break
-    return space
-
-
-def _greedy_pairing(table: _PairTable) -> list[tuple[int, int]]:
-    """Declaration-order greedy pick maximizing raw member-overlap counts;
-    of equal overlaps the earlier-declared candidate wins."""
-    used: set[int] = set()
-    pairing: list[tuple[int, int]] = []
-    for ci, record in enumerate(table.partners):
-        free = [ki for ki in record if ki not in used]
-        if free:
-            best = max(free, key=lambda ki: record[ki][2])
-            pairing.append((ci, best))
-            used.add(best)
-    return pairing
-
-
 # (context consumer, context producer, {(candidate consumer, candidate
-# producer): the group's dependency total under that pair of partners})
-_Group = tuple[int, int, dict[tuple[int, int], float]]
+# producer): twice the group's dependency total under that pair of
+# partners, a whole number since the rule's weights are 1.0s and 0.5s})
+_Group = tuple[int, int, dict[tuple[int, int], int]]
 
 
 def _dependency_groups(table: _PairTable) -> list[_Group]:
-    """For each context endpoint group, its dependency total under each pair
-    of partners that has candidate edges between them."""
+    """For each context endpoint group, twice its dependency total under
+    each pair of partners that has candidate edges between them. The total
+    depends only on the two lists of access points, so it is computed once
+    per distinct candidate list of a group."""
     groups = []
-    candidate_edges = table.candidate.edge_groups
+    by_points: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     for (c, p), points in table.context.edge_groups.items():
-        terms = {
-            (kc, kp): sum(_dependency_weights(points, found))
-            for (kc, kp), found in candidate_edges.items()
-            if kc in table.partners[c] and kp in table.partners[p]
-        }
+        consumers, producers = table.partners[c], table.partners[p]
+        if not (consumers and producers):
+            continue
+        if not by_points:
+            # the candidate endpoint pairs by their edges' access points
+            for pair, found in table.candidate.edge_groups.items():
+                by_points.setdefault(tuple(found), []).append(pair)
+        terms: dict[tuple[int, int], int] = {}
+        for found, pairs in by_points.items():
+            total = None
+            for pair in pairs:
+                if pair[0] in consumers and pair[1] in producers:
+                    if total is None:
+                        total = int(2 * sum(_dependency_weights(points, found)))
+                    terms[pair] = total
         if terms:
             groups.append((c, p, terms))
     return groups
@@ -355,117 +378,198 @@ def _best_pairing(
     table: _PairTable, weights: StructuralWeights
 ) -> tuple[list[tuple[int, int]], float, bool]:
     """The chosen pairing, its raw score as :func:`_score_pairing` returns
-    it, and whether the search was exhaustive."""
-    if _assignment_space(table) > _MAX_ASSIGNMENTS:
-        greedy = _greedy_pairing(table)
-        return greedy, _score_pairing(greedy, table, weights)[0], False
+    it, and whether the search ended within ``_MAX_NODES`` nodes.
+
+    Leaves come in order of pairing before skipping, earlier-declared
+    candidates first, each keyed by its exact raw and its size. A subtree
+    whose bound and most pairs are at most the best key and size holds no
+    greater leaf and is pruned; only a greater leaf replaces the best, so
+    the first of equal leaves wins. The fraction sums run in pairing order,
+    for the report's raw.
+
+    A context object with an earlier one of its class takes only
+    candidates after that one's partner, and none if that one stayed
+    unpaired; a candidate object with an earlier one of its class is taken
+    only once that one is. Context objects that are an endpoint of a group
+    with terms, and candidate classes with an endpoint of a group's terms,
+    keep every choice.
+
+    The loop holds the open nodes on a stack by depth. Returning to an open
+    node, it tests the node's bound again against the best leaf found
+    since, and it counts each node that passes the prune test; past
+    ``_MAX_NODES`` of them it stops and returns its best leaf so far."""
     # An object without a partner can only stay unpaired, so the search
-    # skips it; each object it visits at least doubles the assignment
-    # space, which bounds the recursion by log2(_MAX_ASSIGNMENTS).
-    visits = [(ci, record) for ci, record in enumerate(table.partners) if record]
-    if not visits:
+    # skips it.
+    visited = [ci for ci, record in enumerate(table.partners) if record]
+    if not visited:
         # only the empty pairing, which matches no edge and scores 0.0
         return [], 0.0, True
-    size = len(visits)
+    size = len(visited)
     # The exact key is the raw score times twice the context's scale and
     # the weights' common denominator: a whole number, whatever the order
     # of its terms. A pair's term is ko + kf * scaled fields + km * scaled
-    # methods; a group's is twice its total (a sum of 1.0s and 0.5s) times
-    # kd.
+    # methods; a group's is its term from _dependency_groups (twice its
+    # total) times kd.
     scale, _factors = table.context.access_scale
     eo, ef, em, ed = weights.exact
     ko, kf, km, kd = 2 * scale * eo, 2 * ef, 2 * em, scale * ed
-    # Each dependency group is scored at the depth of its later endpoint;
-    # bound[d] is the most the objects and groups still open at depth d can
-    # add to the key: each object's best pair term, and each group's best
-    # term over its pairs of partners. bound[0] stays 0, since the root is
-    # entered before any leaf sets a best key.
-    closing: list[list[_Group]] = [[] for _ in visits]
-    bound = [0] * (size + 1)
+    # Each dependency group is scored at the depth of its later endpoint,
+    # where its best term over its pairs of partners joins the bound.
     groups = _dependency_groups(table)
+    closing: list[tuple[_Group, ...]] = [()] * size
+    closing_bound = [0] * size
+    ends: set[int] = set()
     if groups:
-        depth = {ci: d for d, (ci, _record) in enumerate(visits)}
+        depth = {ci: d for d, ci in enumerate(visited)}
         for c, p, terms in groups:
             d = max(depth[c], depth[p])
-            exact = {pair: int(2 * total) * kd for pair, total in terms.items()}
-            closing[d].append((c, p, exact))
-            bound[d] += max(exact.values())
-    for d in range(size - 1, 0, -1):
-        top = 0
-        for _ff, _mf, _matched, fs, ms in visits[d][1].values():
-            term = ko + kf * fs + km * ms
-            if term > top:
-                top = term
-        bound[d] += bound[d + 1] + top
-    # earlier[d] is the last object before visit d's of the same class, when
-    # neither is an endpoint of a group
-    earlier: list[int | None] = [None] * size
+            closing[d] += ((c, p, terms),)
+            closing_bound[d] += max(terms.values()) * kd
+            ends.update((c, p))
+    # levels[d] is what the loop reads of visit d: its object, its record
+    # and partners, its closing groups, and the bound and most pairs at its
+    # depth and below it. A bound is the most the objects and groups still
+    # open at a depth can add to the key, and most the most pairs those
+    # objects can add: each group's best term and each open object's best
+    # pair term, except that the objects of a class with k partners pair at
+    # most k of them. before[d] is the last object before visit d's of its
+    # class when neither is an endpoint of a group's terms: such objects
+    # are held to their class's order, and leaving one unpaired leaves the
+    # later ones unpaired too, so the test of its unpaired child takes what
+    # they add (the last two entries of its level) off the bound and the
+    # most pairs below it.
     views, class_of = table.context.access_classes
-    if len(views) < len(class_of):
-        ends = {end for c, p, _terms in groups for end in (c, p)}
+    by_class: dict[int, tuple[list[int], int]] = {}  # partners, best pair term
+    levels: list[tuple] = [()] * size
+    before: list[int | None] = [None] * size
+    later = [0] * len(views)
+    later_held = [0] * len(views)
+    next_held = [0] * len(views)  # depth of the class's next held visit
+    closed = pairs = pair_terms = below = most_below = 0
+    for d in range(size - 1, -1, -1):
+        ci = visited[d]
+        j = class_of[ci]
+        record = table.partners[ci]
+        choice = by_class.get(j)
+        if choice is None:
+            top = 0
+            for _ff, _mf, fs, ms in record.values():
+                gain = ko + kf * fs + km * ms
+                if gain > top:
+                    top = gain
+            choice = by_class[j] = (list(record), top)
+        kis, top = choice
+        closed += closing_bound[d]
+        count = later[j]
+        lost = 0
+        if ci not in ends:
+            held = later_held[j]
+            if held:
+                before[next_held[j]] = ci
+                lost = min(count, len(kis)) - min(count - held, len(kis))
+            later_held[j], next_held[j] = held + 1, d
+        later[j] = count + 1
+        if count < len(kis):
+            pairs, pair_terms = pairs + 1, pair_terms + top
+        here, most_here = closed + pair_terms, pairs
+        levels[d] = (
+            ci, record, kis, closing[d], here, most_here, below, most_below, lost * top, lost,
+        )
+        below, most_below = here, most_here
+    # A candidate object is free while it is untaken and, in a class with no
+    # endpoint of a group's terms, the first untaken object of its class.
+    # after[ki] is the next object of such a class, else the spare last slot
+    # of ``free``, which no search reads.
+    classes = table.candidate_classes
+    count = len(table.candidate.objects)
+    free = [True] * (count + 1)
+    after = [count] * count
+    if classes:
+        joined = set().union(*(terms.keys() for _c, _p, terms in groups))
+        bound_classes = {classes[k] for pair in joined for k in pair}
         last: dict[int, int] = {}
-        for d, (ci, _record) in enumerate(visits):
-            if ci not in ends:
-                earlier[d] = last.get(class_of[ci])
-                last[class_of[ci]] = ci
+        for ki, j in enumerate(classes):
+            if j not in bound_classes:
+                if j in last:
+                    after[last[j]] = ki
+                    free[ki] = False
+                last[j] = ki
     partner: list[int | None] = [None] * len(table.partners)
-    used: set[int] = set()
-    best: list[tuple[int, int]] = []
-    best_key, best_n, best_sums = -1, -1, (0, 0)
-
-    def search(d: int, n: int, key: int, fsum: float, msum: float) -> None:
-        """Leaves in order of pairing before skipping, earlier-declared
-        candidates first, each keyed by its exact raw and its size. A
-        subtree whose bound and most pairs are at most the best key and
-        size holds no greater leaf and is pruned; only a greater leaf
-        replaces the best, so the first of equal leaves wins. The fraction
-        sums run in pairing order, for the report's raw.
-
-        An object with an earlier one of its class takes only candidates
-        after that one's partner, and none if that one stayed unpaired. Both
-        have one record and no dependency term, so swapping their partners
-        keeps every leaf's key and size: each leaf skipped has an equal one
-        earlier in this order, and the first best leaf is never skipped."""
-        nonlocal best, best_key, best_n, best_sums
-        top = key + bound[d]
-        if top < best_key or (top == best_key and n + size - d <= best_n):
-            return
-        if d == size:
-            # visits run in context order, so this is the pairing order
-            best = [(ci, ki) for ci, ki in enumerate(partner) if ki is not None]
-            best_key, best_n, best_sums = key, n, (fsum, msum)
-            return
-        ci, record = visits[d]
-        before = earlier[d]
-        low = -1 if before is None else partner[before]
-        if low is not None:
-            for ki, (ff, mf, _matched, fs, ms) in record.items():
-                if ki > low and ki not in used:
-                    used.add(ki)
-                    partner[ci] = ki
-                    gain = ko + kf * fs + km * ms
-                    for c, p, terms in closing[d]:
-                        gain += terms.get((partner[c], partner[p]), 0)
-                    search(d + 1, n + 1, key + gain, fsum + ff, msum + mf)
-                    partner[ci] = None
-                    used.remove(ki)
-        search(d + 1, n, key, fsum, msum)  # leave this context object unpaired
-
-    search(0, 0, 0, 0, 0)
-    # search refers to itself, a cycle that only the cyclic collector would
-    # free; breaking it frees the table's search state at once
-    del search
-    dep = 0.0
-    if groups:
-        paired = dict(best)
-        for c, p, terms in groups:
-            dep += terms.get((paired.get(c), paired.get(p)), 0.0)
+    # the best leaf's partners; the empty pairing, the last leaf, keys
+    # (0, 0), and no other leaf does
+    best = partner.copy()
+    best_key, best_n, best_sums = 0, 0, (0, 0)
+    # The open nodes' (pairs, key, fraction sums) by depth, and the position
+    # of each one's next choice in its level's partners; the position past
+    # the last leaves the object unpaired. d is the deepest open node's
+    # depth, and the root is the first node.
+    states: list[tuple[int, int, float, float]] = [(0, 0, 0, 0)] * size
+    at = [0] * size
+    nodes = 1
+    exhaustive = nodes <= _MAX_NODES
+    d = 0 if exhaustive else -1
+    while d >= 0:
+        ci, record, kis, closes, here, most_here, below, most_below, lost, lost_pairs = levels[d]
+        ki = partner[ci]
+        if ki is not None:
+            partner[ci] = None
+            free[ki], free[after[ki]] = True, False
+        n, key, fsum, msum = states[d]
+        top = key + here
+        if top < best_key or (top == best_key and n + most_here <= best_n):
+            # a leaf found since this node was entered is as good as any in it
+            d -= 1
+            continue
+        count = len(kis)
+        i = at[d]
+        if not i and before[d] is not None:
+            # partners increase in candidate order, none after an unpaired twin
+            low = partner[before[d]]
+            i = count if low is None else bisect.bisect(kis, low)
+        left = n + most_below
+        while i < count:
+            ki = kis[i]
+            i += 1
+            if free[ki]:
+                ff, mf, fs, ms = record[ki]
+                term = ko + kf * fs + km * ms
+                partner[ci] = ki
+                for c, p, terms in closes:
+                    term += terms.get((partner[c], partner[p]), 0) * kd
+                top = key + term + below
+                if top > best_key or (top == best_key and left >= best_n):
+                    free[ki], free[after[ki]] = False, True
+                    at[d] = i
+                    child = (n + 1, key + term, fsum + ff, msum + mf)
+                    break
+                partner[ci] = None
+        else:
+            top = key + below - lost
+            if i > count or top < best_key or (top == best_key and left - lost_pairs <= best_n):
+                d -= 1
+                continue
+            at[d] = i + 1
+            child = states[d]  # leave this context object unpaired
+        nodes += 1
+        if nodes > _MAX_NODES:
+            exhaustive = False
+            break
+        if d + 1 < size:
+            d += 1
+            states[d], at[d] = child, 0
+        else:
+            best = partner.copy()
+            best_n, best_key, *best_sums = child
+    halves = 0
+    for c, p, terms in groups:
+        halves += terms.get((best[c], best[p]), 0)
     fsum, msum = best_sums
     raw = (
         weights.object_match * best_n + weights.field_match * fsum
-        + weights.method_match * msum + weights.dependency_match * dep
+        + weights.method_match * msum + weights.dependency_match * (halves / 2)
     )
-    return best, raw, True
+    # visits run in context order, so this is the pairing order
+    return [(ci, ki) for ci, ki in enumerate(best) if ki is not None], raw, exhaustive
 
 
 def structural_score(

@@ -232,6 +232,25 @@ def test_recommend_context_with_1200_tracked_objects(run, fixtures_dir, tmp_path
     assert matches and all(match["exhaustive"] for match in matches)
 
 
+def test_recommend_context_with_1200_paired_objects(run, tmp_path):
+    """A pairing search 1,200 objects deep, past the recursion limit, ends
+    exhaustively and the command exits 0."""
+    body = "".join(f"A a{i} = new A(); a{i}.f(); a{i}.g();\n" for i in range(1200))
+    context = tmp_path / "big.java"
+    context.write_text("URL url = new URL(s);\n" + body)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "Big.java").write_text(
+        "try {\nURL url = new URL(s);\n" + body + "} catch (IOException e) {\n  log(e);\n}\n"
+    )
+    code, out, err = run(
+        "recommend", str(context), "--corpus", str(corpus), "--no-filter", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    [entry] = json.loads(out)
+    assert entry["match"]["exhaustive"] and entry["match"]["matched_objects"] == 1201
+
+
 def test_recommend_empty_corpus_fails(run, listing1_path, tmp_path):
     code, _out, err = run("recommend", listing1_path, "--corpus", str(tmp_path))
     assert code == 2

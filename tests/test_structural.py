@@ -6,7 +6,6 @@ import itertools
 import math
 import operator
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -23,10 +22,8 @@ from catchrec.structural import (
     _best_pairing,
     _dependency_groups,
     _dependency_matches,
-    _greedy_pairing,
     _pair_table,
     _PairTable,
-    _assignment_space,
     _score_pairing,
 )
 
@@ -144,6 +141,13 @@ def _enumerate_pairings(table):
 
     recurse(0, set(), [])
     return results
+
+
+def _assignments(table):
+    """How many assignments the table's records span, each context object
+    taking one of its partners or none, injective or not: an upper bound on
+    the number of pairings :func:`_enumerate_pairings` lists."""
+    return math.prod(len(record) + 1 for record in table.partners)
 
 
 def _random_graph(rng, max_objects=4, types=("A", "B", "C"), max_deps=3):
@@ -377,50 +381,6 @@ def test_identity_upper_bound_on_random_graphs():
         assert self_score >= cross_score
 
 
-def test_greedy_divergence_is_visible_not_silent():
-    """The greedy fallback can pick a worse pairing than enumeration; when it
-    does, the exhaustive flag is the tell. This constructs such a case."""
-    ctx = ApiUsageGraph(
-        objects=(
-            GraphObject("A", 0, "a1", (), (("f", 1),)),
-            GraphObject("A", 1, "a2", (), (("f", 1), ("g", 1))),
-        ),
-        dependencies=(),
-    )
-    cand = ApiUsageGraph(
-        objects=(
-            GraphObject("A", 0, "c1", (), (("f", 1), ("g", 1))),
-            GraphObject("A", 1, "c2", (), (("f", 1),)),
-        ),
-        dependencies=(),
-    )
-    w = StructuralWeights()
-    table = _pair_table(ctx, cand)
-    greedy = _greedy_pairing(table)
-    greedy_raw, *_rest = _score_pairing(greedy, table, w)
-    best_raw = _score_via_module(ctx, cand, w)
-    assert greedy_raw < best_raw  # a1 grabs c1 greedily, starving a2
-
-
-def _same_type_objects(n):
-    return prepare(parse(" ".join(f"A a{i} = new A(); a{i}.f{i % 2}();" for i in range(n))))
-
-
-@pytest.mark.parametrize("n, exhaustive", [(5, False), (4, True)])
-def test_exhaustive_flag_tells_the_greedy_fallback(n, exhaustive):
-    """n context objects of one type against 8 candidates span 9**n
-    assignments: 9**5 = 59,049 is past the switch, 9**4 = 6,561 is not."""
-    ctx, cand = _same_type_objects(n), _same_type_objects(8)
-    report = structural_score(ctx, cand)
-    assert report.exhaustive is exhaustive
-    assert report.to_dict()["exhaustive"] is exhaustive
-    if not exhaustive:
-        table = _pair_table(ctx.graph, cand.graph)
-        greedy = _greedy_pairing(table)
-        assert report.pairings == tuple(greedy)
-        assert report.raw == _score_pairing(greedy, table, StructuralWeights())[0]
-
-
 def _members(names):
     return st.dictionaries(st.sampled_from(names), st.integers(1, 2)).map(
         lambda counts: tuple(sorted(counts.items()))
@@ -542,7 +502,7 @@ def test_search_keeps_the_first_exact_best_among_copied_objects(sides, w):
     greatest (exact raw, size) of the full enumeration; tables past 5,000
     assignments are left out to keep the enumeration short."""
     ctx, cand = sides
-    assume(_assignment_space(_pair_table(ctx, cand)) <= 5_000)
+    assume(_assignments(_pair_table(ctx, cand)) <= 5_000)
     _assert_first_exact_best(ctx, cand, w)
 
 
@@ -573,7 +533,7 @@ def test_one_context_side_serves_every_candidate(ctx, cands):
             assert list(record) == [
                 k for k, cand_obj in enumerate(cand.objects) if _ref_types_match(ctx_obj, cand_obj)
             ]
-            for k, (ff, mf, _matched, _fs, _ms) in record.items():
+            for k, (ff, mf, _fs, _ms) in record.items():
                 assert ff == _ref_fraction(dict(ctx_obj.fields), dict(cand.objects[k].fields))
                 assert mf == _ref_fraction(dict(ctx_obj.methods), dict(cand.objects[k].methods))
         report = structural_score(context, _unit(cand))
@@ -585,16 +545,19 @@ def test_one_context_side_serves_every_candidate(ctx, cands):
 @settings(max_examples=150, deadline=None)
 @given(ctx=_graphs(("A", "B", "p.A")), cand=_graphs(("A", "B", "q.A")))
 def test_dependency_groups_sum_to_the_dependency_total(ctx, cand):
-    """For every pairing, the per-group terms the search adds up equal the
-    reference two-pass total over the whole graph, as the same float."""
+    """For every pairing, the per-group terms the search adds up, each
+    twice a group's total as a whole number, are twice the reference
+    two-pass total over the whole graph, and half of them is the same
+    float."""
     table = _pair_table(ctx, cand)
     groups = _dependency_groups(table)
     for pairing in _enumerate_pairings(table):
         paired = dict(pairing)
-        by_groups = 0.0
+        halves = 0
         for c, p, terms in groups:
-            by_groups += terms.get((paired.get(c), paired.get(p)), 0.0)
-        assert by_groups == _ref_dependency_total(pairing, ctx, cand), pairing
+            assert all(isinstance(term, int) for term in terms.values())
+            halves += terms.get((paired.get(c), paired.get(p)), 0)
+        assert halves / 2 == _ref_dependency_total(pairing, ctx, cand), pairing
 
 
 def test_equal_raw_goes_to_the_larger_pairing_past_a_pruned_subtree():
@@ -640,27 +603,6 @@ def test_structural_score_scores_one_pairing(listing2, monkeypatch):
     assert report.matched_objects == len(listing2.objects) > 2
 
 
-def test_greedy_picks_the_earlier_of_equal_overlaps():
-    ctx = ApiUsageGraph(
-        objects=(
-            GraphObject("A", 0, "a1", (), (("f", 1), ("g", 1))),
-            GraphObject("A", 1, "a2", (), (("f", 1),)),
-        ),
-        dependencies=(),
-    )
-    cand = ApiUsageGraph(
-        objects=(
-            GraphObject("A", 0, "c1", (), (("f", 1),)),
-            GraphObject("A", 1, "c2", (), (("f", 1), ("g", 1))),
-            GraphObject("A", 2, "c3", (), (("g", 1), ("f", 1))),
-            GraphObject("A", 3, "c4", (), (("f", 1),)),
-        ),
-        dependencies=(),
-    )
-    # a1 ties c2 and c3 at two and takes c2; a2 ties c1, c3 and c4 at one
-    assert _greedy_pairing(_pair_table(ctx, cand)) == [(0, 1), (1, 0)]
-
-
 def _per_object_partners(ctx, cand):
     """Partner records built object by object from both graphs, each
     fraction as the part of the context object's accesses covered, and each
@@ -679,7 +621,7 @@ def _per_object_partners(ctx, cand):
                 mm = sum(min(n, k_methods.get(name, 0)) for name, n in methods.items())
                 ft, mt = sum(fields.values()), sum(methods.values())
                 record[k] = (
-                    fm / ft if ft else 0.0, mm / mt if mt else 0.0, fm + mm,
+                    fm / ft if ft else 0.0, mm / mt if mt else 0.0,
                     int(Fraction(fm, ft or 1) * scale), int(Fraction(mm, mt or 1) * scale),
                 )
         records.append(record)
@@ -719,8 +661,7 @@ def test_class_shared_records_equal_per_object_records(ctx, cand):
     assert len(views) == len({(o.type_name, o.fields, o.methods) for o in ctx.objects})
 
 
-# six to eight objects of one type a side span at least 7**6 assignments,
-# past the switch to the greedy pass
+# six to eight objects of one type a side span at least 7**6 assignments
 _LARGE = _graphs(("A",), min_objects=6, max_objects=8)
 
 
@@ -730,10 +671,10 @@ _LARGE = _graphs(("A",), min_objects=6, max_objects=8)
     w=st.sampled_from(_WEIGHTINGS),
 )
 def test_report_raw_is_the_search_key(sides, w):
-    """For exhaustive and greedy tables alike, the raw the report takes from
-    the search is the very float a full scoring of the chosen pairing
-    returns, and the dependency matches the report derives when read are
-    that scoring's; the report holds no pair table."""
+    """For small and large tables alike, the raw the report takes from the
+    search is the very float a full scoring of the chosen pairing returns,
+    and the dependency matches the report derives when read are that
+    scoring's; the report holds no pair table."""
     ctx, cand = sides
     table = _pair_table(ctx, cand)
     pairing, raw, exhaustive = _best_pairing(table, w)
@@ -796,27 +737,61 @@ def test_reports_compare_by_their_scores_not_their_labels(ctx, cands, relabel):
         assert again.candidate_labels != first.candidate_labels or not cands[0].objects
 
 
-def _search_calls(table, w):
-    """The pairing search's result and how many times its nested ``search``
-    was entered, counted with a profile hook for the call alone."""
-    calls = 0
-
-    def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is search_code:
-            calls += 1
-
-    search_code = next(
-        const for const in _best_pairing.__code__.co_consts
-        if getattr(const, "co_name", None) == "search"
-    )
-    previous = sys.getprofile()
-    sys.setprofile(count)
+def _searched_within(monkeypatch, nodes, table, w):
+    """The pairing search's result with its node budget set to ``nodes``:
+    it reads ``exhaustive`` exactly when the search needed at most that many
+    nodes that pass its prune test."""
+    monkeypatch.setattr(structural, "_MAX_NODES", nodes)
     try:
-        result = _best_pairing(table, w)
+        return _best_pairing(table, w)
     finally:
-        sys.setprofile(previous)
-    return result, calls
+        monkeypatch.undo()
+
+
+def _nodes_needed(monkeypatch, table, w):
+    """The least node budget within which the search ends."""
+    low, high = 0, 1
+    while not _searched_within(monkeypatch, high, table, w)[2]:
+        low, high = high + 1, 2 * high
+    while low < high:
+        middle = (low + high) // 2
+        if _searched_within(monkeypatch, middle, table, w)[2]:
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+def _canonical_nodes(ctx, cand):
+    """The nodes of the search tree the two class rules leave, pruning
+    aside, for graphs without dependency edges: at each context object with
+    a partner, one child per candidate it may take, then one leaving it
+    unpaired. An object takes only candidates after the partner of the last
+    earlier object of its class, and none if that one stayed unpaired; of
+    equal candidate objects it is offered only the first unused one."""
+    assert not ctx.dependencies and not cand.dependencies
+    table = _pair_table(ctx, cand)
+    visits = [c for c, record in enumerate(table.partners) if record]
+
+    def same(graph, a, b):
+        x, y = graph.objects[a], graph.objects[b]
+        return (x.type_name, x.fields, x.methods) == (y.type_name, y.fields, y.methods)
+
+    def walk(d, partner, used):
+        if d == len(visits):
+            return 1
+        c = visits[d]
+        twins = [e for e in visits[:d] if same(ctx, e, c)]
+        low = partner[twins[-1]] if twins else -1
+        nodes = 1 + walk(d + 1, {**partner, c: None}, used)
+        if low is not None:
+            for k in table.partners[c]:
+                first_unused = all(j in used for j in range(k) if same(cand, j, k))
+                if k > low and k not in used and first_unused:
+                    nodes += walk(d + 1, {**partner, c: k}, used | {k})
+        return nodes
+
+    return walk(0, {}, frozenset())
 
 
 def _one_class_against(objects, covered):
@@ -838,35 +813,153 @@ def _one_class_against(objects, covered):
     return ctx, cand
 
 
+def _two_classes_against_twins(first, second, twins):
+    """``first`` context objects calling f, then ``second`` calling f, g and
+    h, all of one type, against ``twins`` equal candidates calling f and g:
+    the two classes compete for the same candidates."""
+    ctx = ApiUsageGraph(
+        objects=tuple(
+            GraphObject("A", i, f"a{i}", (), (("f", 1),) if i < first else (("f", 1), ("g", 1), ("h", 1)))
+            for i in range(first + second)
+        ),
+        dependencies=(),
+    )
+    return ctx, _one_class_against(0, [("f", "g")] * twins)[1]
+
+
 # every subset of the three methods, from none to all
 _COVERED = ((), ("f",), ("g",), ("f", "g"), ("h",), ("f", "h"), ("g", "h"), ("f", "g", "h"))
 
 
 @pytest.mark.parametrize(
-    "objects, covered",
-    [(4, _COVERED), (8, (("f",), ("g",)))],
-    ids=["4-against-8", "8-against-2"],
+    "sides, space, canonical, needed",
+    [
+        (_one_class_against(4, _COVERED), 6_561, 303, 59),
+        (_one_class_against(8, (("f",), ("g",))), 6_561, 32, 9),
+        (_two_classes_against_twins(4, 4, 5), 6**8, 75, 17),
+    ],
+    ids=["4-against-8", "8-against-2", "two-classes"],
 )
-def test_search_visits_one_ordering_of_a_class(objects, covered):
-    """Both tables span 9**4 = 3**8 = 6,561 assignments, below the switch.
-    The search enters only canonical prefixes: at depth d, the first j
-    objects of the class paired with increasing candidates and the rest
-    unpaired, so at most the sum over d <= objects and j <= min(d, k) of
-    C(k, j) calls for k candidates (303 and 32). A search that tries other
-    orderings of the class, lets an object pair after an unpaired twin, or
-    orders each object after the first of its class instead of the last
-    enters more on at least one of the two tables."""
-    ctx, cand = _one_class_against(objects, covered)
+def test_search_visits_one_ordering_of_a_class(sides, space, canonical, needed, monkeypatch):
+    """The search enters only canonical prefixes: at depth d, the first j
+    objects of a class paired with increasing candidates and the rest
+    unpaired. The first two tables span 9**4 = 3**8 = 6,561 assignments,
+    of which the canonical tree keeps the sum over d <= objects and
+    j <= min(d, k) of C(k, j) nodes for k candidates (303 and 32); with its
+    budget at the canonical count the search still ends within it. Pruning
+    keeps it far below: with the default weights it needs at most the
+    counts given (59, 9 and 17). A search that tries other orderings of a
+    class (96 on the first table, 20 on the third), lets an object pair
+    after an unpaired twin (20 on the third) or orders each object after
+    the first of its class instead of the last (71 and 20) needs more, and
+    so does one whose bound for leaving an object unpaired still counts
+    its later twins (14 on the second, 26 on the third)."""
+    ctx, cand = sides
     table = _pair_table(ctx, cand)
-    assert _assignment_space(table) == 6_561
-    k = len(covered)
-    canonical = sum(math.comb(k, j) for d in range(objects + 1) for j in range(min(d, k) + 1))
-    assert canonical == {4: 303, 8: 32}[objects]
+    assert _assignments(table) == space
+    assert _canonical_nodes(ctx, cand) == canonical
     for w in _WEIGHTINGS:
-        (_pairing, _raw, exhaustive), calls = _search_calls(table, w)
-        assert exhaustive
-        assert calls <= canonical, w
+        _pairing, _raw, exhaustive = _searched_within(monkeypatch, canonical, table, w)
+        assert exhaustive, w
         _assert_first_exact_best(ctx, cand, w)
+    assert _nodes_needed(monkeypatch, table, StructuralWeights()) <= needed
+
+
+def _distinct_against_twins(objects, twins):
+    """``objects`` context objects of one type, each of its own class (they
+    call different subsets of f, g and h), against ``twins`` equal
+    candidates calling f and g."""
+    ctx = ApiUsageGraph(
+        objects=tuple(
+            GraphObject("A", i, f"a{i}", (), tuple((m, 1) for m in _COVERED[-1 - i]))
+            for i in range(objects)
+        ),
+        dependencies=(),
+    )
+    return ctx, _one_class_against(0, [("f", "g")] * twins)[1]
+
+
+@pytest.mark.parametrize(
+    "sides, canonical",
+    [
+        (_one_class_against(6, [("f", "g")] * 4), 25),
+        (_one_class_against(4, [("f", "g")] * 6), 15),
+        (_distinct_against_twins(6, 4), 119),
+        (_distinct_against_twins(8, 4), 381),
+    ],
+    ids=["one-class-6-against-4", "one-class-4-against-6", "distinct-6-against-4", "distinct-8-against-4"],
+)
+def test_search_takes_the_first_unused_of_twin_candidates(sides, canonical, monkeypatch):
+    """Against equal candidates the search offers an object only the first
+    unused one, so at depth d the paired objects hold the first twins. One
+    context class of m objects against k twins keeps one node per
+    (d, j <= min(d, k)); m objects of their own classes keep, per depth d,
+    one node per set of at most k paired objects. With its budget at that
+    canonical count the search ends within it, and returns the first exact
+    best pairing; a search that offers every unused twin needs 244 and 823
+    nodes or more on the last two tables, past their counts."""
+    ctx, cand = sides
+    table = _pair_table(ctx, cand)
+    assert _canonical_nodes(ctx, cand) == canonical
+    m, k = len(ctx.objects), len(cand.objects)
+    if len({o.methods for o in ctx.objects}) == 1:
+        assert canonical == sum(min(d, k) + 1 for d in range(m + 1))
+    else:
+        assert canonical == sum(math.comb(d, j) for d in range(m + 1) for j in range(min(d, k) + 1))
+    for w in _WEIGHTINGS:
+        pairing, _raw, exhaustive = _searched_within(monkeypatch, canonical, table, w)
+        assert exhaustive, w
+        if len({o.methods for o in ctx.objects}) == 1:
+            assert pairing == [(i, i) for i in range(min(m, k))]
+        _assert_first_exact_best(ctx, cand, w)
+
+
+@pytest.mark.parametrize("nodes", [0, 1, 5, 40, 400])
+def test_a_search_past_its_budget_keeps_a_valid_pairing(nodes, monkeypatch):
+    """With a node budget far below what the table needs, the report reads
+    ``exhaustive: false`` and holds the best pairing found so far: injective,
+    type-compatible, with :func:`_score_pairing`'s raw to the bit. The table
+    (eight objects a side, with dependency edges) needs 1,656 nodes."""
+    rng = random.Random(3009)
+    ctx = _random_graph(rng, max_objects=8, types=("A", "B"), max_deps=6)
+    cand = _random_graph(rng, max_objects=8, types=("A", "B"), max_deps=6)
+    monkeypatch.setattr(structural, "_MAX_NODES", nodes)
+    report = structural_score(_unit(ctx), _unit(cand))
+    assert report.exhaustive is False
+    assert report.to_dict()["exhaustive"] is False
+    table = _pair_table(ctx, cand)
+    contexts = [c for c, _k in report.pairings]
+    partners = [k for _c, k in report.pairings]
+    assert contexts == sorted(set(contexts)) and len(set(partners)) == len(partners)
+    assert all(k in table.partners[c] for c, k in report.pairings)
+    raw, *_rest = _score_pairing(list(report.pairings), table, StructuralWeights())
+    assert report.raw.hex() == float(raw).hex()
+
+
+def _chain(n, access_point):
+    """n objects of one type and one class, each fed by the one before."""
+    return ApiUsageGraph(
+        objects=tuple(GraphObject("A", i, f"a{i}", (), (("f", 1),)) for i in range(n)),
+        dependencies=tuple(DependencyEdge(i, i - 1, access_point) for i in range(1, n)),
+    )
+
+
+def test_1200_objects_a_side_score_without_recursion():
+    """A search 1,200 objects deep runs as a loop, not as recursion, so a
+    table far deeper than the recursion limit still scores exhaustively."""
+    twins = _one_class_against(1200, [("f", "g")] * 1200)
+    report = structural_score(_unit(twins[0]), _unit(twins[1]))
+    assert report.exhaustive and report.pairings == tuple((i, i) for i in range(1200))
+
+
+def test_a_chain_against_a_chain_with_other_access_points():
+    """Every object is compatible with every candidate and every group has a
+    term for every candidate edge, but the identity pairing meets the bound
+    (each edge at half weight), so the search ends at once after it."""
+    report = structural_score(_unit(_chain(200, "f")), _unit(_chain(200, "g")))
+    assert report.exhaustive
+    assert report.pairings == tuple((i, i) for i in range(200))
+    assert report.dependency_total == 199 * 0.5
 
 
 def test_a_dependency_endpoint_is_not_held_to_its_class_order():
@@ -894,6 +987,33 @@ def test_a_dependency_endpoint_is_not_held_to_its_class_order():
         assert exhaustive
         if w.dependency_match:
             assert pairing == [(0, 1), (1, 0), (2, 2)], w
+        _assert_first_exact_best(ctx, cand, w)
+
+
+def test_leaving_an_object_unpaired_frees_no_endpoint_twin_from_the_bound():
+    """a1, a2 and a3 are one class, and only a3 feeds b. One candidate of
+    their type, c1, feeds d, so the best pairing leaves a1 and a2 unpaired
+    and gives c1 to a3. When a1 is left unpaired the class order keeps a2
+    unpaired too, but not a3, so the bound of that subtree still counts a3;
+    a bound that took a3 off as well would prune the best pairing."""
+    ctx = ApiUsageGraph(
+        objects=(
+            GraphObject("A", 0, "a1", (), (("f", 1),)),
+            GraphObject("A", 1, "a2", (), (("f", 1),)),
+            GraphObject("A", 2, "a3", (), (("f", 1),)),
+            GraphObject("B", 0, "b", (), ()),
+        ),
+        dependencies=(DependencyEdge(3, 2, "f"),),
+    )
+    cand = ApiUsageGraph(
+        objects=(GraphObject("A", 0, "c1", (), (("f", 1),)), GraphObject("B", 0, "d", (), ())),
+        dependencies=(DependencyEdge(1, 0, "f"),),
+    )
+    for w in _WEIGHTINGS:
+        pairing, _raw, exhaustive = _best_pairing(_pair_table(ctx, cand), w)
+        assert exhaustive
+        if w.dependency_match:
+            assert pairing == [(2, 0), (3, 1)], w
         _assert_first_exact_best(ctx, cand, w)
 
 
