@@ -15,7 +15,9 @@ reason under any query is :func:`exclusion` of it. Records are stored by
 the SHA-256 of their text, one pack per corpus location: a cache entry's
 ``analysis.json``, or a local directory's pack under the cache directory's
 ``local/``. So a rerun scans and parses none of the files it has seen. The
-packs' format lives in this module alone.
+packs' format lives in this module alone. A pack stores a record's texts,
+not its subtoken vector: the reader derives that by the rule ``prepare``
+follows, :func:`~catchrec.lexical.subtoken_vector`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -42,7 +43,7 @@ from typing import Callable
 from .errors import AuthMissing, ConfigError, NetworkFailure, RateLimited, read_input
 from .graph import ApiUsageGraph
 from .lexer import scan
-from .lexical import PreparedUnit, prepare
+from .lexical import PreparedUnit, prepare, subtoken_vector
 from .model import DependencyEdge, GraphObject
 from .parser import parse
 from .quality import QualityParts
@@ -279,6 +280,9 @@ def _load_cached(cache_dir: Path, key: str) -> tuple[list[Candidate] | None, boo
     if not manifest_path.is_file():
         return None, False
 
+    # a string path per file, not a Path join: the file name is checked first
+    files_prefix = f"{files_dir}{os.sep}"
+
     def cached(text: str) -> tuple[list[Candidate], bool]:
         manifest = json.loads(text)
         candidates = []
@@ -287,7 +291,7 @@ def _load_cached(cache_dir: Path, key: str) -> tuple[list[Candidate] | None, boo
             cid = candidate_id(origin)
             if entry["id"] != cid or entry["file"] != f"{cid}.java":
                 raise ValueError(f"entry {entry['id']!r}: id or file does not match its origin")
-            source = read_input(files_dir / entry["file"], "cached file", str)
+            source = read_input(files_prefix + entry["file"], "cached file", str)
             candidates.append(Candidate(id=cid, origin=origin, source_text=source))
         return candidates, manifest.get("complete") is True
 
@@ -381,7 +385,6 @@ def _record_json(record: Record) -> dict:
         graph = prepared.graph
         entry["analysis"] = {
             "texts": prepared.texts,
-            "subtokens": prepared.subtokens,  # in prepare's order
             "graph": None if graph is None else {
                 "objects": [
                     [o.type_name, o.ordinal, o.variable_name, dict(o.fields), dict(o.methods)]
@@ -441,19 +444,14 @@ def _record_from_json(entry) -> Record:
         return Record(0, None)
     raw = _of(dict, entry["analysis"])
     texts = _all_of(str, _of(list, raw["texts"]))
-    subtokens = _of(dict, raw["subtokens"])
-    _all_of(str, subtokens)
-    counts = _all_of(int, subtokens.values())
-    # every subtoken is a whole keyword or literal or a part of at least one
-    # character of an identifier, so the counts cannot sum past the texts' length
-    if counts and (min(counts) < 1 or sum(counts) > sum(map(len, texts))):
-        raise ValueError("subtoken counts do not fit the texts")
+    if "" in texts:  # no token has an empty text
+        raise ValueError("empty token text")
     # a lexable text has a code line, so its quality metrics
     quality = QualityParts(*_all_of(float, _of(list, raw["quality"])))
     if not all(map(math.isfinite, quality)):
         raise ValueError("quality metric not finite")
     graph = None if raw["graph"] is None else _graph_from_json(_of(dict, raw["graph"]))
-    return Record(sloc, PreparedUnit(tuple(texts), Counter(subtokens), graph, quality))
+    return Record(sloc, PreparedUnit(tuple(texts), subtoken_vector(texts), graph, quality))
 
 
 def _stored_records(path: Path) -> dict:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .corpus import ingest_local
 from .errors import CatchrecError, read_input
+from .model import summed
 from .parser import parse_file
 from .query import ExceptionKnowledgeBase, formulate_query
 from .ranking import WeightConfig, rank
@@ -126,7 +127,7 @@ def average_precision_at_k(
             precisions.append(hits / position)
     if not precisions:
         return 0.0
-    return sum(precisions) / len(precisions)
+    return summed(precisions) / len(precisions)
 
 
 def recall_overall(retrieved_relevant: int, total_relevant: int) -> float:
@@ -277,8 +278,8 @@ def evaluate(
         handled = sum(1 for count in hit_counts if count > 0)
         retrieved = sum(hit_counts)
         per_k[k] = KMetrics(
-            mean_precision=sum(precisions) / len(results),
-            mean_average_precision=sum(aps) / len(results),
+            mean_precision=summed(precisions) / len(results),
+            mean_average_precision=summed(aps) / len(results),
             recall=recall_overall(retrieved, total_relevant),
             handled_cases=handled,
             retrieved_relevant=retrieved,

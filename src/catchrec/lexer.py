@@ -59,6 +59,9 @@ KEYWORDS = frozenset(
 
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
+# The first characters of a word: an identifier, a keyword or a word literal.
+WORD_START = frozenset(string.ascii_letters + "_$")
+
 # Longest first so that e.g. ">>>=" wins over ">>".
 MULTI_OPERATORS = (
     ">>>=", "<<=", ">>=", ">>>", "==", "!=", "<=", ">=", "&&", "||",
@@ -101,7 +104,7 @@ _FIXED_KINDS = {
     **dict.fromkeys(_SINGLE_OPERATORS, TokenKind.OPERATOR),
 }
 _FIRST_KINDS = {
-    **dict.fromkeys(string.ascii_letters + "_$", TokenKind.IDENTIFIER),
+    **dict.fromkeys(WORD_START, TokenKind.IDENTIFIER),
     **dict.fromkeys(string.digits + "\"'.", TokenKind.LITERAL),
 }
 

@@ -26,10 +26,13 @@ analysed form of a unit: the significant-token texts, the subtoken vector
 and its norm, the usage graph that :mod:`catchrec.structural` matches
 (``None`` for a failed parse) and the weight-free quality metrics (``None``
 for a unit without a code line). A candidate is prepared once, by the
-corpus filter or from a cache entry's stored analyses; a process splits
-each distinct identifier once, since :func:`_identifier_parts` is cached.
-:func:`prepare` reads the scan's ``texts`` and ``kinds`` tuples, as every
-stage does; only :func:`significant_tokens` builds :class:`Token` values.
+corpus filter or from a cache entry's stored analyses. The subtoken vector
+is a function of the texts alone, :func:`subtoken_vector`, which both
+:func:`prepare` and the stored analyses' reader call, so a stored record
+holds only the texts; a process splits each distinct word once, since
+:func:`_identifier_parts` is cached. :func:`prepare` reads the scan's
+``texts`` and ``kinds`` tuples, as every stage does; only
+:func:`significant_tokens` builds :class:`Token` values.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EmptyUnit
 from .graph import ApiUsageGraph, extract_usage_graph
-from .lexer import TokenKind
+from .lexer import WORD_START, TokenKind
 from .model import ParseStatus, SourceUnit, Weights
 from .quality import QualityParts, quality_parts
 
@@ -56,9 +59,7 @@ SIGNIFICANT_KINDS = frozenset(
 
 # Read in the loop of ``prepare``, where an identity test against a module
 # global is cheaper than hashing an Enum member for ``SIGNIFICANT_KINDS``.
-_IDENTIFIER, _OPERATOR, _PUNCTUATION = (
-    TokenKind.IDENTIFIER, TokenKind.OPERATOR, TokenKind.PUNCTUATION
-)
+_OPERATOR, _PUNCTUATION = TokenKind.OPERATOR, TokenKind.PUNCTUATION
 
 _CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
@@ -106,25 +107,39 @@ class PreparedUnit:
         return match_masks(self.texts)
 
 
-def prepare(unit: SourceUnit) -> PreparedUnit:
-    """Compute one unit's side of every measure. Identifiers count by their
-    :func:`_identifier_parts`; keywords and literals count whole."""
-    texts: list[str] = []
+def subtoken_vector(texts: Sequence[str]) -> Counter:
+    """The subtoken frequency vector of significant-token texts, none of
+    them empty, counted in order: an identifier counts by its
+    :func:`_identifier_parts`, a keyword or literal whole.
+
+    A text's kind is the one :func:`~catchrec.lexer.scan` gives it: a word
+    starts with a :data:`~catchrec.lexer.WORD_START` character, a literal
+    with any other. Every keyword, ``true``, ``false`` and ``null`` is one
+    lowercase word whose only part is itself, so every word counts by its
+    parts, and only words reach the split cache: literal texts are many
+    and seldom repeat."""
     parts: list[str] = []
-    for text, kind in zip(unit.texts, unit.kinds):
-        if kind is _PUNCTUATION or kind is _OPERATOR:
-            continue
-        texts.append(text)
-        if kind is _IDENTIFIER:
+    for text in texts:
+        if text[0] in WORD_START:
             parts += _identifier_parts(text)
         else:
             parts.append(text)
+    return Counter(parts)
+
+
+def prepare(unit: SourceUnit) -> PreparedUnit:
+    """Compute one unit's side of every measure; the subtoken vector is the
+    :func:`subtoken_vector` of the significant-token texts."""
+    texts = tuple([
+        text for text, kind in zip(unit.texts, unit.kinds)
+        if kind is not _PUNCTUATION and kind is not _OPERATOR
+    ])
     graph = None if unit.parse_status is ParseStatus.FAILED else extract_usage_graph(unit)
     try:
         quality = quality_parts(unit)
     except EmptyUnit:
         quality = None
-    return PreparedUnit(texts=tuple(texts), subtokens=Counter(parts), graph=graph, quality=quality)
+    return PreparedUnit(texts=texts, subtokens=subtoken_vector(texts), graph=graph, quality=quality)
 
 
 @dataclass(frozen=True)
@@ -142,14 +157,23 @@ class LexicalReport:
     raw: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "cosine": self.cosine,
+            "clone_ratio": self.clone_ratio,
+            "lcs_length": self.lcs_length,
+            "context_token_count": self.context_token_count,
+            "raw": self.raw,
+        }
 
 
 def cosine_similarity(context: PreparedUnit, candidate: PreparedUnit) -> float:
-    """Cosine of the subtoken frequency vectors; 0 when either is empty."""
+    """Cosine of the subtoken frequency vectors; 0 when either is empty.
+    The dot product, a sum of whole numbers, runs over the shorter vector."""
     u, v = context.subtokens, candidate.subtokens
     if not u or not v:
         return 0.0
+    if len(v) < len(u):
+        u, v = v, u
     dot = sum(map(operator.mul, u.values(), map(v.get, u, repeat(0))))
     return dot / (context.norm * candidate.norm)
 

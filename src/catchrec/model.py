@@ -8,12 +8,15 @@ dependencies are the nodes and edges of the unit's usage graph
 and are frozen. A unit is a :class:`~catchrec.lexer.ScanResult`, so its
 token stream is the scan's three parallel tuples, ``texts``, ``kinds`` and
 ``lines``, and nothing else. The scorers' weight classes share the check in
-:class:`Weights`.
+:class:`Weights`; printed float totals are added in order by :func:`summed`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -41,6 +44,14 @@ def check_weight(name: str, value: object) -> float:
     if weight > MAX_WEIGHT:
         raise ValueError(f"{name} must be at most {MAX_WEIGHT:,.0f}")
     return weight
+
+
+def summed(values: Iterable[float]) -> float:
+    """The values added one by one in their order. ``sum`` compensates
+    float sums from Python 3.12 on, so the printed fraction totals and
+    evaluation means are added here instead, to read the same on every
+    version."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)

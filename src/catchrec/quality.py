@@ -10,7 +10,7 @@ contract (longer lines and denser parentheses always lower it).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
 from typing import NamedTuple
@@ -50,7 +50,12 @@ class QualityReport:
     raw: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "readability": self.readability,
+            "handler_actions": self.handler_actions,
+            "handler_ratio": self.handler_ratio,
+            "raw": self.raw,
+        }
 
 
 def _clamp(x: float) -> float:

@@ -8,6 +8,7 @@ data file so it can be extended without touching code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -53,10 +54,9 @@ class ExceptionKnowledgeBase:
 
     @classmethod
     def bundled(cls) -> "ExceptionKnowledgeBase":
-        text = (
-            resources.files("catchrec").joinpath("data/exceptions.tsv").read_text("utf-8")
-        )
-        return cls._parse(text)
+        """A knowledge base of its own over the packaged entries, which a
+        process parses once."""
+        return cls(_bundled_entries())
 
     @classmethod
     def _parse(cls, text: str) -> "ExceptionKnowledgeBase":
@@ -84,6 +84,12 @@ class ExceptionKnowledgeBase:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@functools.cache
+def _bundled_entries() -> dict[tuple[str, str], tuple[str, ...]]:
+    text = resources.files("catchrec").joinpath("data/exceptions.tsv").read_text("utf-8")
+    return ExceptionKnowledgeBase._parse(text).entries
 
 
 def dominant_api_class(unit: SourceUnit) -> str:

@@ -83,7 +83,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -91,7 +90,7 @@ from itertools import repeat
 from .errors import StructureUnavailable
 from .graph import ApiUsageGraph, DependencyEdge
 from .lexical import PreparedUnit
-from .model import Weights
+from .model import Weights, summed
 
 # A pairing search stops after this many nodes that pass its prune test.
 _MAX_NODES = 20_000
@@ -169,11 +168,11 @@ class MatchReport:
 
     @property
     def field_total(self) -> float:
-        return sum(self.field_fractions)
+        return summed(self.field_fractions)
 
     @property
     def method_total(self) -> float:
-        return sum(self.method_fractions)
+        return summed(self.method_fractions)
 
     @property
     def dependency_total(self) -> float:
@@ -315,12 +314,6 @@ def _dependency_matches(
     return deps
 
 
-def _summed(fractions: Iterable[float]) -> float:
-    """The fractions added one by one in their order (which ``sum`` does
-    not promise for floats from Python 3.12 on)."""
-    return functools.reduce(operator.add, fractions, 0)
-
-
 def _score_pairing(
     pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
 ) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
@@ -333,8 +326,8 @@ def _score_pairing(
     deps = _dependency_matches(pairings, table.context, table.candidate)
     raw = (
         weights.object_match * len(pairings)
-        + weights.field_match * _summed(fam)
-        + weights.method_match * _summed(mim)
+        + weights.field_match * summed(fam)
+        + weights.method_match * summed(mim)
         + weights.dependency_match * sum(w for _e, w in deps)
     )
     return raw, fam, mim, deps
@@ -350,25 +343,32 @@ def _dependency_groups(table: _PairTable) -> list[_Group]:
     """For each context endpoint group, twice its dependency total under
     each pair of partners that has candidate edges between them. The total
     depends only on the two lists of access points, so it is computed once
-    per distinct candidate list of a group."""
+    per distinct candidate list of a group. The terms depend only on the
+    group's two partner records and its access points, so groups with the
+    same records (one shared by a class) and points share one dict, which
+    no reader changes."""
     groups = []
     by_points: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    shared: dict[tuple[int, int, tuple[str, ...]], dict[tuple[int, int], int]] = {}
     for (c, p), points in table.context.edge_groups.items():
         consumers, producers = table.partners[c], table.partners[p]
         if not (consumers and producers):
             continue
-        if not by_points:
-            # the candidate endpoint pairs by their edges' access points
-            for pair, found in table.candidate.edge_groups.items():
-                by_points.setdefault(tuple(found), []).append(pair)
-        terms: dict[tuple[int, int], int] = {}
-        for found, pairs in by_points.items():
-            total = None
-            for pair in pairs:
-                if pair[0] in consumers and pair[1] in producers:
-                    if total is None:
-                        total = int(2 * sum(_dependency_weights(points, found)))
-                    terms[pair] = total
+        key = (id(consumers), id(producers), tuple(points))
+        terms = shared.get(key)
+        if terms is None:
+            if not by_points:
+                # the candidate endpoint pairs by their edges' access points
+                for pair, found in table.candidate.edge_groups.items():
+                    by_points.setdefault(tuple(found), []).append(pair)
+            terms = shared[key] = {}
+            for found, pairs in by_points.items():
+                total = None
+                for pair in pairs:
+                    if pair[0] in consumers and pair[1] in producers:
+                        if total is None:
+                            total = int(2 * sum(_dependency_weights(points, found)))
+                        terms[pair] = total
         if terms:
             groups.append((c, p, terms))
     return groups
@@ -485,7 +485,8 @@ def _best_pairing(
     free = [True] * (count + 1)
     after = [count] * count
     if classes:
-        joined = set().union(*(terms.keys() for _c, _p, terms in groups))
+        distinct = {id(terms): terms for _c, _p, terms in groups}.values()
+        joined = set().union(*map(dict.keys, distinct))
         bound_classes = {classes[k] for pair in joined for k in pair}
         last: dict[int, int] = {}
         for ki, j in enumerate(classes):

@@ -1089,10 +1089,8 @@ def _first_analysed(stored) -> dict:
     return next(r for r in stored["records"].values() if "analysis" in r)
 
 
-def _count_as_string(stored) -> None:
-    subtokens = _first_analysed(stored)["analysis"]["subtokens"]
-    name = next(iter(subtokens))
-    subtokens[name] = str(subtokens[name])
+def _number_text(stored) -> None:
+    _first_analysed(stored)["analysis"]["texts"][0] = 7
 
 
 def _edge_out_of_range(stored) -> None:
@@ -1103,9 +1101,8 @@ def _edge_out_of_range(stored) -> None:
     graph["dependencies"].append([0, 99, "openStream"])
 
 
-def _count_past_the_texts(stored) -> None:
-    subtokens = _first_analysed(stored)["analysis"]["subtokens"]
-    subtokens[next(iter(subtokens))] = 10**6
+def _empty_text(stored) -> None:
+    _first_analysed(stored)["analysis"]["texts"][0] = ""
 
 
 def _nan_readability(stored) -> None:
@@ -1125,18 +1122,18 @@ def _edit_cached_file(pack: Path) -> None:
     "corrupt",
     [
         _truncate,
-        _corrupt_json(_count_as_string),
+        _corrupt_json(_number_text),
         _corrupt_json(lambda s: s.update(fingerprint="0" * 64)),
         _edit_cached_file,
         _corrupt_json(lambda s: s["records"].pop(next(iter(s["records"])))),
         _corrupt_json(lambda s: s["records"].update({"0" * 64: _first_analysed(s)})),
         _corrupt_json(_edge_out_of_range),
-        _corrupt_json(_count_past_the_texts),
+        _corrupt_json(_empty_text),
         _corrupt_json(_nan_readability),
     ],
-    ids=["truncated", "count-is-a-string", "other-fingerprint", "cached-file-edited",
+    ids=["truncated", "number-text", "other-fingerprint", "cached-file-edited",
          "record-missing", "record-not-in-manifest", "edge-out-of-range",
-         "count-past-the-texts", "quality-not-finite"],
+         "empty-text", "quality-not-finite"],
 )
 def test_an_unusable_analysis_file_gives_the_cold_output_and_is_rewritten(
     warm_entry, tmp_path, corrupt

@@ -1,10 +1,12 @@
 import io
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from catchrec.corpus import (
     fetch_remote,
 )
 from catchrec.errors import AuthMissing, NetworkFailure, RateLimited
-from catchrec.lexer import SYMBOLS, scan
+from catchrec.lexer import KEYWORDS, SYMBOLS, WORD_LITERALS, WORD_START, TokenKind, scan
 from catchrec import lexical as lexical_mod
 
 QUERY = SearchQuery("IOException", "URL")
@@ -907,6 +909,53 @@ def test_a_stored_record_reads_back_as_the_computed_analysis(corpus_dir):
     assert sorted({r.prepared.graph is None for r in records if r.prepared}) == [False, True]
     # only punctuation: lexable, with code lines, but no significant token
     assert records[-1].sloc == 2 and records[-1].prepared.texts == ()
+
+
+def _kind_rule_vector(text: str) -> list[tuple[str, int]]:
+    """The subtoken vector by the scan's own kinds: an identifier token by
+    its uncached parts, any other significant token whole, in order."""
+    scanned = scan(text)
+    split = lexical_mod._identifier_parts.__wrapped__
+    return list(Counter(
+        part
+        for t, kind in zip(scanned.texts, scanned.kinds)
+        if kind in lexical_mod.SIGNIFICANT_KINDS
+        for part in (split(t) if kind is TokenKind.IDENTIFIER else [t])
+    ).items())
+
+
+def test_the_vector_read_back_from_texts_is_the_one_prepare_counts():
+    """For every distinct seed-1 text of the three bench workloads, contexts
+    and pool files: the vector a stored record's texts give back equals the
+    one :func:`prepare` counted, items in order, and both equal the vector
+    counted by the scan's token kinds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import generate
+
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    texts = {}
+    for name in ("fragment-70", "whole-method-70", "paper-eval-65"):
+        for case in generate.build(name, 1, fixtures).cases:
+            texts.update(dict.fromkeys([case.context, *(f.text for f in case.pool)]))
+    assert len(texts) > 2000
+    for text in texts:
+        record = corpus_mod.judge(text)
+        if record.prepared is None:
+            continue
+        stored = json.loads(json.dumps(corpus_mod._record_json(record)))
+        assert "subtokens" not in stored["analysis"]
+        loaded = corpus_mod._record_from_json(stored).prepared
+        want = list(record.prepared.subtokens.items())
+        assert list(loaded.subtokens.items()) == want == _kind_rule_vector(text)
+
+
+def test_every_keyword_and_word_literal_is_its_own_one_part():
+    """subtoken_vector splits every word, so a keyword, true, false and
+    null count whole only because each is its own one part."""
+    for word in KEYWORDS | WORD_LITERALS:
+        assert word[0] in WORD_START
+        assert lexical_mod._identifier_parts.__wrapped__(word) == (word,)
+        assert scan(word).kinds[0] is not TokenKind.IDENTIFIER
 
 
 def test_the_fingerprint_is_computed_once_per_process():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from catchrec import Oracle, evaluate, load_cases
+from catchrec import evaluation as evaluation_mod
 from catchrec.errors import CatchrecError
 from catchrec.evaluation import (
     CaseSpec,
@@ -57,6 +58,29 @@ def test_average_precision_first_hit_only():
 
 def test_average_precision_no_hits():
     assert average_precision_at_k(["x", "y"], {"r"}, 5) == 0.0
+
+
+def test_average_precision_adds_its_precisions_in_order():
+    """Hits at 1, 3 and 7: the precisions 1, 2/3 and 3/7 added one by one
+    give ...983, where a compensated sum (``sum`` from Python 3.12 on)
+    gives ...985; the in-order value is the one on every version."""
+    ranked = ["r1", "x", "r2", "y", "z", "w", "r3"]
+    assert average_precision_at_k(ranked, {"r1", "r2", "r3"}, 7) == 0.6984126984126983
+
+
+def test_mean_precision_adds_the_cases_in_order(monkeypatch):
+    """Precisions 1/3, 1 and 1 at k = 3, in case order: in order they make
+    ...777, compensated ...778."""
+    hits = {"a": ["r", "x", "y"], "b": ["r", "s", "t"], "c": ["r", "s", "t"]}
+    relevant = frozenset({"r", "s", "t"})
+
+    def ranked(case, *_args):
+        return evaluation_mod.CaseResult(case.case_id, tuple(hits[case.case_id]), relevant)
+
+    monkeypatch.setattr(evaluation_mod, "run_case", ranked)
+    cases = [CaseSpec(case_id=name, context_path="", corpus_dir="") for name in hits]
+    report = evaluate(cases, Oracle({}), ks=(3,))
+    assert report.per_k[3].mean_precision == 0.7777777777777777
 
 
 def test_metrics_match_brute_force_randomized():

@@ -370,6 +370,19 @@ def test_rank_output_matches_recorded_digests(fixtures_dir, rank_pool, context_n
     assert digest == expected[context_name][config_name]
 
 
+def test_a_ranking_with_inexact_totals_prints_the_recorded_bytes(fixtures_dir):
+    """The recorded digest of a ranking whose totals are inexact floats,
+    recorded on Python 3.11: a total added by a compensated ``sum`` (as
+    from Python 3.12 on) prints other digits and fails here on that
+    version of the matrix."""
+    fixture = json.loads((fixtures_dir / "inexact_totals.json").read_text())
+    pool = [Candidate.from_origin(LocalOrigin(name), text) for name, text in fixture["pool"].items()]
+    ranked = rank(parse(fixture["context"]), pool, WeightConfig(), k=len(pool))
+    fractions = ranked[0].match.method_fractions
+    assert ranked[0].match.method_total == 2.333333333333333 != math.fsum(fractions)
+    assert hashlib.sha256(_as_json(ranked).encode("utf-8")).hexdigest() == fixture["digest"]
+
+
 @pytest.fixture(scope="module")
 def tie_pool(fixtures_dir):
     """Every pool fixture under a distinct id, three of them twice (equal

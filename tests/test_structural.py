@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -960,6 +961,39 @@ def test_a_chain_against_a_chain_with_other_access_points():
     assert report.exhaustive
     assert report.pairings == tuple((i, i) for i in range(200))
     assert report.dependency_total == 199 * 0.5
+
+
+def test_the_totals_add_their_fractions_in_order():
+    """Ten fractions of 0.1 added one by one make 0.9999999999999999, where
+    a compensated sum (``sum`` from Python 3.12 on) makes 1.0; the printed
+    totals are the in-order ones on every version."""
+    graph = _chain(10, "f")
+    report = structural.MatchReport(
+        pairings=tuple((i, i) for i in range(10)), field_fractions=(0.1,) * 10,
+        method_fractions=(0.1,) * 10, raw=0.0, exhaustive=True, context=graph, candidate=graph,
+    )
+    assert report.field_total == report.method_total == 0.9999999999999999
+    assert report.to_dict()["field_total"] == 0.9999999999999999
+
+
+def test_a_1200_chain_against_other_access_points_holds_one_terms_dict():
+    """Every context group of the chain has the same two partner records and
+    access points, so all share one terms dict of the 1,199 candidate
+    edges: the call's peak stays far below the 44 MiB that a dict per
+    group, 1,199 of them each of 1,199 terms, reached."""
+    context, candidate = _unit(_chain(1200, "f")), _unit(_chain(1200, "g"))
+    groups = _dependency_groups(_pair_table(context.graph, candidate.graph))
+    assert len(groups) == 1199 and len({id(terms) for _c, _p, terms in groups}) == 1
+    assert len(groups[0][2]) == 1199
+    tracemalloc.start()
+    try:
+        report = structural_score(context, candidate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert report.exhaustive and report.pairings == tuple((i, i) for i in range(1200))
+    assert report.dependency_total == 1199 * 0.5
 
 
 def test_a_dependency_endpoint_is_not_held_to_its_class_order():
