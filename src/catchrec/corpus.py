@@ -33,9 +33,7 @@ import sys
 import tempfile
 import time
 import unicodedata
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -252,6 +250,11 @@ def ingest_local(
 
 
 def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, bytes]:
+    # imported here, not at the top: the network stack (http.client, ssl,
+    # socket, email) loads on the first request, never on a warm or local run
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers=headers)
     try:
         with urllib.request.urlopen(request, timeout=30) as response:

@@ -63,8 +63,8 @@ equal leaf that comes earlier in depth-first order; so the first best leaf
 keeps both rules, and they never change the winner.
 
 Each level also carries the field- and method-fraction sums, added in
-pairing order, so the best leaf's raw is the very float
-:func:`_score_pairing` returns for its pairing; the report takes it as its
+pairing order, so the best leaf's raw is the very float that the tests'
+reference scorer of one pairing returns for it; the report takes it as its
 ``raw``, so the chosen pairing is never scored a second time, whether or
 not the search ended within its budget. A table in which no context object
 has a partner is not searched at all.
@@ -314,25 +314,6 @@ def _dependency_matches(
     return deps
 
 
-def _score_pairing(
-    pairings: list[tuple[int, int]], table: _PairTable, weights: StructuralWeights
-) -> tuple[float, list[float], list[float], list[tuple[DependencyEdge, float]]]:
-    """Raw score of one pairing and its parts; fractions are summed in
-    pairing order, and the dependency matches are in context-edge order.
-    No shipped code calls it: it is the reference the tests hold the
-    search's raw to."""
-    fam = [table.partners[c][k][0] for c, k in pairings]
-    mim = [table.partners[c][k][1] for c, k in pairings]
-    deps = _dependency_matches(pairings, table.context, table.candidate)
-    raw = (
-        weights.object_match * len(pairings)
-        + weights.field_match * summed(fam)
-        + weights.method_match * summed(mim)
-        + weights.dependency_match * sum(w for _e, w in deps)
-    )
-    return raw, fam, mim, deps
-
-
 # (context consumer, context producer, {(candidate consumer, candidate
 # producer): twice the group's dependency total under that pair of
 # partners, a whole number since the rule's weights are 1.0s and 0.5s})
@@ -377,8 +358,9 @@ def _dependency_groups(table: _PairTable) -> list[_Group]:
 def _best_pairing(
     table: _PairTable, weights: StructuralWeights
 ) -> tuple[list[tuple[int, int]], float, bool]:
-    """The chosen pairing, its raw score as :func:`_score_pairing` returns
-    it, and whether the search ended within ``_MAX_NODES`` nodes.
+    """The chosen pairing, its raw score as the tests' reference scorer of
+    one pairing gives it, and whether the search ended within
+    ``_MAX_NODES`` nodes.
 
     Leaves come in order of pairing before skipping, earlier-declared
     candidates first, each keyed by its exact raw and its size. A subtree
@@ -416,15 +398,18 @@ def _best_pairing(
     # Each dependency group is scored at the depth of its later endpoint,
     # where its best term over its pairs of partners joins the bound.
     groups = _dependency_groups(table)
+    # groups share terms dicts, so each distinct one is read once
+    distinct = {id(terms): terms for _c, _p, terms in groups}
     closing: list[tuple[_Group, ...]] = [()] * size
     closing_bound = [0] * size
     ends: set[int] = set()
     if groups:
         depth = {ci: d for d, ci in enumerate(visited)}
+        best_term = {key: max(terms.values()) * kd for key, terms in distinct.items()}
         for c, p, terms in groups:
             d = max(depth[c], depth[p])
             closing[d] += ((c, p, terms),)
-            closing_bound[d] += max(terms.values()) * kd
+            closing_bound[d] += best_term[id(terms)]
             ends.update((c, p))
     # levels[d] is what the loop reads of visit d: its object, its record
     # and partners, its closing groups, and the bound and most pairs at its
@@ -485,8 +470,7 @@ def _best_pairing(
     free = [True] * (count + 1)
     after = [count] * count
     if classes:
-        distinct = {id(terms): terms for _c, _p, terms in groups}.values()
-        joined = set().union(*map(dict.keys, distinct))
+        joined = set().union(*map(dict.keys, distinct.values()))
         bound_classes = {classes[k] for pair in joined for k in pair}
         last: dict[int, int] = {}
         for ki, j in enumerate(classes):

@@ -763,6 +763,62 @@ def test_one_process_prints_what_a_fresh_process_prints_for_each_call(listing1_p
     assert json.loads(one.stdout) == fresh
 
 
+def test_warm_and_local_runs_load_no_network_module(listing1_path, listing2_path, fixtures_dir, tmp_path):
+    """The default transport imports the network stack on its first request,
+    so in a fresh interpreter a cold fetch through an injected transport,
+    then a warm remote recommend, a fetch served from the complete cache, a
+    local recommend, an evaluate, an analyze and a query leave it unloaded.
+    This module imports ``urllib`` itself, hence the subprocess."""
+    pool = {path.name: path.read_text() for path in sorted((fixtures_dir / "rankpool").glob("*.java"))}
+    evalsuite = fixtures_dir / "evalsuite"
+    cache = str(tmp_path / "cache")
+    steps = [
+        ["recommend", listing1_path, "--remote", "--orgs", "apache", "--cache-dir", cache],
+        ["fetch", "--query", "IOException URL", "--orgs", "apache", "--out", cache],
+        ["recommend", listing1_path, "--corpus", str(fixtures_dir / "rankpool")],
+        ["evaluate", "--cases", str(evalsuite / "cases.json"), "--oracle", str(evalsuite / "oracle.json")],
+        ["analyze", listing2_path, "--emit", "graph"],
+        ["query", listing1_path],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from pathlib import Path\n"
+        "import catchrec\n"
+        "from catchrec import corpus\n"
+        "from catchrec.cli import main\n"
+        "NETWORK = ('urllib.request', 'http.client', 'ssl', 'email')\n"
+        "pool, cache, context, steps = json.loads(sys.argv[1])\n"
+        "items = [{'url': f'https://api.example/{name}', 'path': name,\n"
+        "          'html_url': f'https://example/{name}', 'repository': {'full_name': 'apache/pool'}}\n"
+        "         for name in pool]\n"
+        "def transport(url, headers):\n"
+        "    name = url.rpartition('/')[2]\n"
+        "    if name in pool:\n"
+        "        return 200, pool[name].encode()\n"
+        "    return 200, json.dumps({'items': items}).encode()\n"
+        "runs = [['import', 0, [m for m in NETWORK if m in sys.modules]]]\n"
+        "kb = catchrec.ExceptionKnowledgeBase.bundled()\n"
+        "query = catchrec.formulate_query(catchrec.parse(Path(context).read_text()), kb)\n"
+        "fetched = corpus.fetch_remote(query, ['apache'], cache_dir=cache, token='t', transport=transport)\n"
+        "runs.append(['cold fetch_remote', len(fetched), [m for m in NETWORK if m in sys.modules]])\n"
+        "for argv in steps:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    runs.append([' '.join(argv[:3]), code, [m for m in NETWORK if m in sys.modules]])\n"
+        "print(json.dumps(runs))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GITHUB_TOKEN"}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([pool, cache, listing1_path, steps])],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert [loaded for _step, _result, loaded in runs] == [[]] * (len(steps) + 2), runs
+    assert runs[1][1] == len(pool)
+    assert [code for _step, code, _loaded in runs[2:]] == [0] * len(steps), done.stderr
+
+
 def test_console_script_entry_point(listing1_path):
     result = subprocess.run(
         [sys.executable, "-m", "catchrec.cli", "query", listing1_path],

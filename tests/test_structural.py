@@ -18,6 +18,7 @@ from catchrec import extract_usage_graph, parse, prepare, structural, structural
 from catchrec.errors import StructureUnavailable
 from catchrec.graph import ApiUsageGraph, DependencyEdge, GraphObject
 from catchrec.lexical import PreparedUnit
+from catchrec.model import summed
 from catchrec.structural import (
     StructuralWeights,
     _best_pairing,
@@ -25,8 +26,26 @@ from catchrec.structural import (
     _dependency_matches,
     _pair_table,
     _PairTable,
-    _score_pairing,
 )
+
+
+# --- the one-pairing scorer the search's raw is held to ----------------------
+
+
+def _score_pairing(pairings, table, weights):
+    """Raw score of one pairing and its parts, the reference the search's
+    raw is held to: fractions are summed in pairing order, and the
+    dependency matches are in context-edge order."""
+    fam = [table.partners[c][k][0] for c, k in pairings]
+    mim = [table.partners[c][k][1] for c, k in pairings]
+    deps = _dependency_matches(pairings, table.context, table.candidate)
+    raw = (
+        weights.object_match * len(pairings)
+        + weights.field_match * summed(fam)
+        + weights.method_match * summed(mim)
+        + weights.dependency_match * sum(w for _e, w in deps)
+    )
+    return raw, fam, mim, deps
 
 
 # --- independent reference implementation (test-side oracle) ---------------
@@ -580,26 +599,21 @@ def test_equal_raw_goes_to_the_larger_pairing_past_a_pruned_subtree():
 
 def test_structural_score_scores_one_pairing(listing2, monkeypatch):
     """The search keys its leaves from running sums and the report takes the
-    best key as its raw, so an exhaustive table is never scored in full; the
+    best key as its raw, so no shipped code scores a pairing in full; the
     report derives its dependency detail once, when it is first read."""
-    scored, derived = [], []
-
-    def score_spy(pairings, table, weights):
-        scored.append(list(pairings))
-        return _score_pairing(pairings, table, weights)
+    derived = []
 
     def derive_spy(pairings, context, candidate):
         derived.append(tuple(pairings))
         return _dependency_matches(pairings, context, candidate)
 
-    monkeypatch.setattr(structural, "_score_pairing", score_spy)
+    assert not hasattr(structural, "_score_pairing")
     monkeypatch.setattr(structural, "_dependency_matches", derive_spy)
     report = structural_score(prepare(listing2), prepare(listing2))
     assert report.exhaustive
-    assert scored == derived == []
+    assert derived == []
     for _ in range(2):
         assert report.to_dict()["dependency_total"] == report.dependency_total
-    assert scored == []
     assert derived == [report.pairings]
     assert report.matched_objects == len(listing2.objects) > 2
 
